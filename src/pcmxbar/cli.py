@@ -26,10 +26,10 @@ from .configio import (
     sweep_rows_csv,
     traces_jsonl,
 )
-from .crossbar import CrossbarArray, array_stats, load_resistance_csv, save_resistance_csv
+from .crossbar import array_stats, load_resistance_csv, save_resistance_csv
 from .device import PcmCell, apply_set_pulse
 from .errors import ConfigParseError, SimulationError
-from .experiments import distribution_history, learn_and_recall, variation_sweep
+from .experiments import distribution_history, learn_and_recall, snapshots, variation_sweep
 from .network import compute_thresholds, recall_probe, recall_success
 
 EXIT_OK = 0
@@ -67,29 +67,44 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _group_equal(files: list[tuple[np.ndarray, Path]]) -> list[tuple[np.ndarray, list[Path]]]:
+    """Pair each distinct matrix with all the paths it is written to."""
+    groups: list[tuple[np.ndarray, list[Path]]] = []
+    for matrix, path in files:
+        for kept, paths in groups:
+            if np.array_equal(kept, matrix):
+                paths.append(path)
+                break
+        else:
+            groups.append((matrix, [path]))
+    return groups
+
+
 def _cmd_learn(args) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     report = learn_and_recall(config)
     out = Path(args.out_dir)
     _write(out / "report.json", report_json(report))
     _write(out / "traces.jsonl", traces_jsonl(report))
-    device = config.device
-    initial = CrossbarArray(config.n, report.initial_resistance, np.zeros((config.n, config.n), dtype=np.int64), device)
-    final = CrossbarArray(config.n, report.final_resistance, np.zeros((config.n, config.n), dtype=np.int64), device)
-    save_resistance_csv(initial, out / "array_initial.csv")
-    save_resistance_csv(final, out / "array_final.csv")
+    arrays = [
+        (report.initial_resistance, out / "array_initial.csv"),
+        (report.final_resistance, out / "array_final.csv"),
+    ]
     if config.snapshot_every > 0:
         snapdir = out / "snapshots"
         snapdir.mkdir(parents=True, exist_ok=True)
-        stats_lines = []
-        for epoch, matrix in [(0, report.initial_resistance)] + [
-            (t.epoch, t.resistance_snapshot) for t in report.traces if t.resistance_snapshot is not None
-        ]:
-            snap = CrossbarArray(config.n, matrix, np.zeros((config.n, config.n), dtype=np.int64), device)
-            save_resistance_csv(snap, snapdir / f"epoch_{epoch:04d}.csv")
-            stats_lines.append(json.dumps({"epoch": epoch, **stats_to_dict(array_stats(snap))}, sort_keys=True))
-        _write(snapdir / "stats.jsonl", "".join(line + "\n" for line in stats_lines))
+        kept = snapshots(report)
+        arrays += [(matrix, snapdir / f"epoch_{epoch:04d}.csv") for epoch, matrix in kept]
+        stats_lines = [
+            json.dumps({"epoch": epoch, **stats_to_dict(array_stats(matrix))}, sort_keys=True) + "\n"
+            for epoch, matrix in kept
+        ]
+        _write(snapdir / "stats.jsonl", "".join(stats_lines))
         _write(out / "histograms.csv", histograms_csv(distribution_history(report)))
+    # The epoch-0 snapshot is the initial array and the last snapshot often
+    # the final one: format each distinct matrix once.
+    for matrix, paths in _group_equal(arrays):
+        save_resistance_csv(matrix, *paths)
     if report.epochs_to_recall is None:
         _say(args, f"recall not reached within {config.max_epochs} epochs")
     else:
@@ -104,10 +119,11 @@ def _cmd_recall(args) -> int:
     out = Path(args.out_dir)
     trained_path = out / "array_final.csv"
     baseline_path = out / "array_initial.csv"
-    if not trained_path.is_file():
-        raise FileNotFoundError(f"no stored array at {trained_path}; run learn into this directory first")
+    for path in (trained_path, baseline_path):
+        if not path.is_file():
+            raise FileNotFoundError(f"no stored array at {path}; run learn into this directory first")
     trained = load_resistance_csv(trained_path, config.device)
-    baseline = load_resistance_csv(baseline_path, config.device) if baseline_path.is_file() else trained
+    baseline = load_resistance_csv(baseline_path, config.device)
     thresholds = compute_thresholds(baseline, config.recall_stimulus, config.protocol)
     probe = recall_probe(trained, config.recall_stimulus, thresholds, config.protocol, max_steps=trained.n)
     payload = {
@@ -165,6 +181,21 @@ def _cmd_device_curve(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an int no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcmxbar",
@@ -181,8 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="config JSON path or bundled config name")
         p.add_argument("--out-dir", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--epochs", type=int, default=None, help="override max epochs (pulses for device-curve)")
+        p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed (>= 0)")
+        p.add_argument(
+            "--epochs", type=_int_at_least(1), default=None, help="override max epochs (pulses for device-curve; >= 1)"
+        )
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         p.set_defaults(func=func)
     return parser

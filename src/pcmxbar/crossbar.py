@@ -10,16 +10,28 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+import math
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .device import DeviceParams, PcmCell, PulseRole, PulseSpec, apply_reset_pulse, apply_set_pulse, pulse_energy, read_current
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidDimension
+from .device import (
+    DeviceParams,
+    PulseRole,
+    PulseSpec,
+    check_reset_pulse,
+    check_set_pulse,
+    lognormal_shape,
+    pulse_energy,
+    set_target,
+)
+from .errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
 
-# Fallback read pulse used when no explicit read waveform is supplied (s).
-DEFAULT_READ_WIDTH = 1.0e-4
+# Read waveform: a 100 us rectangle at the read voltage. Reads given only a
+# voltage use this shape at that amplitude.
+DEFAULT_READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
 
 # RESET waveform used to form arrays when none is configured: 1.5 V, 20/50/5 ns.
 DEFAULT_RESET_PULSE = PulseSpec(1.5, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
@@ -68,17 +80,16 @@ class CrossbarArray:
     set_counts: np.ndarray  # SET pulses since last RESET, shape (n, n)
     params: DeviceParams
 
-    def cell(self, bl: int, wl: int) -> PcmCell:
-        self._check_index(bl)
-        self._check_index(wl)
-        return PcmCell(float(self.resistance[bl, wl]), int(self.set_counts[bl, wl]))
-
     def copy(self) -> "CrossbarArray":
         return CrossbarArray(self.n, self.resistance.copy(), self.set_counts.copy(), self.params)
 
-    def _check_index(self, idx: int) -> None:
-        if not (0 <= idx < self.n):
-            raise IndexOutOfRange(f"index {idx} outside array of dimension {self.n}")
+    def _sorted_indices(self, indices) -> list[int]:
+        """The bitline or wordline indices in ascending order; raises if one lies outside."""
+        ordered = sorted(indices)
+        for idx in ordered[:1] + ordered[-1:]:
+            if not (0 <= idx < self.n):
+                raise IndexOutOfRange(f"index {idx} outside array of dimension {self.n}")
+        return ordered
 
 
 def init_array(
@@ -96,13 +107,49 @@ def init_array(
     """
     if n < 2:
         raise InvalidDimension(f"array dimension must be >= 2, got {n}")
-    resistance = np.empty((n, n), dtype=np.float64)
-    pristine = PcmCell(params.r_max)
-    for i in range(n):
-        for j in range(n):
-            cell, _ = apply_reset_pulse(pristine, reset_pulse, params, scheme.median, scheme.cv, rng)
-            resistance[i, j] = cell.resistance
+    check_reset_pulse(reset_pulse, params)
+    if scheme.cv == 0:
+        resistance = np.full((n, n), scheme.median, dtype=np.float64)
+    else:
+        # One batch of normals is the same stream as one draw per cell. The
+        # exponential stays math.exp: np.exp differs from it in the last bit
+        # for some inputs, and streaming keeps no list of n * n floats alive.
+        z = rng.standard_normal(n * n)
+        z *= lognormal_shape(scheme.cv)
+        resistance = np.fromiter(map(math.exp, z), dtype=np.float64, count=n * n).reshape(n, n)
+        resistance *= scheme.median
+    np.clip(resistance, params.r_min, params.r_max, out=resistance)
     return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
+
+
+def read_bitlines(
+    array: CrossbarArray,
+    bls: list[int],
+    gated_wls: list[int],
+    v_read: float,
+    read_pulse: PulseSpec,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Currents and read energies of several bitlines under one gated wordline set.
+
+    bls and gated_wls must be ascending and inside the array. Returns per
+    bitline (current in amperes, read energy in joules). Every bitline adds
+    its cells in ascending wordline order, so each sum has the bits of a
+    cell-by-cell loop.
+    """
+    if v_read >= array.params.v_set_threshold:
+        raise ValueError("read voltage must stay below v_set_threshold")
+    if not gated_wls:
+        return np.zeros(len(bls)), np.zeros(len(bls))
+    if v_read < 0:
+        raise ValueError("read voltage must be >= 0")
+    r = array.resistance.T[np.ix_(gated_wls, bls)]  # a copy, row = wordline
+    energies = pulse_energy(read_pulse, r)
+    currents = np.divide(v_read, r, out=r)
+    # cumsum adds down each column in order. np.sum and np.add.reduce sum
+    # pairwise where a column is contiguous (one bitline), which changes bits.
+    np.cumsum(currents, axis=0, out=currents)
+    np.cumsum(energies, axis=0, out=energies)
+    return currents[-1].copy(), energies[-1].copy()
 
 
 def read_bitline(
@@ -118,21 +165,14 @@ def read_bitline(
     contribute nothing: their selection transistors are ideal. The gated set
     is traversed in sorted order so the float sum is reproducible. v_read
     must stay below the SET threshold so a read never disturbs state.
+    Without read_pulse the read uses DEFAULT_READ_PULSE at amplitude v_read.
     """
-    array._check_index(bl)
-    for wl in gated_wls:
-        array._check_index(wl)
-    if v_read >= array.params.v_set_threshold:
-        raise ValueError("read voltage must stay below v_set_threshold")
+    bls = array._sorted_indices((bl,))
+    wls = array._sorted_indices(gated_wls)
     if read_pulse is None:
-        read_pulse = PulseSpec(v_read, 0.0, DEFAULT_READ_WIDTH, 0.0, PulseRole.READ)
-    current = 0.0
-    energy = 0.0
-    for wl in sorted(gated_wls):
-        cell = PcmCell(float(array.resistance[bl, wl]))
-        current += read_current(cell, v_read)
-        energy += pulse_energy(read_pulse, cell.resistance)
-    return current, energy
+        read_pulse = replace(DEFAULT_READ_PULSE, amplitude=v_read)
+    currents, energies = read_bitlines(array, bls, wls, v_read, read_pulse)
+    return float(currents[0]), float(energies[0])
 
 
 def program_cells(
@@ -149,27 +189,28 @@ def program_cells(
     (new array, total programming energy in joules, number of cells pulsed).
     Cells outside the block are byte-identical to the input array.
     """
-    for idx in driven_bls:
-        array._check_index(idx)
-    for idx in gated_wls:
-        array._check_index(idx)
+    bls = array._sorted_indices(driven_bls)
+    wls = array._sorted_indices(gated_wls)
     out = array.copy()
-    energy = 0.0
-    count = 0
-    for bl in sorted(driven_bls):
-        for wl in sorted(gated_wls):
-            cell = out.cell(bl, wl)
-            new_cell, e = apply_set_pulse(cell, pulse, array.params, rng)
-            out.resistance[bl, wl] = new_cell.resistance
-            out.set_counts[bl, wl] = new_cell.pulse_count_set
-            energy += e
-            count += 1
+    count = len(bls) * len(wls)
+    if count == 0:
+        return out, 0.0, 0
+    params = array.params
+    check_set_pulse(pulse, params)
+    block = np.ix_(bls, wls)
+    before = out.resistance[block]
+    # One row-major batch of normals is the same stream as one draw per cell.
+    noise = rng.normal(0.0, params.sigma_c2c, size=before.shape) if params.sigma_c2c > 0 else 0.0
+    out.resistance[block] = np.clip(set_target(before, noise, params), params.r_min, params.r_max)
+    out.set_counts[block] += 1
+    # Running sum in row-major order, as a per-cell loop adds it.
+    energy = float(np.cumsum(pulse_energy(pulse, before))[-1])
     return out, energy, count
 
 
-def array_stats(array: CrossbarArray) -> ArrayStats:
-    """Population statistics of the resistance matrix."""
-    values = array.resistance.ravel()
+def array_stats(resistance: np.ndarray) -> ArrayStats:
+    """Population statistics of a resistance matrix."""
+    values = resistance.ravel()
     mean = float(np.mean(values))
     std = float(np.std(values))  # population (ddof=0)
     return ArrayStats(
@@ -189,27 +230,48 @@ def normalized_weights(array: CrossbarArray, baseline: CrossbarArray) -> np.ndar
     return array.resistance / baseline.resistance
 
 
-def save_resistance_csv(array: CrossbarArray, path: str | Path) -> None:
-    """Write the resistance matrix as bare CSV: n rows x n columns, ohms."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in array.resistance:
-            writer.writerow([repr(float(v)) for v in row])
+def save_resistance_csv(resistance: np.ndarray, *paths: str | Path) -> None:
+    """Write a resistance matrix as bare CSV to every path: n rows x n columns, ohms.
+
+    Each row is formatted once, as the reprs of its values joined by commas
+    with CRLF line ends (what csv.writer writes for them), and goes to all
+    the files.
+    """
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="")) for path in paths]
+        for row in resistance:
+            line = ",".join(map(repr, row.tolist())) + "\r\n"
+            for fh in files:
+                fh.write(line)
 
 
 def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray:
-    """Read a resistance matrix CSV back into an array (pulse counts reset)."""
+    """Read a resistance matrix CSV back into an array (pulse counts reset).
+
+    Rejects a file that is not a square matrix of at least 2 x 2 numbers in
+    [r_min, r_max]; every error names the file.
+    """
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
-        for record in csv.reader(fh):
-            if record:
-                rows.append([float(v) for v in record])
+        reader = csv.reader(fh)
+        try:
+            for record in reader:
+                if record:
+                    rows.append([float(v) for v in record])
+        except (ValueError, csv.Error) as exc:
+            raise CorruptArrayFile(f"{path}, line {reader.line_num}: {exc}") from exc
     n = len(rows)
     if n < 2:
-        raise InvalidDimension(f"array dimension must be >= 2, got {n}")
+        raise InvalidDimension(f"{path}: array dimension must be >= 2, got {n}")
     if any(len(r) != n for r in rows):
-        raise DimensionMismatch("resistance CSV is not square")
+        raise DimensionMismatch(f"{path}: resistance CSV is not square")
     resistance = np.array(rows, dtype=np.float64)
-    if np.any(resistance < params.r_min) or np.any(resistance > params.r_max):
-        raise ValueError("resistance CSV contains values outside [r_min, r_max]")
+    # written as a negation so that NaN counts as outside
+    outside = ~((resistance >= params.r_min) & (resistance <= params.r_max))
+    if outside.any():
+        bl, wl = np.argwhere(outside)[0]
+        raise CorruptArrayFile(
+            f"{path}: cell (bitline {bl}, wordline {wl}) holds {float(resistance[bl, wl])!r} ohm, "
+            f"outside [r_min, r_max] = [{params.r_min!r}, {params.r_max!r}]"
+        )
     return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)

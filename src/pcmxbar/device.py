@@ -96,14 +96,15 @@ class PcmCell:
     pulse_count_set: int = 0
 
 
-def pulse_energy(pulse: PulseSpec, resistance_before: float) -> float:
+def pulse_energy(pulse: PulseSpec, resistance_before: float | np.ndarray) -> float | np.ndarray:
     """Energy in joules dissipated by one pulse into a fixed resistance.
 
     Integrates v(t)^2 / R over the trapezoid; each linear ramp contributes
     a third of the flat-top power times its duration. The resistance seen
     by the pulse is frozen at its pre-pulse value for the whole pulse.
+    Applies elementwise to an array of resistances.
     """
-    if resistance_before <= 0:
+    if np.any(resistance_before <= 0):
         raise ValueError("resistance must be positive")
     power_top = pulse.amplitude**2 / resistance_before  # watts on the flat top
     return power_top * (pulse.t_rise / 3.0 + pulse.t_width + pulse.t_fall / 3.0)
@@ -114,6 +115,43 @@ def read_current(cell: PcmCell, v_read: float) -> float:
     if v_read < 0:
         raise ValueError("read voltage must be >= 0")
     return v_read / cell.resistance
+
+
+def check_set_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
+    """Raise unless pulse is a SET pulse strong enough to crystallize."""
+    if pulse.role is not PulseRole.SET:
+        raise ValueError("apply_set_pulse needs a pulse with role SET")
+    if pulse.amplitude < params.v_set_threshold:
+        raise AmplitudeBelowThreshold(
+            f"SET amplitude {pulse.amplitude} V below threshold "
+            f"{params.v_set_threshold} V; no state change"
+        )
+
+
+def check_reset_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
+    """Raise unless pulse is a RESET pulse strong enough to amorphize."""
+    if pulse.role is not PulseRole.RESET:
+        raise ValueError("apply_reset_pulse needs a pulse with role RESET")
+    if pulse.amplitude < params.v_reset_threshold:
+        raise AmplitudeBelowThreshold(
+            f"RESET amplitude {pulse.amplitude} V below threshold "
+            f"{params.v_reset_threshold} V; no state change"
+        )
+
+
+def set_target(
+    resistance: float | np.ndarray, noise: float | np.ndarray, params: DeviceParams
+) -> float | np.ndarray:
+    """Resistance after one SET pulse with cycle-to-cycle factor noise, before clamping.
+
+    Applies elementwise to arrays of resistances and noise draws.
+    """
+    return params.r_min + (resistance - params.r_min) * (1.0 - params.alpha_set) * (1.0 + noise)
+
+
+def lognormal_shape(cv: float) -> float:
+    """Shape sqrt(ln(1 + cv^2)) of the lognormal whose coefficient of variation is cv."""
+    return math.sqrt(math.log1p(cv * cv))
 
 
 def apply_set_pulse(
@@ -128,17 +166,10 @@ def apply_set_pulse(
     a zero-mean Gaussian cycle-to-cycle factor, then clamps to [r_min, r_max].
     Returns the new cell and the energy in joules dissipated by the pulse.
     """
-    if pulse.role is not PulseRole.SET:
-        raise ValueError("apply_set_pulse needs a pulse with role SET")
-    if pulse.amplitude < params.v_set_threshold:
-        raise AmplitudeBelowThreshold(
-            f"SET amplitude {pulse.amplitude} V below threshold "
-            f"{params.v_set_threshold} V; no state change"
-        )
+    check_set_pulse(pulse, params)
     energy = pulse_energy(pulse, cell.resistance)
     noise = rng.normal(0.0, params.sigma_c2c) if params.sigma_c2c > 0 else 0.0
-    target = params.r_min + (cell.resistance - params.r_min) * (1.0 - params.alpha_set) * (1.0 + noise)
-    new_r = min(max(target, params.r_min), params.r_max)
+    new_r = min(max(set_target(cell.resistance, noise, params), params.r_min), params.r_max)
     return PcmCell(new_r, cell.pulse_count_set + 1), energy
 
 
@@ -156,21 +187,13 @@ def apply_reset_pulse(
     its coefficient of variation; rel_spread = 0 lands exactly on the median.
     The SET pulse counter restarts at zero.
     """
-    if pulse.role is not PulseRole.RESET:
-        raise ValueError("apply_reset_pulse needs a pulse with role RESET")
-    if pulse.amplitude < params.v_reset_threshold:
-        raise AmplitudeBelowThreshold(
-            f"RESET amplitude {pulse.amplitude} V below threshold "
-            f"{params.v_reset_threshold} V; no state change"
-        )
+    check_reset_pulse(pulse, params)
     if rel_spread < 0:
         raise ValueError("rel_spread must be >= 0")
     energy = pulse_energy(pulse, cell.resistance)
     if rel_spread == 0:
         drawn = target_median
     else:
-        # lognormal with median m and CV c: shape sqrt(ln(1 + c^2)), scale ln(m)
-        shape = math.sqrt(math.log1p(rel_spread * rel_spread))
-        drawn = target_median * math.exp(shape * rng.standard_normal())
+        drawn = target_median * math.exp(lognormal_shape(rel_spread) * rng.standard_normal())
     new_r = min(max(drawn, params.r_min), params.r_max)
     return PcmCell(new_r, 0), energy

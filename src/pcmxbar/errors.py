@@ -37,5 +37,9 @@ class NoSnapshots(SimulationError):
     """Distribution history was requested from a run that kept no snapshots."""
 
 
+class CorruptArrayFile(SimulationError):
+    """A stored resistance array file holds a cell that is not a resistance in the device range."""
+
+
 class ConfigParseError(SimulationError):
     """Configuration file is missing, malformed, or fails validation."""

@@ -131,7 +131,7 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     pp = config.protocol
     array = init_array(config.n, config.init, config.device, rng, pp.reset_pulse)
-    initial_stats = array_stats(array)
+    initial_stats = array_stats(array.resistance)
     initial_resistance = array.resistance.copy()
     thresholds = compute_thresholds(array, config.recall_stimulus, pp)
 
@@ -174,7 +174,7 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
         energy_breakdown=breakdown,
         initial_cv=initial_stats.cv,
         initial_stats=initial_stats,
-        final_stats=array_stats(array),
+        final_stats=array_stats(array.resistance),
         thresholds=thresholds,
         traces=traces,
         contrast_history=contrast_history,
@@ -246,6 +246,13 @@ def variation_sweep(
     return rows
 
 
+def snapshots(report: RunReport) -> list[tuple[int, np.ndarray]]:
+    """(epoch, resistance matrix) of the initial array (epoch 0) and of every kept snapshot."""
+    return [(0, report.initial_resistance)] + [
+        (t.epoch, t.resistance_snapshot) for t in report.traces if t.resistance_snapshot is not None
+    ]
+
+
 def distribution_history(report: RunReport, bins: int = 50) -> list[SnapshotHistogram]:
     """Log-spaced resistance histograms for every kept snapshot.
 
@@ -254,15 +261,12 @@ def distribution_history(report: RunReport, bins: int = 50) -> list[SnapshotHist
     matrix normalized by the initial array, for external plotting.
     """
     device = report.config.device
-    snapshots: list[tuple[int, np.ndarray]] = [(0, report.initial_resistance)]
-    snapshots += [
-        (t.epoch, t.resistance_snapshot) for t in report.traces if t.resistance_snapshot is not None
-    ]
-    if len(snapshots) < 2 and report.config.snapshot_every == 0:
+    kept = snapshots(report)
+    if len(kept) < 2 and report.config.snapshot_every == 0:
         raise NoSnapshots("run kept no snapshots; set snapshot_every > 0")
     edges = np.logspace(np.log10(device.r_min), np.log10(device.r_max), bins + 1)
     out = []
-    for epoch, matrix in snapshots:
+    for epoch, matrix in kept:
         counts, _ = np.histogram(matrix.ravel(), bins=edges)
         out.append(
             SnapshotHistogram(

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossbar import DEFAULT_RESET_PULSE, CrossbarArray, program_cells, read_bitline
+from .crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, CrossbarArray, program_cells, read_bitlines
 from .device import DeviceParams, PulseRole, PulseSpec
 from .errors import DimensionMismatch, EmptyStimulus
 
-DEFAULT_READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
 DEFAULT_PROGRAM_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 
 
@@ -125,6 +124,23 @@ def _check_pattern(array: CrossbarArray, pattern: Pattern) -> None:
         raise DimensionMismatch(f"pattern length {pattern.n} != array dimension {array.n}")
 
 
+def _add_in_order(total: float, values: np.ndarray) -> float:
+    """total + values[0] + values[1] + ..., added left to right like a running sum."""
+    return float(np.cumsum(np.append(total, values))[-1])
+
+
+def _read_idle(
+    array: CrossbarArray, firing: frozenset[int] | set[int], pp: ProtocolParams
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Read every non-firing neuron's bitline gated by the firing set.
+
+    Returns (the non-firing neurons ascending, their currents, their read energies).
+    """
+    idle = [i for i in range(array.n) if i not in firing]
+    currents, energies = read_bitlines(array, idle, sorted(firing), pp.v_read, pp.read_pulse)
+    return idle, currents, energies
+
+
 def compute_thresholds(array: CrossbarArray, stimulus: Pattern, pp: ProtocolParams) -> np.ndarray:
     """Per-neuron firing thresholds from the untrained array.
 
@@ -137,11 +153,8 @@ def compute_thresholds(array: CrossbarArray, stimulus: Pattern, pp: ProtocolPara
     on = stimulus.on_set()
     if not on:
         raise EmptyStimulus("stimulus has no ON bits")
-    thresholds = np.empty(array.n, dtype=np.float64)
-    for i in range(array.n):
-        current, _ = read_bitline(array, i, on, pp.v_read, pp.read_pulse)
-        thresholds[i] = pp.threshold_factor * current
-    return thresholds
+    currents, _ = read_bitlines(array, list(range(array.n)), sorted(on), pp.v_read, pp.read_pulse)
+    return pp.threshold_factor * currents
 
 
 def training_epoch(
@@ -175,21 +188,16 @@ def training_epoch(
                     program_energy += e
     if out is array:
         out = array.copy()
+    idle, read, energies = _read_idle(out, firing, pp)
     currents = np.full(array.n, np.nan)
-    read_energy = 0.0
-    for i in range(array.n):
-        if i in firing:
-            continue
-        current, e = read_bitline(out, i, firing, pp.v_read, pp.read_pulse)
-        currents[i] = current
-        read_energy += e
+    currents[idle] = read
     trace = EpochTrace(
         epoch=0,
         phase="train",
         firing_set=firing,
         currents=currents,
         program_energy=program_energy,
-        read_energy=read_energy,
+        read_energy=_add_in_order(0.0, energies),
     )
     return out, trace
 
@@ -215,20 +223,18 @@ def recall_probe(
     firing = set(partial.on_set())
     if not firing:
         raise EmptyStimulus("recall stimulus has no ON bits")
+    thresholds = np.asarray(thresholds, dtype=np.float64)
     result = ProbeResult(final_firing=frozenset(firing))
     for step in range(max_steps):
-        states: list[NeuronState] = []
-        newly_fired: set[int] = set()
-        for i in range(array.n):
-            if i in firing:
-                states.append(NeuronState(True, math.nan, float(thresholds[i])))
-                continue
-            current, e = read_bitline(array, i, firing, pp.v_read, pp.read_pulse)
-            result.read_energy += e
-            if current > thresholds[i]:
-                newly_fired.add(i)
-            states.append(NeuronState(False, current, float(thresholds[i])))
-        result.steps.append(ProbeStep(step, tuple(states), frozenset(newly_fired)))
+        idle, currents, energies = _read_idle(array, firing, pp)
+        result.read_energy = _add_in_order(result.read_energy, energies)
+        newly_fired = frozenset(i for i, fires in zip(idle, (currents > thresholds[idle]).tolist()) if fires)
+        read = dict(zip(idle, currents.tolist()))
+        states = tuple(
+            NeuronState(i not in read, read.get(i, math.nan), threshold)
+            for i, threshold in enumerate(thresholds.tolist())
+        )
+        result.steps.append(ProbeStep(step, states, newly_fired))
         if not newly_fired:
             result.converged = True
             break

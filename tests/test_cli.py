@@ -120,6 +120,29 @@ def test_recall_without_stored_array_is_io_error(tmp_path, capsys):
     assert "array_final.csv" in capsys.readouterr().err
 
 
+def test_recall_without_baseline_array_is_io_error(tmp_path, capsys):
+    learn_into(tmp_path, "--quiet")
+    (tmp_path / "array_initial.csv").unlink()
+    code = main(["recall", "--config", "paper10x10.json", "--out-dir", str(tmp_path)])
+    assert code == EXIT_IO
+    assert "array_initial.csv" in capsys.readouterr().err
+    assert not (tmp_path / "recall.json").exists()
+
+
+@pytest.mark.parametrize("name", ["array_final.csv", "array_initial.csv"])
+@pytest.mark.parametrize("cell", ["nan", "1e2", "ohm"])
+def test_recall_rejects_corrupt_array_naming_the_file(tmp_path, capsys, name, cell):
+    learn_into(tmp_path, "--quiet")
+    path = tmp_path / name
+    rows = path.read_text().splitlines()
+    rows[3] = ",".join([cell] + rows[3].split(",")[1:])
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["recall", "--config", "paper10x10.json", "--out-dir", str(tmp_path)])
+    assert code == EXIT_SIMULATION
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "recall.json").exists()
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -193,6 +216,19 @@ def test_simulation_error_has_its_own_exit_code(tmp_path, capsys):
     code = main(["learn", "--config", str(path), "--out-dir", str(tmp_path)])
     assert code == EXIT_SIMULATION
     assert "simulation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["learn", "device-curve"])
+@pytest.mark.parametrize(
+    "flag, value", [("--epochs", "0"), ("--epochs", "-5"), ("--epochs", "two"), ("--seed", "-1"), ("--seed", "x")]
+)
+def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--config", "paper10x10.json", "--out-dir", str(tmp_path), flag, value])
+    assert excinfo.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_cli_is_main():

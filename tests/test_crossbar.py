@@ -19,7 +19,7 @@ from pcmxbar import (
     read_bitline,
     save_resistance_csv,
 )
-from pcmxbar.errors import DimensionMismatch, IndexOutOfRange, InvalidDimension
+from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
 
 from conftest import make_rng, uniform_array
 
@@ -47,7 +47,7 @@ def test_init_single_seed_cv_within_sampling_error(quiet_device):
     # 100 cells at cv 0.09: sample CV lands within +-30% for a single draw
     scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 0.09, 1.0e6)
     arr = init_array(10, scheme, quiet_device, make_rng(3))
-    stats = array_stats(arr)
+    stats = array_stats(arr.resistance)
     assert abs(stats.cv - 0.09) / 0.09 < 0.30
 
 
@@ -55,7 +55,7 @@ def test_init_ensemble_mean_cv_hits_target(quiet_device):
     # 500 seeds at cv 0.60; the seed-ensemble mean of sample CVs converges
     scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 0.60, 1.0e6)
     cvs = [
-        array_stats(init_array(10, scheme, quiet_device, make_rng(s))).cv
+        array_stats(init_array(10, scheme, quiet_device, make_rng(s)).resistance).cv
         for s in range(500)
     ]
     assert abs(np.mean(cvs) - 0.60) / 0.60 < 0.10
@@ -220,7 +220,7 @@ def test_program_rejects_bad_indices(quiet_device, rng):
 
 def test_array_stats_uniform(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    stats = array_stats(arr)
+    stats = array_stats(arr.resistance)
     assert stats.cv == 0.0
     assert stats.mean == stats.median == 1.0e6
     assert stats.min == stats.max == 1.0e6
@@ -229,7 +229,7 @@ def test_array_stats_uniform(quiet_device):
 def test_array_stats_two_level_population(quiet_device):
     arr = uniform_array(2, 1.0e6, quiet_device)
     arr.resistance[:, 1] = 3.0e6  # two cells at 1 MOhm, two at 3 MOhm
-    stats = array_stats(arr)
+    stats = array_stats(arr.resistance)
     assert stats.mean == pytest.approx(2.0e6, rel=1e-13)
     assert stats.std == pytest.approx(1.0e6, rel=1e-13)  # population std
     assert stats.cv == pytest.approx(0.5, rel=1e-13)
@@ -240,7 +240,7 @@ def test_array_stats_cv_consistency(quiet_device):
     arr = CrossbarArray(
         10, rng.uniform(1e4, 1e7, size=(10, 10)), np.zeros((10, 10), dtype=np.int64), quiet_device
     )
-    stats = array_stats(arr)
+    stats = array_stats(arr.resistance)
     assert stats.cv == pytest.approx(stats.std / stats.mean, rel=1e-12)
     assert stats.min <= stats.median <= stats.max
 
@@ -248,7 +248,7 @@ def test_array_stats_cv_consistency(quiet_device):
 def test_training_pulls_min_below_initial_min(quiet_device, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
     out, _, _ = program_cells(arr, {0, 1}, {0, 1}, SET_PULSE, rng)
-    assert array_stats(out).min < array_stats(arr).min
+    assert array_stats(out.resistance).min < array_stats(arr.resistance).min
 
 
 def test_stats_type_shape():
@@ -307,7 +307,7 @@ def test_resistance_csv_round_trip(quiet_device, tmp_path):
         7, rng.uniform(1e4, 1e7, size=(7, 7)), np.zeros((7, 7), dtype=np.int64), quiet_device
     )
     path = tmp_path / "array.csv"
-    save_resistance_csv(arr, path)
+    save_resistance_csv(arr.resistance, path)
     loaded = load_resistance_csv(path, quiet_device)
     assert loaded.n == 7
     assert np.array_equal(loaded.resistance, arr.resistance)  # repr round-trip
@@ -324,5 +324,17 @@ def test_load_rejects_ragged_csv(quiet_device, tmp_path):
 def test_load_rejects_out_of_range_resistance(quiet_device, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1e6,1e6\n1e6,1e2\n")  # 100 Ohm below r_min
-    with pytest.raises(ValueError):
+    with pytest.raises(CorruptArrayFile, match="bad.csv"):
         load_resistance_csv(path, quiet_device)
+
+
+@pytest.mark.parametrize(
+    "cell, reason",
+    [("nan", "nan"), ("inf", "inf"), ("2e7", "20000000.0"), ("-1e6", "-1000000.0"), ("abc", "'abc'"), ("", "line 2")],
+)
+def test_load_rejects_corrupt_cell_naming_the_file(quiet_device, tmp_path, cell, reason):
+    path = tmp_path / "corrupt.csv"
+    path.write_text(f"1e6,1e6\n1e6,{cell}\n")
+    with pytest.raises(CorruptArrayFile, match="corrupt.csv") as excinfo:
+        load_resistance_csv(path, quiet_device)
+    assert reason in str(excinfo.value)

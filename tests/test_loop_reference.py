@@ -1,0 +1,156 @@
+"""The whole-array crossbar paths against per-cell loop references.
+
+program_cells, the bitline reads and init_array work on blocks of cells at
+once. The loops below do the same work one cell at a time through the
+device functions, in the documented order. Since the arithmetic per cell is
+unchanged, the two must agree exactly: the matrices, the SET counts, the
+energies (bit for bit, so summation order matters) and the state the
+generator is left in.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcmxbar import (
+    CrossbarArray,
+    DeviceParams,
+    InitScheme,
+    InitVariant,
+    PcmCell,
+    PulseRole,
+    PulseSpec,
+    apply_reset_pulse,
+    apply_set_pulse,
+    init_array,
+    program_cells,
+    pulse_energy,
+    read_bitline,
+    read_current,
+)
+from pcmxbar.crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, read_bitlines
+
+from conftest import make_rng
+
+SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
+READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
+
+# Index sets of every kind a caller passes: none, one, all, or any subset.
+INDEX_KINDS = ("empty", "single", "full", "any")
+
+
+def loop_program_cells(array, driven_bls, gated_wls, pulse, rng):
+    out = array.copy()
+    energy = 0.0
+    count = 0
+    for bl in sorted(driven_bls):
+        for wl in sorted(gated_wls):
+            cell = PcmCell(float(out.resistance[bl, wl]), int(out.set_counts[bl, wl]))
+            new_cell, e = apply_set_pulse(cell, pulse, array.params, rng)
+            out.resistance[bl, wl] = new_cell.resistance
+            out.set_counts[bl, wl] = new_cell.pulse_count_set
+            energy += e
+            count += 1
+    return out, energy, count
+
+
+def loop_read_bitline(array, bl, gated_wls, v_read, read_pulse):
+    current = 0.0
+    energy = 0.0
+    for wl in sorted(gated_wls):
+        cell = PcmCell(float(array.resistance[bl, wl]))
+        current += read_current(cell, v_read)
+        energy += pulse_energy(read_pulse, cell.resistance)
+    return current, energy
+
+
+def loop_init_array(n, scheme, params, rng, reset_pulse=DEFAULT_RESET_PULSE):
+    resistance = np.empty((n, n), dtype=np.float64)
+    pristine = PcmCell(params.r_max)
+    for i in range(n):
+        for j in range(n):
+            cell, _ = apply_reset_pulse(pristine, reset_pulse, params, scheme.median, scheme.cv, rng)
+            resistance[i, j] = cell.resistance
+    return resistance
+
+
+@st.composite
+def index_sets(draw, n: int, kind: str) -> frozenset[int]:
+    if kind == "empty":
+        return frozenset()
+    if kind == "single":
+        return frozenset({draw(st.integers(0, n - 1))})
+    if kind == "full":
+        return frozenset(range(n))
+    return draw(st.frozensets(st.integers(0, n - 1)))
+
+
+def random_array(seed: int, n: int, params: DeviceParams) -> CrossbarArray:
+    rng = make_rng(seed)
+    return CrossbarArray(
+        n,
+        rng.uniform(params.r_min, params.r_max, size=(n, n)),
+        rng.integers(0, 5, size=(n, n)),
+        params,
+    )
+
+
+sigmas = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.5))
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), sigma=sigmas, data=st.data())
+def test_program_cells_equals_cell_loop(kind, seed, n, sigma, data):
+    params = DeviceParams(sigma_c2c=sigma)
+    array = random_array(seed, n, params)
+    before = array.resistance.copy()
+    driven = data.draw(index_sets(n, kind))
+    gated = data.draw(index_sets(n, data.draw(st.sampled_from(INDEX_KINDS))))
+    rng_block, rng_loop = make_rng(seed + 1), make_rng(seed + 1)
+    out, energy, count = program_cells(array, driven, gated, SET_PULSE, rng_block)
+    ref, ref_energy, ref_count = loop_program_cells(array, driven, gated, SET_PULSE, rng_loop)
+    assert np.array_equal(out.resistance, ref.resistance)
+    assert np.array_equal(out.set_counts, ref.set_counts)
+    assert energy == ref_energy and type(energy) is float
+    assert count == ref_count
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+    assert np.array_equal(array.resistance, before)
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), data=st.data())
+def test_reads_equal_cell_loop(kind, seed, n, data):
+    array = random_array(seed, n, DeviceParams())
+    gated = data.draw(index_sets(n, kind))
+    bl = data.draw(st.integers(0, n - 1))
+    assert read_bitline(array, bl, gated, 0.1, READ_PULSE) == loop_read_bitline(array, bl, gated, 0.1, READ_PULSE)
+    # the default read waveform is DEFAULT_READ_PULSE at the read voltage
+    assert read_bitline(array, bl, gated, 0.05) == loop_read_bitline(
+        array, bl, gated, 0.05, PulseSpec(0.05, 0.0, DEFAULT_READ_PULSE.t_width, 0.0, PulseRole.READ)
+    )
+    # several bitlines in one call give each bitline's loop sums
+    bls = sorted(data.draw(index_sets(n, data.draw(st.sampled_from(INDEX_KINDS)))))
+    currents, energies = read_bitlines(array, bls, sorted(gated), 0.1, READ_PULSE)
+    expected = [loop_read_bitline(array, b, gated, 0.1, READ_PULSE) for b in bls]
+    assert list(zip(currents.tolist(), energies.tolist())) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    cv=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.99)),
+    median=st.floats(min_value=1.0e4, max_value=1.0e7),
+)
+def test_init_array_equals_cell_loop(seed, n, cv, median):
+    params = DeviceParams()
+    scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, cv, median)
+    rng_block, rng_loop = make_rng(seed), make_rng(seed)
+    array = init_array(n, scheme, params, rng_block)
+    assert np.array_equal(array.resistance, loop_init_array(n, scheme, params, rng_loop))
+    assert np.array_equal(array.set_counts, np.zeros((n, n), dtype=np.int64))
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
