@@ -29,9 +29,6 @@ from .device import (
 )
 from .experiments import (
     ExperimentConfig,
-    RunReport,
-    SnapshotHistogram,
-    SweepRow,
     class_reports,
     distribution_history,
     learn_and_recall,
@@ -40,18 +37,13 @@ from .experiments import (
     weight_contrast,
 )
 from .network import (
-    EpochTrace,
-    NeuronState,
     Pattern,
-    ProbeResult,
-    ProbeStep,
     ProtocolParams,
     compute_thresholds,
     recall_probe,
     recall_success,
     training_epoch,
 )
-from . import errors
 
 __version__ = "0.1.0"
 
@@ -59,28 +51,20 @@ __all__ = [
     "ArrayStats",
     "CrossbarArray",
     "DeviceParams",
-    "EpochTrace",
     "ExperimentConfig",
     "InitScheme",
     "InitVariant",
-    "NeuronState",
     "Pattern",
     "PcmCell",
-    "ProbeResult",
-    "ProbeStep",
     "ProtocolParams",
     "PulseRole",
     "PulseSpec",
-    "RunReport",
-    "SnapshotHistogram",
-    "SweepRow",
     "apply_reset_pulse",
     "apply_set_pulse",
     "array_stats",
     "class_reports",
     "compute_thresholds",
     "distribution_history",
-    "errors",
     "init_array",
     "learn_and_recall",
     "load_resistance_csv",

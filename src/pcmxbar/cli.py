@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -137,7 +138,7 @@ def _cmd_recall(args) -> int:
             {
                 "step": step.step,
                 "newly_fired": sorted(step.newly_fired),
-                "currents_A": [None if s.firing else s.input_current for s in step.states],
+                "currents_A": [None if math.isnan(c) else c for c in step.currents.tolist()],
             }
             for step in probe.steps
         ],

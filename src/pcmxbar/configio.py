@@ -7,19 +7,20 @@ identical runs, so reruns of the same config and seed are byte-identical.
 """
 from __future__ import annotations
 
+import enum
+import functools
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from .crossbar import ArrayStats, InitScheme, InitVariant
-from .device import DeviceParams, PulseRole, PulseSpec
-from .errors import ConfigParseError
+from .crossbar import ArrayStats
+from .errors import ConfigParseError, SimulationError
 from .experiments import DEFAULT_TUNED_CV_MAX, ExperimentConfig, RunReport, SweepRow
-from .network import EpochTrace, Pattern, ProtocolParams
+from .network import EpochTrace, Pattern
 
 SWEEP_CSV_HEADER = "cv,median_epochs,mean_energy_J,success_rate"
 HISTOGRAM_CSV_HEADER = "epoch,bin_low_ohm,bin_high_ohm,count"
@@ -33,160 +34,101 @@ class SweepSpec:
     seeds_per_cv: int
     tuned_cv_max: float = DEFAULT_TUNED_CV_MAX
 
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigParseError(f"missing key '{key}' in {where}")
-    return mapping[key]
-
-
-def pulse_to_dict(pulse: PulseSpec) -> dict:
-    return {
-        "amplitude": pulse.amplitude,
-        "t_rise": pulse.t_rise,
-        "t_width": pulse.t_width,
-        "t_fall": pulse.t_fall,
-        "role": pulse.role.value,
-    }
+    def __post_init__(self) -> None:
+        if not self.cvs:
+            raise ValueError("cvs must hold at least one cv")
+        if list(self.cvs) != sorted(self.cvs):
+            raise ValueError("cvs must be sorted ascending")
+        if not all(0 <= cv < 2 for cv in self.cvs):
+            raise ValueError("each cv must lie in [0, 2)")
+        if self.seeds_per_cv < 1:
+            raise ValueError("seeds_per_cv must be >= 1")
 
 
-def pulse_from_dict(d: dict, where: str = "pulse") -> PulseSpec:
-    try:
-        return PulseSpec(
-            amplitude=float(_require(d, "amplitude", where)),
-            t_rise=float(_require(d, "t_rise", where)),
-            t_width=float(_require(d, "t_width", where)),
-            t_fall=float(_require(d, "t_fall", where)),
-            role=PulseRole(_require(d, "role", where)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"bad {where}: {exc}") from exc
+# Fields a config file may leave out; they keep their dataclass defaults.
+# Every other field of every config dataclass is required.
+OPTIONAL_KEYS = frozenset({"max_epochs", "seed", "snapshot_every", "tuned_cv_max"})
 
 
-def device_to_dict(device: DeviceParams) -> dict:
-    return {
-        "r_min": device.r_min,
-        "r_max": device.r_max,
-        "r_reset_full_median": device.r_reset_full_median,
-        "r_reset_partial_median": device.r_reset_partial_median,
-        "alpha_set": device.alpha_set,
-        "sigma_c2c": device.sigma_c2c,
-        "v_set_threshold": device.v_set_threshold,
-        "v_reset_threshold": device.v_reset_threshold,
-    }
+def config_to_dict(config) -> dict:
+    """JSON-ready dict of a config dataclass, keyed by its field names.
+
+    Enums become their values, tuples become lists and a Pattern becomes a
+    list of 0/1 ints.
+    """
+    return {f.name: _encode(getattr(config, f.name)) for f in fields(config)}
 
 
-def device_from_dict(d: dict) -> DeviceParams:
-    try:
-        return DeviceParams(**{k: float(_require(d, k, "device")) for k in device_to_dict(DeviceParams())})
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"bad device parameters: {exc}") from exc
+def _encode(value):
+    if isinstance(value, Pattern):
+        return [int(b) for b in value.bits]
+    if is_dataclass(value):
+        return config_to_dict(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
 
 
-def protocol_to_dict(pp: ProtocolParams) -> dict:
-    return {
-        "v_read": pp.v_read,
-        "read_pulse": pulse_to_dict(pp.read_pulse),
-        "program_pulse": pulse_to_dict(pp.program_pulse),
-        "reset_pulse": pulse_to_dict(pp.reset_pulse),
-        "threshold_factor": pp.threshold_factor,
-        "include_diagonal": pp.include_diagonal,
-        "pulses_per_coactivation": pp.pulses_per_coactivation,
-    }
+# get_type_hints evaluates every string annotation anew; the config classes are fixed.
+_field_types = functools.cache(get_type_hints)
 
 
-def protocol_from_dict(d: dict) -> ProtocolParams:
-    try:
-        return ProtocolParams(
-            v_read=float(_require(d, "v_read", "protocol")),
-            read_pulse=pulse_from_dict(_require(d, "read_pulse", "protocol"), "read_pulse"),
-            program_pulse=pulse_from_dict(_require(d, "program_pulse", "protocol"), "program_pulse"),
-            reset_pulse=pulse_from_dict(_require(d, "reset_pulse", "protocol"), "reset_pulse"),
-            threshold_factor=float(_require(d, "threshold_factor", "protocol")),
-            include_diagonal=bool(_require(d, "include_diagonal", "protocol")),
-            pulses_per_coactivation=int(_require(d, "pulses_per_coactivation", "protocol")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"bad protocol parameters: {exc}") from exc
+def _decode(tp, value, path: str):
+    """Build a value of type tp from parsed JSON, checking the JSON type strictly.
 
-
-def scheme_to_dict(scheme: InitScheme) -> dict:
-    return {"variant": scheme.variant.value, "cv": scheme.cv, "median": scheme.median}
-
-
-def scheme_from_dict(d: dict) -> InitScheme:
-    try:
-        return InitScheme(
-            variant=InitVariant(_require(d, "variant", "init")),
-            cv=float(_require(d, "cv", "init")),
-            median=float(_require(d, "median", "init")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"bad init scheme: {exc}") from exc
-
-
-def pattern_to_bits(pattern: Pattern) -> list[int]:
-    return [int(b) for b in pattern.bits]
-
-
-def pattern_from_bits(bits: list, where: str = "pattern") -> Pattern:
-    if not isinstance(bits, list) or not all(b in (0, 1, True, False) for b in bits):
-        raise ConfigParseError(f"{where} must be a list of 0/1 bits")
-    return Pattern(tuple(bool(b) for b in bits))
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "n": config.n,
-        "device": device_to_dict(config.device),
-        "protocol": protocol_to_dict(config.protocol),
-        "init": scheme_to_dict(config.init),
-        "patterns": [pattern_to_bits(p) for p in config.patterns],
-        "recall_stimulus": pattern_to_bits(config.recall_stimulus),
-        "recall_target": pattern_to_bits(config.recall_target),
-        "max_epochs": config.max_epochs,
-        "seed": config.seed,
-        "snapshot_every": config.snapshot_every,
-    }
+    path is the dotted key of value in the config; every error names it.
+    """
+    if tp is Pattern:
+        if not isinstance(value, list) or not all(type(b) in (bool, int) and b in (0, 1) for b in value):
+            raise ConfigParseError(f"{path} must be a list of 0/1 bits")
+        return Pattern(tuple(bool(b) for b in value))
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigParseError(f"{path or 'config'} must be a JSON object, got {value!r}")
+        hints = _field_types(tp)
+        kwargs = {}
+        for f in fields(tp):
+            key = f"{path}.{f.name}" if path else f.name
+            if f.name in value:
+                kwargs[f.name] = _decode(hints[f.name], value[f.name], key)
+            elif f.name not in OPTIONAL_KEYS:
+                raise ConfigParseError(f"missing key '{key}'")
+        try:
+            return tp(**kwargs)
+        except (ValueError, SimulationError) as exc:
+            raise ConfigParseError(f"{path}: {exc}" if path else str(exc)) from exc
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigParseError(f"{path} must be a JSON list, got {value!r}")
+        item_type = get_args(tp)[0]
+        return tuple(_decode(item_type, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            allowed = ", ".join(repr(m.value) for m in tp)
+            raise ConfigParseError(f"{path} must be one of {allowed}, got {value!r}") from None
+    if tp is bool:
+        if type(value) is not bool:
+            raise ConfigParseError(f"{path} must be true or false, got {value!r}")
+        return value
+    if tp is int:
+        if type(value) is not int:
+            raise ConfigParseError(f"{path} must be a JSON integer, got {value!r}")
+        return value
+    if tp is float:
+        # a negation, so that NaN fails too; an int beyond the float range compares exactly
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ConfigParseError(f"{path} must be a finite number, got {value!r}")
+        return float(value)
+    raise TypeError(f"no JSON decoding for config field type {tp!r}")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    try:
-        config = ExperimentConfig(
-            n=int(_require(d, "n", "config")),
-            device=device_from_dict(_require(d, "device", "config")),
-            protocol=protocol_from_dict(_require(d, "protocol", "config")),
-            init=scheme_from_dict(_require(d, "init", "config")),
-            patterns=tuple(
-                pattern_from_bits(bits, f"patterns[{i}]")
-                for i, bits in enumerate(_require(d, "patterns", "config"))
-            ),
-            recall_stimulus=pattern_from_bits(_require(d, "recall_stimulus", "config"), "recall_stimulus"),
-            recall_target=pattern_from_bits(_require(d, "recall_target", "config"), "recall_target"),
-            max_epochs=int(d.get("max_epochs", 20)),
-            seed=int(d.get("seed", 0)),
-            snapshot_every=int(d.get("snapshot_every", 0)),
-        )
-    except ConfigParseError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"invalid config: {exc}") from exc
-    return config
-
-
-def sweep_spec_from_dict(d: dict) -> SweepSpec:
-    try:
-        cvs = tuple(float(v) for v in _require(d, "cvs", "sweep"))
-        spec = SweepSpec(
-            cvs=cvs,
-            seeds_per_cv=int(_require(d, "seeds_per_cv", "sweep")),
-            tuned_cv_max=float(d.get("tuned_cv_max", DEFAULT_TUNED_CV_MAX)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"bad sweep section: {exc}") from exc
-    if not spec.cvs:
-        raise ConfigParseError("sweep section needs at least one cv")
-    return spec
+    """ExperimentConfig from a parsed config; keys other than its fields are ignored."""
+    return _decode(ExperimentConfig, d, "")
 
 
 def load_config_dict(path: str | Path) -> dict:
@@ -204,13 +146,21 @@ def load_config_dict(path: str | Path) -> dict:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return config_from_dict(load_config_dict(path))
+    d = load_config_dict(path)
+    try:
+        return config_from_dict(d)
+    except ConfigParseError as exc:
+        raise ConfigParseError(f"config file {path}: {exc}") from exc
 
 
 def load_sweep(path: str | Path) -> tuple[ExperimentConfig, SweepSpec]:
     d = load_config_dict(path)
-    config = config_from_dict(d)
-    return config, sweep_spec_from_dict(_require(d, "sweep", f"config file {path}"))
+    try:
+        if "sweep" not in d:
+            raise ConfigParseError("missing key 'sweep'")
+        return config_from_dict(d), _decode(SweepSpec, d["sweep"], "sweep")
+    except ConfigParseError as exc:
+        raise ConfigParseError(f"config file {path}: {exc}") from exc
 
 
 def bundled_config_path(name: str) -> Path:

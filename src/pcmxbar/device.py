@@ -38,9 +38,10 @@ class PulseSpec:
     role: PulseRole
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0:
+        # negated, so that NaN fails the checks
+        if not self.amplitude >= 0:
             raise ValueError("pulse amplitude must be >= 0")
-        if min(self.t_rise, self.t_width, self.t_fall) < 0:
+        if not all(t >= 0 for t in (self.t_rise, self.t_width, self.t_fall)):
             raise ValueError("pulse timing segments must be >= 0")
 
     @property

@@ -57,13 +57,17 @@ class ExperimentConfig:
             raise ValueError("n must be >= 2")
         if not self.patterns:
             raise ValueError("need at least one training pattern")
-        for p in (*self.patterns, self.recall_stimulus, self.recall_target):
+        named = [(f"patterns[{i}]", p) for i, p in enumerate(self.patterns)]
+        named += [("recall_stimulus", self.recall_stimulus), ("recall_target", self.recall_target)]
+        for name, p in named:
             if p.n != self.n:
-                raise DimensionMismatch(f"pattern length {p.n} != n = {self.n}")
+                raise DimensionMismatch(f"{name} has length {p.n}, not n = {self.n}")
         if not self.recall_stimulus.on_set() <= self.recall_target.on_set():
             raise ValueError("recall_stimulus ON set must be contained in recall_target")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
         self.protocol.validate_against(self.device)
@@ -144,14 +148,13 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
             trace.epoch = epoch
             traces.append(trace)
         probe = recall_probe(array, config.recall_stimulus, thresholds, pp, max_steps=config.n)
-        step0 = probe.steps[0]
         keep_snapshot = config.snapshot_every > 0 and epoch % config.snapshot_every == 0
         traces.append(
             EpochTrace(
                 epoch=epoch,
                 phase="probe",
                 firing_set=probe.final_firing,
-                currents=np.array([s.input_current for s in step0.states]),
+                currents=probe.steps[0].currents,
                 program_energy=0.0,
                 read_energy=probe.read_energy,
                 resistance_snapshot=array.resistance.copy() if keep_snapshot else None,

@@ -9,7 +9,6 @@ firing set and join it when their input crosses a threshold.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,15 +36,6 @@ class Pattern:
     @classmethod
     def from_indices(cls, n: int, on: frozenset[int] | set[int]) -> "Pattern":
         return cls(tuple(i in on for i in range(n)))
-
-
-@dataclass(frozen=True)
-class NeuronState:
-    """One neuron during a probe step: firing flag, input current, threshold."""
-
-    firing: bool
-    input_current: float  # amperes; NaN while the neuron is firing (not read)
-    threshold: float  # amperes
 
 
 @dataclass(frozen=True)
@@ -106,8 +96,13 @@ class EpochTrace:
 
 @dataclass(frozen=True)
 class ProbeStep:
+    """One cascade step: per-neuron input currents and the neurons they recruited.
+
+    currents holds amperes, NaN for neurons that were already firing.
+    """
+
     step: int
-    states: tuple[NeuronState, ...]
+    currents: np.ndarray
     newly_fired: frozenset[int]
 
 
@@ -131,14 +126,17 @@ def _add_in_order(total: float, values: np.ndarray) -> float:
 
 def _read_idle(
     array: CrossbarArray, firing: frozenset[int] | set[int], pp: ProtocolParams
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Read every non-firing neuron's bitline gated by the firing set.
 
-    Returns (the non-firing neurons ascending, their currents, their read energies).
+    Returns (per-neuron currents, NaN for firing neurons; the read energies in
+    ascending bitline order).
     """
     idle = [i for i in range(array.n) if i not in firing]
-    currents, energies = read_bitlines(array, idle, sorted(firing), pp.v_read, pp.read_pulse)
-    return idle, currents, energies
+    read, energies = read_bitlines(array, idle, sorted(firing), pp.v_read, pp.read_pulse)
+    currents = np.full(array.n, np.nan)
+    currents[idle] = read
+    return currents, energies
 
 
 def compute_thresholds(array: CrossbarArray, stimulus: Pattern, pp: ProtocolParams) -> np.ndarray:
@@ -188,9 +186,7 @@ def training_epoch(
                     program_energy += e
     if out is array:
         out = array.copy()
-    idle, read, energies = _read_idle(out, firing, pp)
-    currents = np.full(array.n, np.nan)
-    currents[idle] = read
+    currents, energies = _read_idle(out, firing, pp)
     trace = EpochTrace(
         epoch=0,
         phase="train",
@@ -226,15 +222,11 @@ def recall_probe(
     thresholds = np.asarray(thresholds, dtype=np.float64)
     result = ProbeResult(final_firing=frozenset(firing))
     for step in range(max_steps):
-        idle, currents, energies = _read_idle(array, firing, pp)
+        currents, energies = _read_idle(array, firing, pp)
         result.read_energy = _add_in_order(result.read_energy, energies)
-        newly_fired = frozenset(i for i, fires in zip(idle, (currents > thresholds[idle]).tolist()) if fires)
-        read = dict(zip(idle, currents.tolist()))
-        states = tuple(
-            NeuronState(i not in read, read.get(i, math.nan), threshold)
-            for i, threshold in enumerate(thresholds.tolist())
-        )
-        result.steps.append(ProbeStep(step, states, newly_fired))
+        # NaN > threshold is False, so firing neurons never recruit again
+        newly_fired = frozenset(np.flatnonzero(currents > thresholds).tolist())
+        result.steps.append(ProbeStep(step, currents, newly_fired))
         if not newly_fired:
             result.converged = True
             break

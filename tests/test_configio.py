@@ -1,25 +1,28 @@
 """Serialization tests: JSON config round-trips, bundled files, report output."""
 from __future__ import annotations
 
+import copy
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcmxbar import ExperimentConfig, learn_and_recall
+from pcmxbar import ExperimentConfig, InitVariant, PulseRole, learn_and_recall
+from pcmxbar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 from pcmxbar.configio import (
     HISTOGRAM_CSV_HEADER,
     SWEEP_CSV_HEADER,
     bundled_config_path,
     config_from_dict,
     config_to_dict,
-    device_from_dict,
-    device_to_dict,
     histograms_csv,
     load_config,
     load_config_dict,
     load_sweep,
-    protocol_from_dict,
-    protocol_to_dict,
     report_json,
     report_to_dict,
     sweep_rows_csv,
@@ -55,14 +58,14 @@ def test_config_round_trip_through_dict():
 
 def test_device_round_trip():
     config = load_config(bundled_config_path("paper10x10.json"))
-    d = device_to_dict(config.device)
-    assert device_from_dict(d) == config.device
-    assert d["r_reset_partial_median"] == 22000.0
+    d = config_to_dict(config)
+    assert config_from_dict(d).device == config.device
+    assert d["device"]["r_reset_partial_median"] == 22000.0
 
 
 def test_protocol_round_trip():
     config = load_config(bundled_config_path("paper10x10.json"))
-    assert protocol_from_dict(protocol_to_dict(config.protocol)) == config.protocol
+    assert config_from_dict(config_to_dict(config)).protocol == config.protocol
 
 
 def test_config_dict_is_json_clean():
@@ -100,6 +103,138 @@ def test_sweep_section_required_for_sweep_load(tmp_path):
     path.write_text(json.dumps(config))
     with pytest.raises(ConfigParseError):
         load_sweep(path)
+
+
+def test_float_field_takes_an_int_and_optional_keys_default():
+    # the int is stored as a float, so the echo in report.json reads 0.0
+    d = load_config_dict(bundled_config_path("paper10x10.json"))
+    d["protocol"]["read_pulse"]["t_rise"] = 0
+    d.pop("snapshot_every")
+    config = config_from_dict(d)
+    assert type(config.protocol.read_pulse.t_rise) is float
+    assert config.snapshot_every == 0
+    assert config == config_from_dict(config_to_dict(config))
+
+
+# Each case sets one key of the bundled sweep config: (key path, value, the
+# key path the error must name). Checks raised by a dataclass itself name the
+# dataclass's own key.
+BAD_CONFIGS = {
+    "bool-given-a-string": (("protocol", "include_diagonal"), "false", "protocol.include_diagonal"),
+    "int-given-a-fraction": (("n",), 10.9, "n"),
+    "int-given-an-integral-float": (("n",), 10.0, "n"),
+    "int-given-a-bool": (("protocol", "pulses_per_coactivation"), True, "protocol.pulses_per_coactivation"),
+    "float-given-a-string": (("device", "alpha_set"), "0.6", "device.alpha_set"),
+    "nan-sigma-c2c": (("device", "sigma_c2c"), math.nan, "device.sigma_c2c"),
+    "nan-program-pulse-width": (("protocol", "program_pulse", "t_width"), math.nan, "protocol.program_pulse.t_width"),
+    "nan-reset-pulse-fall": (("protocol", "reset_pulse", "t_fall"), math.nan, "protocol.reset_pulse.t_fall"),
+    "unsorted-sweep-cvs": (("sweep", "cvs"), [0.6, 0.05], "sweep"),
+    "zero-seeds-per-cv": (("sweep", "seeds_per_cv"), 0, "sweep"),
+    "sweep-cv-out-of-range": (("sweep", "cvs"), [2.5], "sweep"),
+    "negative-seed": (("seed",), -1, "seed"),
+    "pattern-length-not-n": (("patterns", 0), [1, 1, 1, 1, 0, 1, 0, 0, 0], "patterns[0]"),
+    "unknown-pulse-role": (("protocol", "program_pulse", "role"), "write", "protocol.program_pulse.role"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_bad_config_value_is_a_parse_error_naming_file_and_key(tmp_path, capsys, case):
+    keys, value, named = BAD_CONFIGS[case]
+    d = load_config_dict(bundled_config_path("sweep10x10.json"))
+    parent = d
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ConfigParseError) as excinfo:
+        load_sweep(path)
+    assert f"config file {path}: {named}" in str(excinfo.value)
+    # learn reads no sweep section, so only the sweep command sees those cases
+    command = "sweep" if named == "sweep" else "learn"
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out-dir", str(out_dir), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------- mutated configs
+
+BUNDLED = [load_config_dict(bundled_config_path(name)) for name in ("paper10x10.json", "sweep10x10.json")]
+
+
+def _key_paths(node, prefix=()):
+    """Key path of every value below node, node itself excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _json_values(integers):
+    scalars = st.one_of(st.none(), st.booleans(), integers, st.floats(), st.text(max_size=8))
+    return st.recursive(
+        scalars,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4), st.dictionaries(st.text(max_size=8), children, max_size=4)
+        ),
+        max_leaves=8,
+    )
+
+
+def _same_type(value, integers):
+    """Values of value's JSON type, floats mostly near value, so that many mutants still parse."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return integers
+    if isinstance(value, float):
+        return st.one_of(st.floats(), st.floats(0.5, 2.0).map(lambda f: value * f))
+    if isinstance(value, str):
+        return st.sampled_from([m.value for enum in (PulseRole, InitVariant) for m in enum])
+    return _json_values(integers)
+
+
+@st.composite
+def mutated_configs(draw, integers):
+    """A bundled config with one to three keys deleted, retyped or given a new value of their type."""
+    config = copy.deepcopy(draw(st.sampled_from(BUNDLED)))
+    for _ in range(draw(st.integers(1, 3))):
+        keys = draw(st.sampled_from(list(_key_paths(config))))
+        parent = config
+        for key in keys[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["delete", "retype", "change"]))
+        if action == "delete":
+            del parent[keys[-1]]
+        elif action == "retype":
+            parent[keys[-1]] = draw(_json_values(integers))
+        else:
+            parent[keys[-1]] = draw(_same_type(parent[keys[-1]], integers))
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs(st.integers()))
+def test_mutated_config_parses_or_is_a_parse_error(d):
+    try:
+        config = config_from_dict(d)
+    except ConfigParseError:
+        return
+    assert config_from_dict(config_to_dict(config)) == config
+
+
+# Small integers only: a parsed pulses_per_coactivation of 10**9 is a valid,
+# very long run, not a boundary case.
+@settings(max_examples=60, deadline=None)
+@given(mutated_configs(st.integers(-3, 12)))
+def test_cli_on_mutated_config_exits_with_a_documented_code(d):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(d))
+        code = main(["learn", "--config", str(path), "--out-dir", str(Path(tmp) / "out"), "--epochs", "1", "--quiet"])
+    assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_SIMULATION}
 
 
 # ---------------------------------------------------------------- reports

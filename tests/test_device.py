@@ -6,6 +6,8 @@ estimates of the lognormal moments.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,15 @@ def _trajectory(params: DeviceParams) -> list[float]:
 def test_pulse_spec_rejects_negative_timing():
     with pytest.raises(ValueError):
         PulseSpec(1.0, -1e-9, 300e-9, 1e-6, PulseRole.SET)
+
+
+@pytest.mark.parametrize("field", ["amplitude", "t_rise", "t_width", "t_fall"])
+def test_pulse_spec_rejects_nan(field):
+    # NaN fails every comparison, so a `value < 0` check lets it through
+    values = dict(amplitude=0.1, t_rise=0.0, t_width=1e-4, t_fall=0.0, role=PulseRole.READ)
+    values[field] = math.nan
+    with pytest.raises(ValueError):
+        PulseSpec(**values)
 
 
 def test_device_params_reject_bad_ordering():

@@ -220,9 +220,9 @@ def test_probe_recruits_missing_neuron_after_one_epoch(quiet_device, protocol, r
     assert len(result.steps) == 2
     step0 = result.steps[0]
     assert step0.newly_fired == frozenset({5})
-    recruit = step0.states[5]
-    assert recruit.input_current == pytest.approx(0.4 / 406000.0, rel=1e-12)
-    assert recruit.input_current > recruit.threshold
+    recruit = step0.currents[5]
+    assert recruit == pytest.approx(0.4 / 406000.0, rel=1e-12)
+    assert recruit > thresholds[5]
 
 
 def test_probe_full_pattern_is_stable(quiet_device, protocol, rng):
@@ -249,7 +249,7 @@ def test_probe_firing_grows_monotonically(quiet_device, protocol, rng):
     result = recall_probe(trained, STIMULUS, thresholds, protocol, max_steps=10)
     seen = frozenset()
     for step in result.steps:
-        firing = frozenset(i for i, st in enumerate(step.states) if st.firing)
+        firing = frozenset(np.flatnonzero(np.isnan(step.currents)).tolist())
         assert seen <= firing
         seen = firing | step.newly_fired
 
