@@ -55,7 +55,8 @@ class InitScheme:
     def __post_init__(self) -> None:
         if not (0 <= self.cv < 2):
             raise ValueError("cv must lie in [0, 2)")
-        if self.median <= 0:
+        # negated, so that NaN fails the check
+        if not self.median > 0:
             raise ValueError("median must be positive")
 
 
@@ -118,8 +119,14 @@ def init_array(
         z *= lognormal_shape(scheme.cv)
         resistance = np.fromiter(map(math.exp, z), dtype=np.float64, count=n * n).reshape(n, n)
         resistance *= scheme.median
-    np.clip(resistance, params.r_min, params.r_max, out=resistance)
+    _clamp(resistance, params)
     return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
+
+
+def _clamp(resistance: np.ndarray, params: DeviceParams) -> np.ndarray:
+    """Clamp to [r_min, r_max] in place; np.clip's bits without its Python wrapper."""
+    np.maximum(resistance, params.r_min, out=resistance)
+    return np.minimum(resistance, params.r_max, out=resistance)
 
 
 def read_bitlines(
@@ -142,13 +149,13 @@ def read_bitlines(
         return np.zeros(len(bls)), np.zeros(len(bls))
     if v_read < 0:
         raise ValueError("read voltage must be >= 0")
-    r = array.resistance.T[np.ix_(gated_wls, bls)]  # a copy, row = wordline
+    r = array.resistance.T[np.asarray(gated_wls)[:, None], bls]  # a copy, row = wordline
     energies = pulse_energy(read_pulse, r)
     currents = np.divide(v_read, r, out=r)
-    # cumsum adds down each column in order. np.sum and np.add.reduce sum
+    # accumulate adds down each column in order. np.sum and np.add.reduce sum
     # pairwise where a column is contiguous (one bitline), which changes bits.
-    np.cumsum(currents, axis=0, out=currents)
-    np.cumsum(energies, axis=0, out=energies)
+    np.add.accumulate(currents, axis=0, out=currents)
+    np.add.accumulate(energies, axis=0, out=energies)
     return currents[-1].copy(), energies[-1].copy()
 
 
@@ -197,30 +204,45 @@ def program_cells(
         return out, 0.0, 0
     params = array.params
     check_set_pulse(pulse, params)
-    block = np.ix_(bls, wls)
+    block = (np.asarray(bls)[:, None], np.asarray(wls))
     before = out.resistance[block]
     # One row-major batch of normals is the same stream as one draw per cell.
     noise = rng.normal(0.0, params.sigma_c2c, size=before.shape) if params.sigma_c2c > 0 else 0.0
-    out.resistance[block] = np.clip(set_target(before, noise, params), params.r_min, params.r_max)
+    out.resistance[block] = _clamp(set_target(before, noise, params), params)
     out.set_counts[block] += 1
     # Running sum in row-major order, as a per-cell loop adds it.
-    energy = float(np.cumsum(pulse_energy(pulse, before))[-1])
+    energy = float(np.add.accumulate(pulse_energy(pulse, before).ravel())[-1])
     return out, energy, count
 
 
 def array_stats(resistance: np.ndarray) -> ArrayStats:
-    """Population statistics of a resistance matrix."""
+    """Population statistics of a resistance matrix.
+
+    For a matrix without NaN every value has the bits of np.mean, np.std
+    (ddof=0), np.min, np.max and np.median; the same ufuncs are called
+    directly, which skips those functions' Python wrappers.
+    """
     values = resistance.ravel()
-    mean = float(np.mean(values))
-    std = float(np.std(values))  # population (ddof=0)
+    mean = flat_mean(values)
+    deviation = values - mean
+    np.multiply(deviation, deviation, out=deviation)
+    std = math.sqrt(flat_mean(deviation))
+    half = values.size // 2
+    ordered = np.partition(values, (half - 1, half))
+    upper = float(ordered[half])
     return ArrayStats(
         mean=mean,
         std=std,
         cv=std / mean,
-        min=float(np.min(values)),
-        max=float(np.max(values)),
-        median=float(np.median(values)),
+        min=float(np.minimum.reduce(values)),
+        max=float(np.maximum.reduce(values)),
+        median=upper if values.size % 2 else (float(ordered[half - 1]) + upper) / 2,
     )
+
+
+def flat_mean(values: np.ndarray) -> float:
+    """np.mean of a 1-D float array, bit for bit: numpy's pairwise sum over the count."""
+    return float(np.add.reduce(values)) / values.size
 
 
 def normalized_weights(array: CrossbarArray, baseline: CrossbarArray) -> np.ndarray:

@@ -83,7 +83,8 @@ class DeviceParams:
             raise ValueError("partial RESET median cannot exceed full RESET median")
         if not (0 < self.alpha_set < 1):
             raise ValueError("alpha_set must lie in (0, 1)")
-        if self.sigma_c2c < 0:
+        # negated, so that NaN fails the check
+        if not self.sigma_c2c >= 0:
             raise ValueError("sigma_c2c must be >= 0")
         if not (0 < self.v_set_threshold < self.v_reset_threshold):
             raise ValueError("need 0 < v_set_threshold < v_reset_threshold")
@@ -105,7 +106,8 @@ def pulse_energy(pulse: PulseSpec, resistance_before: float | np.ndarray) -> flo
     by the pulse is frozen at its pre-pulse value for the whole pulse.
     Applies elementwise to an array of resistances.
     """
-    if np.any(resistance_before <= 0):
+    # negated, so that NaN fails the check; the array method skips np.any's wrapper
+    if not (np.asarray(resistance_before) > 0).all():
         raise ValueError("resistance must be positive")
     power_top = pulse.amplitude**2 / resistance_before  # watts on the flat top
     return power_top * (pulse.t_rise / 3.0 + pulse.t_width + pulse.t_fall / 3.0)

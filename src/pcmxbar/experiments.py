@@ -9,6 +9,7 @@ resistance variation class and reduces each class to one summary row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .crossbar import (
     InitScheme,
     InitVariant,
     array_stats,
+    flat_mean,
     init_array,
 )
 from .device import DeviceParams
@@ -26,6 +28,7 @@ from .network import (
     EpochTrace,
     Pattern,
     ProtocolParams,
+    add_in_order,
     compute_thresholds,
     recall_probe,
     recall_success,
@@ -115,13 +118,24 @@ def weight_contrast(array: CrossbarArray, pattern: Pattern) -> float:
     """Mean conductance of the pattern's ON x ON block over all other cells."""
     if pattern.n != array.n:
         raise DimensionMismatch(f"pattern length {pattern.n} != array dimension {array.n}")
-    on = sorted(pattern.on_set())
+    on = pattern.on_set()
     if not on or len(on) == array.n:
         raise DegeneratePattern("contrast needs both ON and OFF neurons")
+    block_mask, rest_mask = _contrast_masks(array.n, on)
     conductance = 1.0 / array.resistance
-    block_mask = np.zeros((array.n, array.n), dtype=bool)
-    block_mask[np.ix_(on, on)] = True
-    return float(conductance[block_mask].mean() / conductance[~block_mask].mean())
+    return flat_mean(conductance[block_mask]) / flat_mean(conductance[rest_mask])
+
+
+@lru_cache(maxsize=8)
+def _contrast_masks(n: int, on: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only masks of the ON x ON block of an n x n array and of every other cell."""
+    block_mask = np.zeros((n, n), dtype=bool)
+    idx = np.array(sorted(on))
+    block_mask[idx[:, None], idx] = True
+    rest_mask = ~block_mask
+    block_mask.flags.writeable = False
+    rest_mask.flags.writeable = False
+    return block_mask, rest_mask
 
 
 def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None = None) -> RunReport:
@@ -166,14 +180,16 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
             epochs_to_recall = epoch
             break
 
+    train = [t for t in traces if t.phase == "train"]
+    probes = [t for t in traces if t.phase == "probe"]
     breakdown = {
-        "training_program": sum(t.program_energy for t in traces if t.phase == "train"),
-        "training_read": sum(t.read_energy for t in traces if t.phase == "train"),
-        "probe_read": sum(t.read_energy for t in traces if t.phase == "probe"),
+        "training_program": add_in_order(0.0, [t.program_energy for t in train]),
+        "training_read": add_in_order(0.0, [t.read_energy for t in train]),
+        "probe_read": add_in_order(0.0, [t.read_energy for t in probes]),
     }
     return RunReport(
         epochs_to_recall=epochs_to_recall,
-        total_energy=sum(breakdown.values()),
+        total_energy=add_in_order(0.0, breakdown.values()),
         energy_breakdown=breakdown,
         initial_cv=initial_stats.cv,
         initial_stats=initial_stats,

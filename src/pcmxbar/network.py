@@ -9,7 +9,10 @@ firing set and join it when their input crosses a threshold.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -26,12 +29,16 @@ class Pattern:
 
     bits: tuple[bool, ...]
 
+    def __post_init__(self) -> None:
+        # the ON set is read on every epoch and probe; build it once
+        object.__setattr__(self, "_on", frozenset(i for i, b in enumerate(self.bits) if b))
+
     @property
     def n(self) -> int:
         return len(self.bits)
 
     def on_set(self) -> frozenset[int]:
-        return frozenset(i for i, b in enumerate(self.bits) if b)
+        return self._on
 
     @classmethod
     def from_indices(cls, n: int, on: frozenset[int] | set[int]) -> "Pattern":
@@ -51,9 +58,10 @@ class ProtocolParams:
     pulses_per_coactivation: int = 1
 
     def __post_init__(self) -> None:
-        if self.v_read < 0:
+        # negated, so that NaN fails the checks
+        if not self.v_read >= 0:
             raise ValueError("v_read must be >= 0")
-        if self.threshold_factor < 1:
+        if not self.threshold_factor >= 1:
             raise ValueError("threshold_factor must be >= 1")
         if self.pulses_per_coactivation < 1:
             raise ValueError("pulses_per_coactivation must be >= 1")
@@ -119,9 +127,13 @@ def _check_pattern(array: CrossbarArray, pattern: Pattern) -> None:
         raise DimensionMismatch(f"pattern length {pattern.n} != array dimension {array.n}")
 
 
-def _add_in_order(total: float, values: np.ndarray) -> float:
-    """total + values[0] + values[1] + ..., added left to right like a running sum."""
-    return float(np.cumsum(np.append(total, values))[-1])
+def add_in_order(total: float, values: Iterable[float]) -> float:
+    """total + values[0] + values[1] + ..., added one after another from the left.
+
+    numpy sums pairwise and Python's sum() compensates from 3.12 on; this
+    keeps the bits of a running sum on every version.
+    """
+    return reduce(operator.add, values, total)
 
 
 def _read_idle(
@@ -134,7 +146,8 @@ def _read_idle(
     """
     idle = [i for i in range(array.n) if i not in firing]
     read, energies = read_bitlines(array, idle, sorted(firing), pp.v_read, pp.read_pulse)
-    currents = np.full(array.n, np.nan)
+    currents = np.empty(array.n)
+    currents.fill(np.nan)
     currents[idle] = read
     return currents, energies
 
@@ -193,7 +206,7 @@ def training_epoch(
         firing_set=firing,
         currents=currents,
         program_energy=program_energy,
-        read_energy=_add_in_order(0.0, energies),
+        read_energy=add_in_order(0.0, energies.tolist()),
     )
     return out, trace
 
@@ -223,9 +236,9 @@ def recall_probe(
     result = ProbeResult(final_firing=frozenset(firing))
     for step in range(max_steps):
         currents, energies = _read_idle(array, firing, pp)
-        result.read_energy = _add_in_order(result.read_energy, energies)
+        result.read_energy = add_in_order(result.read_energy, energies.tolist())
         # NaN > threshold is False, so firing neurons never recruit again
-        newly_fired = frozenset(np.flatnonzero(currents > thresholds).tolist())
+        newly_fired = frozenset((currents > thresholds).nonzero()[0].tolist())
         result.steps.append(ProbeStep(step, currents, newly_fired))
         if not newly_fired:
             result.converged = True

@@ -1,6 +1,8 @@
 """Array-level tests: initialization, gated reads, block programming, stats, CSV."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,12 @@ def test_init_scheme_rejects_out_of_range_cv():
         InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 2.5, 1.0e6)
     with pytest.raises(ValueError):
         InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, -0.1, 1.0e6)
+
+
+def test_init_scheme_rejects_nan_median():
+    # a `median <= 0` check let NaN through
+    with pytest.raises(ValueError, match="median"):
+        InitScheme(InitVariant.TUNED_FULL_RESET, 0.1, math.nan)
 
 
 # ---------------------------------------------------------------- read

@@ -269,6 +269,22 @@ def test_pulse_spec_rejects_nan(field):
         PulseSpec(**values)
 
 
+def test_device_params_reject_nan_sigma_c2c():
+    # a `sigma_c2c < 0` check let NaN through
+    with pytest.raises(ValueError, match="sigma_c2c"):
+        DeviceParams(sigma_c2c=math.nan)
+
+
+def test_pulse_energy_rejects_nan_resistance(quiet_device, rng):
+    # an `any(r <= 0)` check let NaN through, and a NaN cell took a NaN energy
+    with pytest.raises(ValueError, match="resistance must be positive"):
+        pulse_energy(SET_PULSE, math.nan)
+    with pytest.raises(ValueError, match="resistance must be positive"):
+        pulse_energy(SET_PULSE, np.array([[1.0e6, math.nan], [1.0e6, 1.0e6]]))
+    with pytest.raises(ValueError, match="resistance must be positive"):
+        apply_set_pulse(PcmCell(math.nan), SET_PULSE, quiet_device, rng)
+
+
 def test_device_params_reject_bad_ordering():
     with pytest.raises(ValueError):
         DeviceParams(r_min=1e7, r_max=1e4)

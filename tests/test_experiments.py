@@ -7,6 +7,9 @@ says otherwise. Oracle energies are sums of closed-form pulse energies.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,13 +22,15 @@ from pcmxbar import (
     Pattern,
     ProtocolParams,
     class_reports,
+    crossbar,
     distribution_history,
     learn_and_recall,
+    network,
     scheme_for_cv,
     variation_sweep,
     weight_contrast,
 )
-from pcmxbar.configio import report_json
+from pcmxbar.configio import bundled_config_path, load_sweep, report_json
 from pcmxbar.errors import DegeneratePattern, DimensionMismatch, NoSnapshots
 
 from conftest import uniform_array
@@ -286,6 +291,75 @@ def test_energy_grows_with_epochs_within_a_class():
     ]
     assert len(means) >= 2
     assert all(b > a for a, b in zip(means, means[1:]))
+
+
+def test_bundled_sweep_event_contract(monkeypatch):
+    """The bundled sweep's calls and simulated events, as the benchmark pins them.
+
+    Each event function is wrapped at every pcmxbar binding, the way a
+    tracer hooks it, so a caller that bypassed the module-level name would
+    go uncounted. The events are recounted from arguments and results.
+    """
+    calls: Counter = Counter()
+    events: Counter = Counter()
+
+    def on_init(a, result):
+        events["reset_pulses"] += a["n"] ** 2
+
+    def on_program(a, result):
+        events["set_pulses"] += result[2]
+
+    def on_thresholds(a, result):
+        events["cell_reads"] += a["array"].n * len(a["stimulus"].on_set())
+
+    def on_epoch(a, result):
+        k = len(result[1].firing_set)
+        events["cell_reads"] += (a["array"].n - k) * k
+
+    def on_probe(a, result):
+        firing = set(a["partial"].on_set())
+        for step in result.steps:
+            events["cell_reads"] += (a["array"].n - len(firing)) * len(firing)
+            firing |= step.newly_fired
+        events["probe_steps"] += len(result.steps)
+
+    hooks = {
+        crossbar.init_array: on_init,
+        crossbar.program_cells: on_program,
+        network.compute_thresholds: on_thresholds,
+        network.training_epoch: on_epoch,
+        network.recall_probe: on_probe,
+    }
+    modules = [m for name, m in list(sys.modules.items()) if name == "pcmxbar" or name.startswith("pcmxbar.")]
+    for fn, count in hooks.items():
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, _fn=fn, _count=count, _signature=signature, **kwargs):
+            calls[_fn.__name__] += 1
+            result = _fn(*args, **kwargs)
+            _count(_signature.bind(*args, **kwargs).arguments, result)
+            return result
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+    base, spec = load_sweep(bundled_config_path("sweep10x10.json"))
+    variation_sweep(base, list(spec.cvs), spec.seeds_per_cv, spec.tuned_cv_max)
+    assert calls == {
+        "init_array": 800,
+        "compute_thresholds": 800,
+        "training_epoch": 8940,
+        "program_cells": 8940,
+        "recall_probe": 4470,
+    }
+    assert events == {
+        "set_pulses": 223500,
+        "reset_pulses": 80000,
+        "cell_reads": 379968,
+        "probe_steps": 5187,
+    }
 
 
 # ---------------------------------------------------------------- histograms

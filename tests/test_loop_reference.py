@@ -6,6 +6,11 @@ device functions, in the documented order. Since the arithmetic per cell is
 unchanged, the two must agree exactly: the matrices, the SET counts, the
 energies (bit for bit, so summation order matters) and the state the
 generator is left in.
+
+The reductions that call numpy's ufuncs or Python's adds directly, to skip
+the Python wrappers of numpy's functions, are held to the wrapped functions
+they replace, also bit for bit: the in-order energy sum, weight_contrast
+with its cached masks, and array_stats.
 """
 from __future__ import annotations
 
@@ -19,18 +24,23 @@ from pcmxbar import (
     DeviceParams,
     InitScheme,
     InitVariant,
+    Pattern,
     PcmCell,
     PulseRole,
     PulseSpec,
     apply_reset_pulse,
     apply_set_pulse,
+    array_stats,
     init_array,
     program_cells,
     pulse_energy,
     read_bitline,
     read_current,
+    weight_contrast,
 )
 from pcmxbar.crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, read_bitlines
+from pcmxbar.experiments import _contrast_masks
+from pcmxbar.network import add_in_order
 
 from conftest import make_rng
 
@@ -74,6 +84,14 @@ def loop_init_array(n, scheme, params, rng, reset_pulse=DEFAULT_RESET_PULSE):
             cell, _ = apply_reset_pulse(pristine, reset_pulse, params, scheme.median, scheme.cv, rng)
             resistance[i, j] = cell.resistance
     return resistance
+
+
+def fresh_mask_weight_contrast(array, pattern):
+    on = sorted(pattern.on_set())
+    conductance = 1.0 / array.resistance
+    block_mask = np.zeros((array.n, array.n), dtype=bool)
+    block_mask[np.ix_(on, on)] = True
+    return float(conductance[block_mask].mean() / conductance[~block_mask].mean())
 
 
 @st.composite
@@ -154,3 +172,58 @@ def test_init_array_equals_cell_loop(seed, n, cv, median):
     assert np.array_equal(array.resistance, loop_init_array(n, scheme, params, rng_loop))
     assert np.array_equal(array.set_counts, np.zeros((n, n), dtype=np.int64))
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    total=st.floats(min_value=0.0, max_value=1.0e-3),
+    values=st.lists(st.floats(min_value=0.0, max_value=1.0e-3), max_size=300),
+)
+def test_add_in_order_equals_running_cumsum(total, values):
+    # read energies arrive as numpy arrays and are added as Python floats
+    expected = float(np.cumsum(np.append(total, values))[-1])
+    got = add_in_order(total, np.array(values, dtype=np.float64).tolist())
+    assert got == expected and type(got) is float
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), data=st.data())
+def test_weight_contrast_with_cached_masks_equals_fresh_masks(seed, n, data):
+    on = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    pattern = Pattern.from_indices(n, on)
+    array = random_array(seed, n, DeviceParams())
+    expected = fresh_mask_weight_contrast(array, pattern)
+    # the first call builds the masks, the second reads them from the cache
+    assert weight_contrast(array, pattern) == expected
+    assert weight_contrast(array, pattern) == expected
+    block_mask, rest_mask = _contrast_masks(n, pattern.on_set())
+    for mask in (block_mask, rest_mask):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = not mask[0, 0]
+    assert np.array_equal(rest_mask, ~block_mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    levels=st.one_of(st.none(), st.integers(1, 5)),
+    transpose=st.booleans(),
+)
+def test_array_stats_equals_numpy(seed, rows, cols, levels, transpose):
+    params = DeviceParams()
+    rng = make_rng(seed)
+    if levels is None:
+        matrix = rng.uniform(params.r_min, params.r_max, size=(rows, cols))
+    else:
+        # few distinct values, so the middle order statistics tie
+        matrix = rng.choice(rng.uniform(params.r_min, params.r_max, size=levels), size=(rows, cols))
+    if transpose:
+        matrix = matrix.T  # not C-contiguous
+    stats = array_stats(matrix)
+    values = matrix.ravel()
+    mean, std = float(np.mean(values)), float(np.std(values))
+    assert (stats.mean, stats.std, stats.cv) == (mean, std, std / mean)
+    assert (stats.min, stats.max) == (float(np.min(values)), float(np.max(values)))
+    assert stats.median == float(np.median(values))

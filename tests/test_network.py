@@ -6,6 +6,8 @@ stimulus drives {0,1,2,3}, leaving neuron 5 to be recruited.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,18 @@ def test_patterns_are_complementary():
 def test_protocol_rejects_bad_factor():
     with pytest.raises(ValueError):
         ProtocolParams(threshold_factor=0.5)
+
+
+def test_protocol_rejects_nan_threshold_factor():
+    # a `threshold_factor < 1` check let NaN through
+    with pytest.raises(ValueError, match="threshold_factor"):
+        ProtocolParams(threshold_factor=math.nan)
+
+
+def test_protocol_rejects_nan_v_read():
+    # a `v_read < 0` check let NaN through to the amplitude check
+    with pytest.raises(ValueError, match="v_read must be >= 0"):
+        ProtocolParams(v_read=math.nan, read_pulse=PulseSpec(0.1, 0.0, 1e-4, 0.0, PulseRole.READ))
 
 
 def test_protocol_rejects_read_pulse_amplitude_mismatch():
