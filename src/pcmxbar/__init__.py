@@ -29,6 +29,7 @@ from .device import (
 )
 from .experiments import (
     ExperimentConfig,
+    SweepSpec,
     class_reports,
     distribution_history,
     learn_and_recall,
@@ -59,6 +60,7 @@ __all__ = [
     "ProtocolParams",
     "PulseRole",
     "PulseSpec",
+    "SweepSpec",
     "apply_reset_pulse",
     "apply_set_pulse",
     "array_stats",

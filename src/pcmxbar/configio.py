@@ -12,37 +12,18 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .crossbar import ArrayStats
 from .errors import ConfigParseError, SimulationError
-from .experiments import DEFAULT_TUNED_CV_MAX, ExperimentConfig, RunReport, SweepRow
+from .experiments import ExperimentConfig, RunReport, SweepRow, SweepSpec
 from .network import EpochTrace, Pattern
 
 SWEEP_CSV_HEADER = "cv,median_epochs,mean_energy_J,success_rate"
 HISTOGRAM_CSV_HEADER = "epoch,bin_low_ohm,bin_high_ohm,count"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Sweep section of a config: variation classes and ensemble size."""
-
-    cvs: tuple[float, ...]
-    seeds_per_cv: int
-    tuned_cv_max: float = DEFAULT_TUNED_CV_MAX
-
-    def __post_init__(self) -> None:
-        if not self.cvs:
-            raise ValueError("cvs must hold at least one cv")
-        if list(self.cvs) != sorted(self.cvs):
-            raise ValueError("cvs must be sorted ascending")
-        if not all(0 <= cv < 2 for cv in self.cvs):
-            raise ValueError("each cv must lie in [0, 2)")
-        if self.seeds_per_cv < 1:
-            raise ValueError("seeds_per_cv must be >= 1")
 
 
 # Fields a config file may leave out; they keep their dataclass defaults.
@@ -192,7 +173,8 @@ def trace_to_dict(trace: EpochTrace) -> dict:
         "currents_A": [_json_float(float(c)) for c in trace.currents],
         "program_energy_J": trace.program_energy,
         "read_energy_J": trace.read_energy,
-        "converged": trace.converged,
+        # a probe always reaches its fixpoint; the key stays in the format
+        "converged": True,
     }
 
 

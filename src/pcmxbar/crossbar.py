@@ -21,6 +21,7 @@ from .device import (
     DeviceParams,
     PulseRole,
     PulseSpec,
+    check_read_voltage,
     check_reset_pulse,
     check_set_pulse,
     lognormal_shape,
@@ -143,12 +144,9 @@ def read_bitlines(
     its cells in ascending wordline order, so each sum has the bits of a
     cell-by-cell loop.
     """
-    if v_read >= array.params.v_set_threshold:
-        raise ValueError("read voltage must stay below v_set_threshold")
+    check_read_voltage(v_read, array.params)
     if not gated_wls:
         return np.zeros(len(bls)), np.zeros(len(bls))
-    if v_read < 0:
-        raise ValueError("read voltage must be >= 0")
     r = array.resistance.T[np.asarray(gated_wls)[:, None], bls]  # a copy, row = wordline
     energies = pulse_energy(read_pulse, r)
     currents = np.divide(v_read, r, out=r)

@@ -115,9 +115,17 @@ def pulse_energy(pulse: PulseSpec, resistance_before: float | np.ndarray) -> flo
 
 def read_current(cell: PcmCell, v_read: float) -> float:
     """Ohmic read current in amperes. Non-destructive, pure."""
-    if v_read < 0:
+    # negated, so that NaN fails the check
+    if not v_read >= 0:
         raise ValueError("read voltage must be >= 0")
     return v_read / cell.resistance
+
+
+def check_read_voltage(v_read: float, params: DeviceParams) -> None:
+    """Raise unless 0 <= v_read < v_set_threshold, the window where a read disturbs no cell."""
+    # negated, so that NaN fails the check
+    if not 0 <= v_read < params.v_set_threshold:
+        raise ValueError(f"read voltage {v_read!r} V outside [0, v_set_threshold = {params.v_set_threshold!r} V)")
 
 
 def check_set_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
@@ -191,7 +199,10 @@ def apply_reset_pulse(
     The SET pulse counter restarts at zero.
     """
     check_reset_pulse(pulse, params)
-    if rel_spread < 0:
+    # negated, so that NaN fails the checks
+    if not target_median > 0:
+        raise ValueError("target_median must be positive")
+    if not rel_spread >= 0:
         raise ValueError("rel_spread must be >= 0")
     energy = pulse_energy(pulse, cell.resistance)
     if rel_spread == 0:

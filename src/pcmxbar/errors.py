@@ -29,10 +29,6 @@ class DegeneratePattern(SimulationError):
     """Pattern has no ON bits or no OFF bits, so a contrast is undefined."""
 
 
-class NoConvergence(SimulationError):
-    """Recall probe was still growing when the step budget ran out."""
-
-
 class NoSnapshots(SimulationError):
     """Distribution history was requested from a run that kept no snapshots."""
 

@@ -35,9 +35,8 @@ from .network import (
     training_epoch,
 )
 
-# CV at or below which the per-cell tuned full-RESET preparation is assumed;
-# wider targets are only reachable with the one-pulse-for-all partial RESET.
-DEFAULT_TUNED_CV_MAX = 0.15
+# Log-spaced bins per resistance histogram, across [r_min, r_max].
+HISTOGRAM_BINS = 50
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,27 @@ class RunReport:
 
 
 @dataclass(frozen=True)
+class SweepSpec:
+    """Sweep section of a config: variation classes and ensemble size."""
+
+    cvs: tuple[float, ...]
+    seeds_per_cv: int
+    # CV at or below which the per-cell tuned full-RESET preparation is assumed;
+    # wider targets are only reachable with the one-pulse-for-all partial RESET.
+    tuned_cv_max: float = 0.15
+
+    def __post_init__(self) -> None:
+        if not self.cvs:
+            raise ValueError("cvs must hold at least one cv")
+        if list(self.cvs) != sorted(self.cvs):
+            raise ValueError("cvs must be sorted ascending")
+        if not all(0 <= cv < 2 for cv in self.cvs):
+            raise ValueError("each cv must lie in [0, 2)")
+        if self.seeds_per_cv < 1:
+            raise ValueError("seeds_per_cv must be >= 1")
+
+
+@dataclass(frozen=True)
 class SweepRow:
     """Summary of one variation class in a sweep."""
 
@@ -109,7 +129,7 @@ class SnapshotHistogram:
     """Log-spaced resistance histogram of one kept snapshot."""
 
     epoch: int
-    bin_edges: np.ndarray  # ohms, length bins + 1
+    bin_edges: np.ndarray  # ohms, length HISTOGRAM_BINS + 1
     counts: np.ndarray
     normalized: np.ndarray  # resistance ratio vs the initial array
 
@@ -161,7 +181,7 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
             array, trace = training_epoch(array, pattern, pp, rng)
             trace.epoch = epoch
             traces.append(trace)
-        probe = recall_probe(array, config.recall_stimulus, thresholds, pp, max_steps=config.n)
+        probe = recall_probe(array, config.recall_stimulus, thresholds, pp)
         keep_snapshot = config.snapshot_every > 0 and epoch % config.snapshot_every == 0
         traces.append(
             EpochTrace(
@@ -172,7 +192,6 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
                 program_energy=0.0,
                 read_energy=probe.read_energy,
                 resistance_snapshot=array.resistance.copy() if keep_snapshot else None,
-                converged=probe.converged,
             )
         )
         contrast_history.append(weight_contrast(array, config.recall_target))
@@ -203,7 +222,7 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
     )
 
 
-def scheme_for_cv(device: DeviceParams, cv: float, tuned_cv_max: float = DEFAULT_TUNED_CV_MAX) -> InitScheme:
+def scheme_for_cv(device: DeviceParams, cv: float, tuned_cv_max: float) -> InitScheme:
     """Initialization scheme that reaches a target variation class.
 
     Tight classes come from per-cell tuned pulses into the fully amorphized
@@ -215,42 +234,25 @@ def scheme_for_cv(device: DeviceParams, cv: float, tuned_cv_max: float = DEFAULT
     return InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, cv, device.r_reset_partial_median)
 
 
-def class_reports(
-    base: ExperimentConfig,
-    cv: float,
-    cv_index: int,
-    seeds_per_cv: int,
-    tuned_cv_max: float = DEFAULT_TUNED_CV_MAX,
-) -> list[RunReport]:
-    """All runs of one variation class, each on a private derived RNG stream.
+def class_reports(base: ExperimentConfig, spec: SweepSpec, cv_index: int) -> list[RunReport]:
+    """All runs of variation class spec.cvs[cv_index], each on a private derived RNG stream.
 
     Stream (cv_index, seed_index) is split off the master seed, so results
     do not depend on execution order and the classes can run in parallel.
     """
-    cfg = replace(base, init=scheme_for_cv(base.device, cv, tuned_cv_max))
+    cfg = replace(base, init=scheme_for_cv(base.device, spec.cvs[cv_index], spec.tuned_cv_max))
     reports = []
-    for seed_index in range(seeds_per_cv):
+    for seed_index in range(spec.seeds_per_cv):
         rng = np.random.default_rng(np.random.SeedSequence(base.seed, spawn_key=(cv_index, seed_index)))
         reports.append(learn_and_recall(cfg, rng))
     return reports
 
 
-def variation_sweep(
-    base: ExperimentConfig,
-    cvs: list[float],
-    seeds_per_cv: int,
-    tuned_cv_max: float = DEFAULT_TUNED_CV_MAX,
-) -> list[SweepRow]:
+def variation_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[SweepRow]:
     """Median epochs, mean energy, and success rate per variation class."""
-    if not cvs:
-        raise ValueError("need at least one cv class")
-    if sorted(cvs) != list(cvs):
-        raise ValueError("cv classes must be sorted ascending")
-    if seeds_per_cv < 1:
-        raise ValueError("seeds_per_cv must be >= 1")
     rows = []
-    for cv_index, cv in enumerate(cvs):
-        reports = class_reports(base, cv, cv_index, seeds_per_cv, tuned_cv_max)
+    for cv_index, cv in enumerate(spec.cvs):
+        reports = class_reports(base, spec, cv_index)
         epochs = np.array(
             [r.epochs_to_recall if r.epochs_to_recall is not None else np.inf for r in reports]
         )
@@ -272,7 +274,7 @@ def snapshots(report: RunReport) -> list[tuple[int, np.ndarray]]:
     ]
 
 
-def distribution_history(report: RunReport, bins: int = 50) -> list[SnapshotHistogram]:
+def distribution_history(report: RunReport) -> list[SnapshotHistogram]:
     """Log-spaced resistance histograms for every kept snapshot.
 
     The initial array is epoch 0; later entries are the epochs the run kept
@@ -283,7 +285,7 @@ def distribution_history(report: RunReport, bins: int = 50) -> list[SnapshotHist
     kept = snapshots(report)
     if len(kept) < 2 and report.config.snapshot_every == 0:
         raise NoSnapshots("run kept no snapshots; set snapshot_every > 0")
-    edges = np.logspace(np.log10(device.r_min), np.log10(device.r_max), bins + 1)
+    edges = np.logspace(np.log10(device.r_min), np.log10(device.r_max), HISTOGRAM_BINS + 1)
     out = []
     for epoch, matrix in kept:
         counts, _ = np.histogram(matrix.ravel(), bins=edges)

@@ -9,6 +9,7 @@ firing set and join it when their input crosses a threshold.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, CrossbarArray, program_cells, read_bitlines
-from .device import DeviceParams, PulseRole, PulseSpec
+from .device import DeviceParams, PulseRole, PulseSpec, check_read_voltage
 from .errors import DimensionMismatch, EmptyStimulus
 
 DEFAULT_PROGRAM_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
@@ -76,8 +77,7 @@ class ProtocolParams:
 
     def validate_against(self, device: DeviceParams) -> None:
         """Protocol sanity checks that need device corner values."""
-        if self.v_read >= device.v_set_threshold:
-            raise ValueError("v_read must stay below v_set_threshold")
+        check_read_voltage(self.v_read, device)
         if self.program_pulse.amplitude < device.v_set_threshold:
             raise ValueError("program_pulse amplitude below v_set_threshold")
         if self.reset_pulse.amplitude < device.v_reset_threshold:
@@ -99,7 +99,6 @@ class EpochTrace:
     program_energy: float
     read_energy: float
     resistance_snapshot: np.ndarray | None = None
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,6 @@ class ProbeResult:
     final_firing: frozenset[int]
     steps: list[ProbeStep] = field(default_factory=list)
     read_energy: float = 0.0
-    converged: bool = True
 
 
 def _check_pattern(array: CrossbarArray, pattern: Pattern) -> None:
@@ -216,15 +214,13 @@ def recall_probe(
     partial: Pattern,
     thresholds: np.ndarray,
     pp: ProtocolParams,
-    max_steps: int,
 ) -> ProbeResult:
     """Read-only integrate-and-fire cascade from a partial stimulus.
 
     Step 0 fires exactly the stimulus ON set. At each step every non-firing
     neuron reads its bitline gated by the current firing set; neurons whose
     current strictly exceeds their threshold join the firing set for the
-    next step. The firing set only grows, so a fixpoint is reached within
-    n steps; running out of max_steps first is reported, not raised.
+    next step. The probe stops at the first step that recruits nobody.
     """
     _check_pattern(array, partial)
     if len(thresholds) != array.n:
@@ -234,19 +230,17 @@ def recall_probe(
         raise EmptyStimulus("recall stimulus has no ON bits")
     thresholds = np.asarray(thresholds, dtype=np.float64)
     result = ProbeResult(final_firing=frozenset(firing))
-    for step in range(max_steps):
+    # Every step but the last recruits someone and the firing set starts
+    # non-empty, so the fixpoint comes within n steps.
+    for step in itertools.count():
         currents, energies = _read_idle(array, firing, pp)
         result.read_energy = add_in_order(result.read_energy, energies.tolist())
         # NaN > threshold is False, so firing neurons never recruit again
         newly_fired = frozenset((currents > thresholds).nonzero()[0].tolist())
         result.steps.append(ProbeStep(step, currents, newly_fired))
         if not newly_fired:
-            result.converged = True
             break
         firing |= newly_fired
-    else:
-        # every step recruited someone and the budget ran out
-        result.converged = len(firing) == array.n
     result.final_firing = frozenset(firing)
     return result
 

@@ -59,6 +59,6 @@ def ensemble():
     assert base.patterns == single.patterns
     assert spec.seeds_per_cv == SEEDS_PER_CV
     start = time.perf_counter()
-    rows = variation_sweep(base, list(spec.cvs), spec.seeds_per_cv, spec.tuned_cv_max)
+    rows = variation_sweep(base, spec)
     elapsed = time.perf_counter() - start
     return base, spec, rows, elapsed

@@ -36,7 +36,7 @@ from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, load_config
 from pcmxbar.experiments import class_reports
 
-from conftest import SEEDS_PER_CV, make_rng
+from conftest import make_rng
 
 
 def test_criterion_1_epochs_vs_variation_ordering(ensemble):
@@ -95,7 +95,8 @@ def test_criterion_4_no_spurious_recall(ensemble):
     """Probes never fire outside the stored pattern; untrained probes are inert."""
     base, spec, _, _ = ensemble
     target = base.recall_target.on_set()
-    reports = class_reports(base, 0.09, cv_index=1, seeds_per_cv=SEEDS_PER_CV)
+    assert spec.cvs[1] == 0.09
+    reports = class_reports(base, spec, cv_index=1)
     succeeded = 0
     for report in reports:
         assert report.epochs_to_recall is not None
@@ -110,9 +111,7 @@ def test_criterion_4_no_spurious_recall(ensemble):
         for seed in range(50):
             arr = init_array(base.n, scheme, base.device, make_rng(700_000 + seed))
             thresholds = compute_thresholds(arr, base.recall_stimulus, base.protocol)
-            result = recall_probe(
-                arr, base.recall_stimulus, thresholds, base.protocol, max_steps=base.n
-            )
+            result = recall_probe(arr, base.recall_stimulus, thresholds, base.protocol)
             assert result.final_firing == base.recall_stimulus.on_set()
             probed += 1
     print(
@@ -184,7 +183,7 @@ def test_criterion_5_locality_and_purity_randomized():
         )
         thresholds = rng.uniform(1e-8, 1e-5, size=n)
         before = arr.resistance.copy()
-        result = recall_probe(arr, stimulus, thresholds, pp, max_steps=n)
+        result = recall_probe(arr, stimulus, thresholds, pp)
         assert np.array_equal(arr.resistance, before)
         assert stimulus.on_set() <= result.final_firing
         grown = stimulus.on_set()
@@ -192,6 +191,7 @@ def test_criterion_5_locality_and_purity_randomized():
             assert step.newly_fired.isdisjoint(grown) or not step.newly_fired
             grown |= step.newly_fired
         assert grown == result.final_firing
+        assert not result.steps[-1].newly_fired
         assert len(result.steps) <= n
         cases += 1
 
@@ -262,7 +262,7 @@ def test_criterion_6_device_law_oracles():
 
     # lognormal initialization: seed-ensemble mean CV within +-10% of target
     device = DeviceParams()
-    scheme = scheme_for_cv(device, 0.60)
+    scheme = scheme_for_cv(device, 0.60, tuned_cv_max=0.15)
     cvs = [
         array_stats(init_array(10, scheme, device, make_rng(s)).resistance).cv for s in range(500)
     ]

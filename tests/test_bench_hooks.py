@@ -1,0 +1,76 @@
+"""The benchmark tracer's hooks still fit the functions they patch.
+
+perfbench/tracer.py wraps pcmxbar functions by module and name, and its
+counters read arguments by position (or by keyword). A rename or a moved
+parameter breaks a traced benchmark run (`perfbench/run.py --trace 1`)
+without failing any other test. These tests load the tracer from its file,
+change nothing in it, and check it against the package.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from pcmxbar.cli import EXIT_OK, main
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# How a counter reads an argument of the hooked call: _arg(args, kwargs, index, "name").
+ARG_READ = re.compile(r'_arg\(args, kwargs, (\d+), "(\w+)"\)')
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def hooked(module_name: str, fn_name: str):
+    return getattr(importlib.import_module(f"pcmxbar.{module_name}"), fn_name, None)
+
+
+def pcmxbar_bindings() -> dict[tuple[str, str], object]:
+    return {
+        (name, attr): value
+        for name, module in list(sys.modules.items())
+        if name == "pcmxbar" or name.startswith("pcmxbar.")
+        for attr, value in vars(module).items()
+    }
+
+
+def test_every_hook_target_resolves(tracer):
+    missing = [f"pcmxbar.{m}.{f}" for m, f, _, _ in tracer.HOOKS if not callable(hooked(m, f))]
+    assert missing == []
+
+
+def test_counter_arguments_sit_at_the_index_they_are_read(tracer):
+    read = set()
+    for module_name, fn_name, _, counter in tracer.HOOKS:
+        if counter is None:
+            continue
+        params = list(inspect.signature(hooked(module_name, fn_name)).parameters)
+        for index, name in ARG_READ.findall(inspect.getsource(counter)):
+            assert params[int(index) : int(index) + 1] == [name], f"{fn_name}{tuple(params)} reads {name} at {index}"
+            read.add(name)
+    assert read == {"n", "array", "gated_wls", "stimulus", "partial"}
+
+
+def test_install_counts_a_run_and_uninstall_restores_every_binding(tracer, tmp_path):
+    before = pcmxbar_bindings()
+    t = tracer.Tracer().install()
+    try:
+        assert pcmxbar_bindings() != before
+        assert main(["learn", "--config", "paper10x10.json", "--out-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+    finally:
+        t.uninstall()
+    assert pcmxbar_bindings() == before
+    assert {name: t.counts[name] > 0 for name in tracer.SIM_COUNTS} == dict.fromkeys(tracer.SIM_COUNTS, True)
+    assert t.counts["network.recall_probe.calls"] >= 1

@@ -29,7 +29,7 @@ from pcmxbar.configio import (
     traces_jsonl,
 )
 from pcmxbar.errors import ConfigParseError
-from pcmxbar.experiments import SweepRow, distribution_history
+from pcmxbar.experiments import HISTOGRAM_BINS, SweepRow, distribution_history
 
 
 def test_bundled_default_config_loads():
@@ -292,12 +292,12 @@ def test_sweep_rows_csv_format():
 def test_histograms_csv_format():
     config = load_config(bundled_config_path("paper10x10.json"))
     report = learn_and_recall(config)
-    hist = distribution_history(report, bins=10)
+    hist = distribution_history(report)
     text = histograms_csv(hist)
     lines = text.strip().split("\n")
     assert lines[0] == HISTOGRAM_CSV_HEADER == "epoch,bin_low_ohm,bin_high_ohm,count"
-    # 2 snapshots x 10 bins
-    assert len(lines) == 1 + 2 * 10
+    # 2 snapshots x HISTOGRAM_BINS bins
+    assert len(lines) == 1 + 2 * HISTOGRAM_BINS
     epoch, lo, hi, count = lines[1].split(",")
     assert epoch == "0"
     assert float(lo) < float(hi)

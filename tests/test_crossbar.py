@@ -21,6 +21,7 @@ from pcmxbar import (
     read_bitline,
     save_resistance_csv,
 )
+from pcmxbar.crossbar import DEFAULT_READ_PULSE
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
 
 from conftest import make_rng, uniform_array
@@ -141,6 +142,20 @@ def test_read_rejects_disturb_level_voltage(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(ValueError):
         read_bitline(arr, 0, {0}, quiet_device.v_set_threshold)
+
+
+def test_read_rejects_nan_voltage(quiet_device):
+    # NaN passed both comparisons and the read returned a NaN current
+    arr = uniform_array(10, 1.0e6, quiet_device)
+    with pytest.raises(ValueError, match="read voltage"):
+        read_bitline(arr, 0, {0, 1}, math.nan, DEFAULT_READ_PULSE)
+
+
+def test_read_with_no_gated_wordline_rejects_negative_voltage(quiet_device):
+    # an empty gate set returned (0.0, 0.0) before the voltage was checked
+    arr = uniform_array(10, 1.0e6, quiet_device)
+    with pytest.raises(ValueError, match="read voltage"):
+        read_bitline(arr, 0, set(), -1.0, DEFAULT_READ_PULSE)
 
 
 def test_read_rejects_bad_indices(quiet_device):

@@ -170,6 +170,24 @@ def test_reset_rejects_non_reset_role(quiet_device, rng):
         apply_reset_pulse(PcmCell(1.0e6), SET_PULSE, quiet_device, 1.0e6, 0.0, rng)
 
 
+def test_reset_rejects_nan_spread(quiet_device, rng):
+    # NaN passed `rel_spread < 0` and drew a NaN resistance
+    with pytest.raises(ValueError, match="rel_spread"):
+        apply_reset_pulse(PcmCell(1.0e6), RESET_PULSE, quiet_device, 1.0e6, math.nan, rng)
+
+
+def test_reset_rejects_nan_median(quiet_device, rng):
+    # NaN slipped through the [r_min, r_max] clamp as a NaN resistance
+    with pytest.raises(ValueError, match="target_median"):
+        apply_reset_pulse(PcmCell(1.0e6), RESET_PULSE, quiet_device, math.nan, 0.3, rng)
+
+
+def test_reset_rejects_negative_median(quiet_device, rng):
+    # a negative median was silently clamped up to r_min
+    with pytest.raises(ValueError, match="target_median"):
+        apply_reset_pulse(PcmCell(1.0e6), RESET_PULSE, quiet_device, -5.0, 0.0, rng)
+
+
 # ---------------------------------------------------------------- read
 
 
@@ -179,6 +197,11 @@ def test_read_current_ohms_law():
 
 def test_read_current_zero_volts():
     assert read_current(PcmCell(1.0e6), 0.0) == 0.0
+
+
+def test_read_current_rejects_nan_voltage():
+    with pytest.raises(ValueError):
+        read_current(PcmCell(1.0e6), math.nan)
 
 
 def test_read_current_post_set_example():

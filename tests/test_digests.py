@@ -48,6 +48,11 @@ NOISY32 = {
 
 SWEEP10X10_CSV = "e70f69fc12dacf49be8bc0d0edef3bfc5dd1f0fe57cc7f0a5ae5c54ab2e928a0"
 
+# device_curve.csv of `pcmxbar device-curve` at its default 50 pulses. The
+# noisy config draws cycle-to-cycle noise on every pulse.
+PAPER10X10_DEVICE_CURVE = "058f2e469bac22f3f295423cc59cda5fa82bdb42aa9b4a8f2756db02864d2648"
+NOISY32_DEVICE_CURVE = "a30c731c47b7def41368d2b76154df598ba731034418062d145849e39267d160"
+
 
 def noisy32_config() -> dict:
     """n = 32, cv 0.6 partial-RESET init, 5 % SET noise, a snapshot every epoch.
@@ -76,6 +81,12 @@ def noisy32_config() -> dict:
     return spec
 
 
+def write_noisy32_config(tmp_path):
+    config = tmp_path / "noisy32.json"
+    config.write_text(json.dumps(noisy32_config()))
+    return config
+
+
 def digests(out_dir) -> dict[str, str]:
     return {
         p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -90,14 +101,27 @@ def learn_and_recall_digests(config: str, out_dir) -> dict[str, str]:
     return digests(out_dir)
 
 
+def device_curve_digest(config: str, out_dir) -> str:
+    assert main(["device-curve", "--config", config, "--out-dir", str(out_dir), "--quiet"]) == EXIT_OK
+    return hashlib.sha256((out_dir / "device_curve.csv").read_bytes()).hexdigest()
+
+
 def test_paper10x10_learn_artifacts_are_pinned(tmp_path):
     assert learn_and_recall_digests("paper10x10.json", tmp_path / "out") == PAPER10X10
 
 
 def test_noisy_learn_artifacts_are_pinned(tmp_path):
-    config = tmp_path / "noisy32.json"
-    config.write_text(json.dumps(noisy32_config()))
+    config = write_noisy32_config(tmp_path)
     assert learn_and_recall_digests(str(config), tmp_path / "out") == NOISY32
+
+
+def test_paper10x10_device_curve_is_pinned(tmp_path):
+    assert device_curve_digest("paper10x10.json", tmp_path / "out") == PAPER10X10_DEVICE_CURVE
+
+
+def test_noisy_device_curve_is_pinned(tmp_path):
+    config = write_noisy32_config(tmp_path)
+    assert device_curve_digest(str(config), tmp_path / "out") == NOISY32_DEVICE_CURVE
 
 
 def test_sweep10x10_csv_is_pinned(ensemble):

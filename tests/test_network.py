@@ -196,9 +196,9 @@ def test_probe_untrained_array_returns_stimulus(quiet_device, protocol):
     # currents equal exactly half the factor-2 threshold: nothing fires
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = compute_thresholds(arr, STIMULUS, protocol)
-    result = recall_probe(arr, STIMULUS, thresholds, protocol, max_steps=10)
+    result = recall_probe(arr, STIMULUS, thresholds, protocol)
     assert result.final_firing == STIMULUS.on_set()
-    assert result.converged
+    assert not result.steps[-1].newly_fired
     assert len(result.steps) == 1
 
 
@@ -207,7 +207,7 @@ def test_probe_factor_one_boundary_is_quiescent(quiet_device):
     pp = ProtocolParams(threshold_factor=1.0)
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = compute_thresholds(arr, STIMULUS, pp)
-    result = recall_probe(arr, STIMULUS, thresholds, pp, max_steps=10)
+    result = recall_probe(arr, STIMULUS, thresholds, pp)
     assert result.final_firing == STIMULUS.on_set()
 
 
@@ -218,7 +218,7 @@ def test_probe_untrained_high_variation_never_recruits(quiet_device, protocol):
         scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 0.60, 1.0e6)
         arr = init_array(10, scheme, quiet_device, make_rng(20_000 + s))
         thresholds = compute_thresholds(arr, STIMULUS, protocol)
-        result = recall_probe(arr, STIMULUS, thresholds, protocol, max_steps=10)
+        result = recall_probe(arr, STIMULUS, thresholds, protocol)
         assert result.final_firing == STIMULUS.on_set()
 
 
@@ -228,9 +228,9 @@ def test_probe_recruits_missing_neuron_after_one_epoch(quiet_device, protocol, r
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = compute_thresholds(arr, STIMULUS, protocol)
     trained, _ = training_epoch(arr, PATTERN_1, protocol, rng)
-    result = recall_probe(trained, STIMULUS, thresholds, protocol, max_steps=10)
+    result = recall_probe(trained, STIMULUS, thresholds, protocol)
     assert result.final_firing == PATTERN_1.on_set()
-    assert result.converged
+    assert not result.steps[-1].newly_fired
     assert len(result.steps) == 2
     step0 = result.steps[0]
     assert step0.newly_fired == frozenset({5})
@@ -243,7 +243,7 @@ def test_probe_full_pattern_is_stable(quiet_device, protocol, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = compute_thresholds(arr, PATTERN_1, protocol)
     trained, _ = training_epoch(arr, PATTERN_1, protocol, rng)
-    result = recall_probe(trained, PATTERN_1, thresholds, protocol, max_steps=10)
+    result = recall_probe(trained, PATTERN_1, thresholds, protocol)
     assert result.final_firing == PATTERN_1.on_set()
 
 
@@ -252,7 +252,7 @@ def test_probe_is_read_only(quiet_device, protocol, rng):
     trained, _ = training_epoch(arr, PATTERN_1, protocol, rng)
     before = trained.resistance.copy()
     thresholds = compute_thresholds(arr, STIMULUS, protocol)
-    recall_probe(trained, STIMULUS, thresholds, protocol, max_steps=10)
+    recall_probe(trained, STIMULUS, thresholds, protocol)
     assert np.array_equal(trained.resistance, before)
 
 
@@ -260,7 +260,7 @@ def test_probe_firing_grows_monotonically(quiet_device, protocol, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = compute_thresholds(arr, STIMULUS, protocol)
     trained, _ = training_epoch(arr, PATTERN_1, protocol, rng)
-    result = recall_probe(trained, STIMULUS, thresholds, protocol, max_steps=10)
+    result = recall_probe(trained, STIMULUS, thresholds, protocol)
     seen = frozenset()
     for step in result.steps:
         firing = frozenset(np.flatnonzero(np.isnan(step.currents)).tolist())
@@ -268,27 +268,17 @@ def test_probe_firing_grows_monotonically(quiet_device, protocol, rng):
         seen = firing | step.newly_fired
 
 
-def test_probe_flags_truncation(quiet_device, protocol, rng):
-    # one step is not enough to settle after a recruitment
-    arr = uniform_array(10, 1.0e6, quiet_device)
-    thresholds = compute_thresholds(arr, STIMULUS, protocol)
-    trained, _ = training_epoch(arr, PATTERN_1, protocol, rng)
-    result = recall_probe(trained, STIMULUS, thresholds, protocol, max_steps=1)
-    assert not result.converged
-    assert 5 in result.final_firing
-
-
 def test_probe_rejects_empty_stimulus(quiet_device, protocol):
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = np.full(10, 8.0e-7)
     with pytest.raises(EmptyStimulus):
-        recall_probe(arr, Pattern.from_indices(10, set()), thresholds, protocol, 10)
+        recall_probe(arr, Pattern.from_indices(10, set()), thresholds, protocol)
 
 
 def test_probe_rejects_threshold_length_mismatch(quiet_device, protocol):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(DimensionMismatch):
-        recall_probe(arr, STIMULUS, np.full(9, 8.0e-7), protocol, 10)
+        recall_probe(arr, STIMULUS, np.full(9, 8.0e-7), protocol)
 
 
 # ---------------------------------------------------------------- success test
