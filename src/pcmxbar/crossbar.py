@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import warnings
+from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -269,8 +271,52 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
     """Read a resistance matrix CSV back into an array (pulse counts reset).
 
     Rejects a file that is not a square matrix of at least 2 x 2 numbers in
-    [r_min, r_max]; every error names the file.
+    [r_min, r_max]; every error names the file. numpy's C reader parses a
+    well-formed file; the csv loop parses the rest, so every file loads, or
+    fails, as the csv loop alone would have it.
     """
+    resistance = _parse_with_numpy(path)
+    if resistance is None or not _is_square_in_range(resistance, params):
+        # raises the documented error, or reads what only csv and float() take:
+        # quoted cells, underscores, non-ASCII digits
+        resistance = _parse_with_csv(path, params)
+    n = len(resistance)
+    return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
+
+
+# Characters numpy's reader strips around a number as spaces but float() rejects.
+_NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _lines_read_alike(fh: Iterable[str]) -> Iterator[str]:
+    """Yield the lines, raising ValueError at one the csv loop may read differently.
+
+    Such a line holds a character of _NUMPY_ONLY_SPACES, or is longer than
+    the csv module's field size limit, past which csv raises and numpy reads on.
+    """
+    limit = csv.field_size_limit()
+    for line in fh:
+        if len(line) > limit or any(c in line for c in _NUMPY_ONLY_SPACES):
+            raise ValueError("line left to the csv loop")
+        yield line
+
+
+def _parse_with_numpy(path: str | Path) -> np.ndarray | None:
+    """Matrix numpy's C reader parses from path, or None where it declines the file."""
+    with open(path, newline="") as fh, warnings.catch_warnings(record=True) as caught:
+        # an empty file only warns; it declines like any other fault
+        warnings.simplefilter("always")
+        try:
+            matrix = np.loadtxt(
+                _lines_read_alike(fh), delimiter=",", comments=None, dtype=np.float64, ndmin=2
+            )
+        except ValueError:
+            return None
+    return None if caught else matrix
+
+
+def _parse_with_csv(path: str | Path, params: DeviceParams) -> np.ndarray:
+    """Matrix the csv module and float() parse from path; raises if it is no valid array."""
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -286,12 +332,21 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
     if any(len(r) != n for r in rows):
         raise DimensionMismatch(f"{path}: resistance CSV is not square")
     resistance = np.array(rows, dtype=np.float64)
-    # written as a negation so that NaN counts as outside
-    outside = ~((resistance >= params.r_min) & (resistance <= params.r_max))
+    outside = _outside_range(resistance, params)
     if outside.any():
         bl, wl = np.argwhere(outside)[0]
         raise CorruptArrayFile(
             f"{path}: cell (bitline {bl}, wordline {wl}) holds {float(resistance[bl, wl])!r} ohm, "
             f"outside [r_min, r_max] = [{params.r_min!r}, {params.r_max!r}]"
         )
-    return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
+    return resistance
+
+
+def _outside_range(resistance: np.ndarray, params: DeviceParams) -> np.ndarray:
+    # written as a negation so that NaN counts as outside
+    return ~((resistance >= params.r_min) & (resistance <= params.r_max))
+
+
+def _is_square_in_range(resistance: np.ndarray, params: DeviceParams) -> bool:
+    n = len(resistance)
+    return n >= 2 and resistance.shape == (n, n) and not _outside_range(resistance, params).any()

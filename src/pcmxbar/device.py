@@ -131,7 +131,7 @@ def check_read_voltage(v_read: float, params: DeviceParams) -> None:
 def check_set_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
     """Raise unless pulse is a SET pulse strong enough to crystallize."""
     if pulse.role is not PulseRole.SET:
-        raise ValueError("apply_set_pulse needs a pulse with role SET")
+        raise ValueError(f"expected a pulse with role SET, got role {pulse.role.name}")
     if pulse.amplitude < params.v_set_threshold:
         raise AmplitudeBelowThreshold(
             f"SET amplitude {pulse.amplitude} V below threshold "
@@ -142,7 +142,7 @@ def check_set_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
 def check_reset_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
     """Raise unless pulse is a RESET pulse strong enough to amorphize."""
     if pulse.role is not PulseRole.RESET:
-        raise ValueError("apply_reset_pulse needs a pulse with role RESET")
+        raise ValueError(f"expected a pulse with role RESET, got role {pulse.role.name}")
     if pulse.amplitude < params.v_reset_threshold:
         raise AmplitudeBelowThreshold(
             f"RESET amplitude {pulse.amplitude} V below threshold "

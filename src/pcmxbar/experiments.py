@@ -112,6 +112,9 @@ class SweepSpec:
             raise ValueError("each cv must lie in [0, 2)")
         if self.seeds_per_cv < 1:
             raise ValueError("seeds_per_cv must be >= 1")
+        # negated, so that NaN fails the check
+        if not 0 <= self.tuned_cv_max < 2:
+            raise ValueError("tuned_cv_max must lie in [0, 2)")
 
 
 @dataclass(frozen=True)

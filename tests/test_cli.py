@@ -143,6 +143,17 @@ def test_recall_rejects_corrupt_array_naming_the_file(tmp_path, capsys, name, ce
     assert not (tmp_path / "recall.json").exists()
 
 
+def test_recall_rejects_empty_array_without_warning(tmp_path, capsys):
+    learn_into(tmp_path, "--quiet")
+    (tmp_path / "array_final.csv").write_text("")
+    code = main(["recall", "--config", "paper10x10.json", "--out-dir", str(tmp_path)])
+    assert code == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert "array_final.csv" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "recall.json").exists()
+
+
 # ---------------------------------------------------------------- sweep
 
 

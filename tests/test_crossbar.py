@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from pcmxbar import (
     read_bitline,
     save_resistance_csv,
 )
-from pcmxbar.crossbar import DEFAULT_READ_PULSE
+from pcmxbar import crossbar
+from pcmxbar.crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
 
 from conftest import make_rng, uniform_array
@@ -76,6 +78,12 @@ def test_init_scheme_rejects_out_of_range_cv():
         InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 2.5, 1.0e6)
     with pytest.raises(ValueError):
         InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, -0.1, 1.0e6)
+
+
+def test_init_rejects_pulse_of_wrong_role(quiet_device, rng):
+    scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 0.3, 2.2e4)
+    with pytest.raises(ValueError, match="^expected a pulse with role RESET, got role SET$"):
+        init_array(10, scheme, quiet_device, rng, SET_PULSE)
 
 
 def test_init_scheme_rejects_nan_median():
@@ -230,6 +238,14 @@ def test_program_consumes_rng_row_major(noisy_device):
     assert np.array_equal(out.resistance, expected)
 
 
+def test_program_rejects_pulse_of_wrong_role(quiet_device, rng):
+    arr = uniform_array(10, 1.0e6, quiet_device)
+    with pytest.raises(ValueError, match="^expected a pulse with role SET, got role RESET$"):
+        program_cells(arr, {0}, {0}, DEFAULT_RESET_PULSE, rng)
+    with pytest.raises(ValueError, match="^expected a pulse with role SET, got role READ$"):
+        program_cells(arr, {0}, {0}, DEFAULT_READ_PULSE, rng)
+
+
 def test_program_rejects_bad_indices(quiet_device, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(IndexOutOfRange):
@@ -361,3 +377,26 @@ def test_load_rejects_corrupt_cell_naming_the_file(quiet_device, tmp_path, cell,
     with pytest.raises(CorruptArrayFile, match="corrupt.csv") as excinfo:
         load_resistance_csv(path, quiet_device)
     assert reason in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text, got", [("", 0), ("1e6,1e6\n", 1)], ids=["empty", "one-row"])
+def test_load_rejects_short_file_without_warning(quiet_device, tmp_path, text, got):
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDimension, match=f"short.csv: array dimension must be >= 2, got {got}$"):
+            load_resistance_csv(path, quiet_device)
+
+
+def test_load_parses_a_written_array_without_the_csv_loop(quiet_device, tmp_path, monkeypatch):
+    def no_csv_loop(path, params):
+        raise AssertionError("the csv loop ran on a well-formed file")
+
+    monkeypatch.setattr(crossbar, "_parse_with_csv", no_csv_loop)
+    resistance = make_rng(5).uniform(1e4, 1e7, size=(64, 64))
+    path = tmp_path / "array.csv"
+    save_resistance_csv(resistance, path)
+    loaded = load_resistance_csv(path, quiet_device)
+    assert loaded.resistance.tobytes() == resistance.tobytes()
+    assert loaded.resistance.flags.c_contiguous and loaded.resistance.flags.writeable

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 import sys
 from collections import Counter
 
@@ -266,6 +267,14 @@ def test_sweep_rejects_unsorted_cvs():
         SweepSpec((0.60, 0.09), seeds_per_cv=2)
     with pytest.raises(ValueError, match="at least one"):
         SweepSpec((), seeds_per_cv=2)
+
+
+def test_sweep_spec_rejects_nan_tuned_cv_max():
+    # NaN used to build and then prepare every class by partial RESET
+    for bad in (math.nan, -0.1, 2.0):
+        with pytest.raises(ValueError, match="tuned_cv_max"):
+            SweepSpec((0.05, 0.6), 2, tuned_cv_max=bad)
+    assert SweepSpec((0.05, 0.6), 2, tuned_cv_max=0.0).tuned_cv_max == 0.0
 
 
 def test_class_reports_are_seed_stable_and_seed_distinct():

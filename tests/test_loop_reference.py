@@ -11,8 +11,14 @@ The reductions that call numpy's ufuncs or Python's adds directly, to skip
 the Python wrappers of numpy's functions, are held to the wrapped functions
 they replace, also bit for bit: the in-order energy sum, weight_contrast
 with its cached masks, and array_stats.
+
+load_resistance_csv parses with numpy's C reader and falls back to a csv
+loop; the loop alone is the reference. For any text the two must load the
+same bits, or raise the same error with the same message.
 """
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 import pytest
@@ -32,6 +38,7 @@ from pcmxbar import (
     apply_set_pulse,
     array_stats,
     init_array,
+    load_resistance_csv,
     program_cells,
     pulse_energy,
     read_bitline,
@@ -39,6 +46,7 @@ from pcmxbar import (
     weight_contrast,
 )
 from pcmxbar.crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, read_bitlines
+from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
 from pcmxbar.experiments import _contrast_masks
 from pcmxbar.network import add_in_order
 
@@ -84,6 +92,32 @@ def loop_init_array(n, scheme, params, rng, reset_pulse=DEFAULT_RESET_PULSE):
             cell, _ = apply_reset_pulse(pristine, reset_pulse, params, scheme.median, scheme.cv, rng)
             resistance[i, j] = cell.resistance
     return resistance
+
+
+def loop_load_resistance_csv(path, params):
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for record in reader:
+                if record:
+                    rows.append([float(v) for v in record])
+        except (ValueError, csv.Error) as exc:
+            raise CorruptArrayFile(f"{path}, line {reader.line_num}: {exc}") from exc
+    n = len(rows)
+    if n < 2:
+        raise InvalidDimension(f"{path}: array dimension must be >= 2, got {n}")
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch(f"{path}: resistance CSV is not square")
+    resistance = np.array(rows, dtype=np.float64)
+    outside = ~((resistance >= params.r_min) & (resistance <= params.r_max))
+    if outside.any():
+        bl, wl = np.argwhere(outside)[0]
+        raise CorruptArrayFile(
+            f"{path}: cell (bitline {bl}, wordline {wl}) holds {float(resistance[bl, wl])!r} ohm, "
+            f"outside [r_min, r_max] = [{params.r_min!r}, {params.r_max!r}]"
+        )
+    return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
 
 
 def fresh_mask_weight_contrast(array, pattern):
@@ -227,3 +261,101 @@ def test_array_stats_equals_numpy(seed, rows, cols, levels, transpose):
     assert (stats.mean, stats.std, stats.cv) == (mean, std, std / mean)
     assert (stats.min, stats.max) == (float(np.min(values)), float(np.max(values)))
     assert stats.median == float(np.median(values))
+
+
+# Wide enough that most numbers the texts below spell lie inside.
+WIDE_DEVICE = DeviceParams(r_min=1.0e-300, r_max=1.0e300)
+
+CSV_TOKENS = (
+    *"0123456789", ".", "e", "+", "-", ",", " ", "\t", "\r", "\n", '"', "_", "#", "nan", "inf", "\uff15"
+)
+
+# Cells as the writer spells them, and forms of a cell that numpy's reader
+# declines, that only the csv loop reads, or that neither reads.
+plain_cells = st.one_of(st.floats(min_value=1.0e-3, max_value=1.0e12).map(repr), st.integers(0, 10**6).map(str))
+odd_cells = st.one_of(
+    st.sampled_from(['"2.5e4"', "1_0000.0", " 7e5\t", "\uff15e5", "", "nan", "-3", "\x1c4e4"]),
+    st.lists(st.sampled_from(CSV_TOKENS), min_size=1, max_size=6).map("".join),
+)
+LINE_ENDS = ("\n", "\r\n", "\r", "\n\n", "\r\n \r\n")
+
+
+@st.composite
+def matrix_texts(draw) -> str:
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(plain_cells, min_size=n, max_size=n)) for _ in range(n)]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        row = rows[draw(st.integers(0, n - 1))]
+        row[draw(st.integers(0, n - 1))] = draw(odd_cells)
+    if draw(st.integers(0, 4)) == 0:  # one ragged row
+        row = rows[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(plain_cells))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=n, max_size=n))
+    return draw(st.sampled_from(("", "\n"))) + "".join(",".join(r) + e for r, e in zip(rows, ends))
+
+
+def load_outcome(loader, path):
+    try:
+        array = loader(path, WIDE_DEVICE)
+    except Exception as exc:  # the outcome is the error class and message
+        return type(exc), str(exc)
+    return array.resistance.shape, array.resistance.tobytes(), array.set_counts.tobytes()
+
+
+def assert_loads_as_loop(path, text):
+    path.write_text(text, newline="")
+    assert load_outcome(load_resistance_csv, path) == load_outcome(loop_load_resistance_csv, path)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader") / "array.csv"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(st.sampled_from(CSV_TOKENS), max_size=60).map("".join))
+def test_loader_equals_csv_loop_on_any_text(csv_path, text):
+    assert_loads_as_loop(csv_path, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=matrix_texts())
+def test_loader_equals_csv_loop_on_matrix_texts(csv_path, text):
+    assert_loads_as_loop(csv_path, text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('"2.5e4",3e4\n4e4,5e4\n', [[2.5e4, 3e4], [4e4, 5e4]]),
+        ("1_0000.0,3e4\n4e4,5e4\n", [[1.0e4, 3e4], [4e4, 5e4]]),
+        ("2e4,3e4\r4e4,5e4\r", [[2e4, 3e4], [4e4, 5e4]]),
+        ("2e4,3e4\n\n\r\n4e4,5e4\n", [[2e4, 3e4], [4e4, 5e4]]),
+        ("\uff12e4,3e4\n4e4,5e4\n", [[2e4, 3e4], [4e4, 5e4]]),
+    ],
+    ids=["quoted-cell", "underscore", "cr-line-ends", "blank-lines", "fullwidth-digit"],
+)
+def test_loader_keeps_what_only_the_csv_loop_reads(csv_path, text, expected):
+    assert_loads_as_loop(csv_path, text)
+    assert load_resistance_csv(csv_path, DeviceParams()).resistance.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # numpy's reader strips \x1c-\x1f around a number, float() does not
+        "2e4\x1c,3e4\n4e4,5e4\n",
+        "\x1f2e4,3e4\n4e4,5e4\n",
+        # csv rejects a field longer than its size limit, numpy reads on
+        "0" * (csv.field_size_limit() + 1) + "2e4,3e4\n4e4,5e4\n",
+        " " * (csv.field_size_limit() + 1) + "2e4,3e4\n4e4,5e4\n",
+    ],
+    ids=["x1c", "x1f", "long-zero-padding", "long-space-padding"],
+)
+def test_loader_rejects_what_the_csv_loop_rejects(csv_path, text):
+    assert_loads_as_loop(csv_path, text)
+    with pytest.raises(CorruptArrayFile, match="line 1"):
+        load_resistance_csv(csv_path, DeviceParams())
