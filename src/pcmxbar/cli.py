@@ -29,7 +29,7 @@ from .configio import (
 )
 from .crossbar import array_stats, load_resistance_csv, save_resistance_csv
 from .device import PcmCell, apply_set_pulse
-from .errors import ConfigParseError, SimulationError
+from .errors import ConfigParseError, DimensionMismatch, SimulationError
 from .experiments import distribution_history, learn_and_recall, snapshots, variation_sweep
 from .network import compute_thresholds, recall_probe, recall_success
 
@@ -68,29 +68,13 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _group_equal(files: list[tuple[np.ndarray, Path]]) -> list[tuple[np.ndarray, list[Path]]]:
-    """Pair each distinct matrix with all the paths it is written to."""
-    groups: list[tuple[np.ndarray, list[Path]]] = []
-    for matrix, path in files:
-        for kept, paths in groups:
-            if np.array_equal(kept, matrix):
-                paths.append(path)
-                break
-        else:
-            groups.append((matrix, [path]))
-    return groups
-
-
 def _cmd_learn(args) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     report = learn_and_recall(config)
     out = Path(args.out_dir)
     _write(out / "report.json", report_json(report))
     _write(out / "traces.jsonl", traces_jsonl(report))
-    arrays = [
-        (report.initial_resistance, out / "array_initial.csv"),
-        (report.final_resistance, out / "array_final.csv"),
-    ]
+    arrays = [(report.initial_resistance, out / "array_initial.csv")]
     if config.snapshot_every > 0:
         snapdir = out / "snapshots"
         snapdir.mkdir(parents=True, exist_ok=True)
@@ -102,10 +86,10 @@ def _cmd_learn(args) -> int:
         ]
         _write(snapdir / "stats.jsonl", "".join(stats_lines))
         _write(out / "histograms.csv", histograms_csv(distribution_history(report)))
-    # The epoch-0 snapshot is the initial array and the last snapshot often
-    # the final one: format each distinct matrix once.
-    for matrix, paths in _group_equal(arrays):
-        save_resistance_csv(matrix, *paths)
+    # In epoch order, each array differs from the one before only where it
+    # was programmed, and only those cells are formatted anew.
+    arrays.append((report.final_resistance, out / "array_final.csv"))
+    save_resistance_csv(arrays)
     if report.epochs_to_recall is None:
         _say(args, f"recall not reached within {config.max_epochs} epochs")
     else:
@@ -123,8 +107,10 @@ def _cmd_recall(args) -> int:
     for path in (trained_path, baseline_path):
         if not path.is_file():
             raise FileNotFoundError(f"no stored array at {path}; run learn into this directory first")
-    trained = load_resistance_csv(trained_path, config.device)
-    baseline = load_resistance_csv(baseline_path, config.device)
+    trained, baseline = (load_resistance_csv(path, config.device) for path in (trained_path, baseline_path))
+    for path, array in ((trained_path, trained), (baseline_path, baseline)):
+        if array.n != config.n:
+            raise DimensionMismatch(f"{path}: array dimension {array.n} != config n {config.n}")
     thresholds = compute_thresholds(baseline, config.recall_stimulus, config.protocol)
     probe = recall_probe(trained, config.recall_stimulus, thresholds, config.protocol)
     payload = {

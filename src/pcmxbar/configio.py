@@ -114,9 +114,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 def load_config_dict(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"config file {path} is not UTF-8 text: {exc}") from exc
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -13,7 +13,6 @@ import enum
 import math
 import warnings
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -252,19 +251,28 @@ def normalized_weights(array: CrossbarArray, baseline: CrossbarArray) -> np.ndar
     return array.resistance / baseline.resistance
 
 
-def save_resistance_csv(resistance: np.ndarray, *paths: str | Path) -> None:
-    """Write a resistance matrix as bare CSV to every path: n rows x n columns, ohms.
+def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
+    """Write each (matrix, path) pair as bare CSV, in the order given: rows x columns, ohms.
 
-    Each row is formatted once, as the reprs of its values joined by commas
-    with CRLF line ends (what csv.writer writes for them), and goes to all
-    the files.
+    A row is the reprs of its values joined by commas with a CRLF line end
+    (what csv.writer writes for them). A cell is formatted only where its
+    float64 bits differ from the same cell of the matrix written just
+    before; elsewhere its text is reused, so an equal matrix costs no repr.
     """
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", newline="")) for path in paths]
-        for row in resistance:
-            line = ",".join(map(repr, row.tolist())) + "\r\n"
-            for fh in files:
-                fh.write(line)
+    bits = cells = None
+    for matrix, path in files:
+        values = np.array(matrix, dtype=np.float64)  # a copy: the reference for the next matrix
+        if cells is None or cells.shape != values.shape:
+            # a float64 repr is at most 24 characters: sign, 17 digits, point, e-308
+            cells = np.empty(values.shape, dtype="S24")
+            changed = np.ones(values.shape, dtype=bool)
+        else:
+            changed = values.view(np.uint64) != bits
+        bits = values.view(np.uint64)
+        with open(path, "wb") as fh:
+            for row, row_values, row_changed in zip(cells, values, changed):
+                row[row_changed] = list(map(repr, row_values[row_changed].tolist()))
+                fh.write(b",".join(row.tolist()) + b"\r\n")
 
 
 def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray:

@@ -74,3 +74,13 @@ def test_install_counts_a_run_and_uninstall_restores_every_binding(tracer, tmp_p
     assert pcmxbar_bindings() == before
     assert {name: t.counts[name] > 0 for name in tracer.SIM_COUNTS} == dict.fromkeys(tracer.SIM_COUNTS, True)
     assert t.counts["network.recall_probe.calls"] >= 1
+
+
+def test_traced_learn_times_the_array_writer(tracer, tmp_path):
+    t = tracer.Tracer().install()
+    try:
+        assert main(["learn", "--config", "paper10x10.json", "--out-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+    finally:
+        t.uninstall()
+    assert t.counts["crossbar.save_resistance_csv.calls"] >= 1
+    assert "crossbar.save_resistance_csv" in t.names

@@ -154,6 +154,17 @@ def test_recall_rejects_empty_array_without_warning(tmp_path, capsys):
     assert not (tmp_path / "recall.json").exists()
 
 
+@pytest.mark.parametrize("name", ["array_final.csv", "array_initial.csv"])
+def test_recall_rejects_array_of_other_dimension_naming_the_file(tmp_path, capsys, name):
+    learn_into(tmp_path, "--quiet")
+    (tmp_path / name).write_text("1000000.0,1000000.0,1000000.0\r\n" * 3)
+    code = main(["recall", "--config", "paper10x10.json", "--out-dir", str(tmp_path)])
+    assert code == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert f"{name}: array dimension 3 != config n 10" in err
+    assert not (tmp_path / "recall.json").exists()
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -217,6 +228,16 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     code = main(["learn", "--config", str(bad), "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_config_error_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    code = main(["learn", "--config", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "utf16.json is not UTF-8 text" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulation_error_has_its_own_exit_code(tmp_path, capsys):

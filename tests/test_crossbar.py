@@ -346,7 +346,7 @@ def test_resistance_csv_round_trip(quiet_device, tmp_path):
         7, rng.uniform(1e4, 1e7, size=(7, 7)), np.zeros((7, 7), dtype=np.int64), quiet_device
     )
     path = tmp_path / "array.csv"
-    save_resistance_csv(arr.resistance, path)
+    save_resistance_csv([(arr.resistance, path)])
     loaded = load_resistance_csv(path, quiet_device)
     assert loaded.n == 7
     assert np.array_equal(loaded.resistance, arr.resistance)  # repr round-trip
@@ -396,7 +396,7 @@ def test_load_parses_a_written_array_without_the_csv_loop(quiet_device, tmp_path
     monkeypatch.setattr(crossbar, "_parse_with_csv", no_csv_loop)
     resistance = make_rng(5).uniform(1e4, 1e7, size=(64, 64))
     path = tmp_path / "array.csv"
-    save_resistance_csv(resistance, path)
+    save_resistance_csv([(resistance, path)])
     loaded = load_resistance_csv(path, quiet_device)
     assert loaded.resistance.tobytes() == resistance.tobytes()
     assert loaded.resistance.flags.c_contiguous and loaded.resistance.flags.writeable

@@ -15,10 +15,17 @@ with its cached masks, and array_stats.
 load_resistance_csv parses with numpy's C reader and falls back to a csv
 loop; the loop alone is the reference. For any text the two must load the
 same bits, or raise the same error with the same message.
+
+save_resistance_csv writes a series of matrices and formats a cell only
+where its bits changed since the matrix before. The reference formats every
+cell of one matrix; each file of a series must equal it byte for byte.
 """
 from __future__ import annotations
 
 import csv
+import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,15 +46,19 @@ from pcmxbar import (
     array_stats,
     init_array,
     load_resistance_csv,
+    learn_and_recall,
     program_cells,
     pulse_energy,
     read_bitline,
     read_current,
+    save_resistance_csv,
     weight_contrast,
 )
+from pcmxbar.cli import EXIT_OK, main
+from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
 from pcmxbar.crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, read_bitlines
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
-from pcmxbar.experiments import _contrast_masks
+from pcmxbar.experiments import _contrast_masks, snapshots
 from pcmxbar.network import add_in_order
 
 from conftest import make_rng
@@ -118,6 +129,12 @@ def loop_load_resistance_csv(path, params):
             f"outside [r_min, r_max] = [{params.r_min!r}, {params.r_max!r}]"
         )
     return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
+
+
+def loop_save_resistance_csv(resistance, path):
+    with open(path, "w", newline="") as fh:
+        for row in resistance:
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def fresh_mask_weight_contrast(array, pattern):
@@ -359,3 +376,85 @@ def test_loader_rejects_what_the_csv_loop_rejects(csv_path, text):
     assert_loads_as_loop(csv_path, text)
     with pytest.raises(CorruptArrayFile, match="line 1"):
         load_resistance_csv(csv_path, DeviceParams())
+
+
+# ---------------------------------------------------------------- CSV writer
+
+# Cells whose text or bits are easy to get wrong: signed zeros, NaN, the
+# infinities, subnormals and the longest reprs (24 characters).
+SPECIAL_CELLS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.225073858507201e-308,
+                 -2.2250738585072014e-308, -1.7976931348623157e308, 1e16, 1e-05)
+cell_values = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(SPECIAL_CELLS)
+
+
+@st.composite
+def matrix_series(draw) -> list[np.ndarray]:
+    """1-5 matrices: each new (of any shape), the one before again, or that one with a few cells changed."""
+    series: list[np.ndarray] = []
+    for _ in range(draw(st.integers(1, 5))):
+        step = draw(st.sampled_from(("new", "repeat", "change"))) if series else "new"
+        if step == "new":
+            rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+            cells = draw(st.lists(cell_values, min_size=rows * cols, max_size=rows * cols))
+            matrix = np.array(cells, dtype=np.float64).reshape(rows, cols)
+        else:
+            matrix = series[-1].copy()
+            for _ in range(draw(st.integers(1, 3)) if step == "change" and matrix.size else 0):
+                matrix.flat[draw(st.integers(0, matrix.size - 1))] = draw(cell_values)
+        series.append(matrix)
+    return series
+
+
+def assert_written_as_loop(series, paths, scratch):
+    for matrix, path in zip(series, paths):
+        loop_save_resistance_csv(matrix, scratch)
+        assert path.read_bytes() == scratch.read_bytes(), path.name
+
+
+@pytest.fixture(scope="module")
+def series_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@settings(max_examples=300, deadline=None)
+@given(series=matrix_series())
+def test_series_writer_equals_one_matrix_loop(series_dir, series):
+    paths = [series_dir / f"matrix_{i}.csv" for i in range(len(series))]
+    save_resistance_csv(zip(series, paths))
+    assert_written_as_loop(series, paths, series_dir / "loop.csv")
+
+
+@pytest.mark.parametrize("before, after", [(0.0, -0.0), (-0.0, 0.0)], ids=["to-minus", "to-plus"])
+def test_series_writer_tells_signed_zeros_apart(series_dir, before, after):
+    first = np.full((3, 3), 1.0e6)
+    first[1, 2] = before
+    second = first.copy()
+    second[1, 2] = after  # == the cell before, but other bits and another repr
+    paths = [series_dir / "first.csv", series_dir / "second.csv"]
+    save_resistance_csv([(first, paths[0]), (second, paths[1])])
+    assert_written_as_loop([first, second], paths, series_dir / "loop.csv")
+    assert paths[1].read_bytes().split(b"\r\n")[1].endswith(b"," + repr(after).encode())
+
+
+@pytest.mark.parametrize("epochs, kept", [(4, [0, 2, 4]), (3, [0, 2])], ids=["ends-on-snapshot", "ends-between"])
+def test_learn_writes_every_array_as_the_loop_formats_it(tmp_path, epochs, kept):
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    spec["device"]["sigma_c2c"] = 0.05
+    spec["snapshot_every"] = 2
+    spec["recall_target"] = [1] * 9 + [0]  # out of reach: the run trains for every epoch it may
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    argv = ["learn", "--config", str(config_path), "--out-dir", str(out), "--epochs", str(epochs), "--quiet"]
+    assert main(argv) == EXIT_OK
+
+    report = learn_and_recall(replace(load_config(config_path), max_epochs=epochs))
+    assert report.epochs_to_recall is None
+    kept_arrays = snapshots(report)
+    assert [epoch for epoch, _ in kept_arrays] == kept
+    # the final array is the last snapshot only when the run ends on a snapshot epoch
+    assert np.array_equal(report.final_resistance, kept_arrays[-1][1]) == (epochs in kept)
+    assert sorted(p.name for p in (out / "snapshots").glob("*.csv")) == [f"epoch_{e:04d}.csv" for e in kept]
+    expected = {out / "array_initial.csv": report.initial_resistance, out / "array_final.csv": report.final_resistance}
+    expected.update((out / "snapshots" / f"epoch_{epoch:04d}.csv", matrix) for epoch, matrix in kept_arrays)
+    assert_written_as_loop(expected.values(), expected.keys(), tmp_path / "loop.csv")
