@@ -12,20 +12,17 @@ from .crossbar import (
     array_stats,
     init_array,
     load_resistance_csv,
-    normalized_weights,
     program_cells,
     read_bitline,
     save_resistance_csv,
 )
 from .device import (
     DeviceParams,
-    PcmCell,
     PulseRole,
     PulseSpec,
     apply_reset_pulse,
     apply_set_pulse,
     pulse_energy,
-    read_current,
 )
 from .experiments import (
     ExperimentConfig,
@@ -56,7 +53,6 @@ __all__ = [
     "InitScheme",
     "InitVariant",
     "Pattern",
-    "PcmCell",
     "ProtocolParams",
     "PulseRole",
     "PulseSpec",
@@ -70,11 +66,9 @@ __all__ = [
     "init_array",
     "learn_and_recall",
     "load_resistance_csv",
-    "normalized_weights",
     "program_cells",
     "pulse_energy",
     "read_bitline",
-    "read_current",
     "recall_probe",
     "recall_success",
     "save_resistance_csv",

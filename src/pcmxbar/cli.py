@@ -28,7 +28,7 @@ from .configio import (
     traces_jsonl,
 )
 from .crossbar import array_stats, load_resistance_csv, save_resistance_csv
-from .device import PcmCell, apply_set_pulse
+from .device import apply_set_pulse
 from .errors import ConfigParseError, DimensionMismatch, SimulationError
 from .experiments import distribution_history, learn_and_recall, snapshots, variation_sweep
 from .network import compute_thresholds, recall_probe, recall_success
@@ -156,11 +156,11 @@ def _cmd_device_curve(args) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     pulses = args.epochs if args.epochs is not None else 50
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    cell = PcmCell(config.init.median)
-    lines = ["pulse_index,resistance_ohm", f"0,{cell.resistance!r}"]
+    resistance = np.array([config.init.median])  # one cell
+    lines = ["pulse_index,resistance_ohm", f"0,{config.init.median!r}"]
     for k in range(1, pulses + 1):
-        cell, _ = apply_set_pulse(cell, config.protocol.program_pulse, config.device, rng)
-        lines.append(f"{k},{cell.resistance!r}")
+        resistance = apply_set_pulse(resistance, config.protocol.program_pulse, config.device, rng)
+        lines.append(f"{k},{float(resistance[0])!r}")
     out = Path(args.out_dir)
     _write(out / "device_curve.csv", "\n".join(lines) + "\n")
     _say(args, f"wrote {out / 'device_curve.csv'} ({pulses} pulses)")

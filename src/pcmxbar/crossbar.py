@@ -22,12 +22,10 @@ from .device import (
     DeviceParams,
     PulseRole,
     PulseSpec,
+    apply_reset_pulse,
+    apply_set_pulse,
     check_read_voltage,
-    check_reset_pulse,
-    check_set_pulse,
-    lognormal_shape,
     pulse_energy,
-    set_target,
 )
 from .errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
 
@@ -104,31 +102,14 @@ def init_array(
 ) -> CrossbarArray:
     """Form a fresh array by applying one RESET to every cell, row-major.
 
-    Cells start at the amorphous ceiling and each receives one RESET drawn
-    from the scheme's (median, cv) distribution. The formation energy is not
-    tracked; it is array preparation, not learning.
+    device.apply_reset_pulse draws the whole array from the scheme's
+    (median, cv) distribution; the cells' state before does not enter. The
+    formation energy is not tracked; it is array preparation, not learning.
     """
     if n < 2:
         raise InvalidDimension(f"array dimension must be >= 2, got {n}")
-    check_reset_pulse(reset_pulse, params)
-    if scheme.cv == 0:
-        resistance = np.full((n, n), scheme.median, dtype=np.float64)
-    else:
-        # One batch of normals is the same stream as one draw per cell. The
-        # exponential stays math.exp: np.exp differs from it in the last bit
-        # for some inputs, and streaming keeps no list of n * n floats alive.
-        z = rng.standard_normal(n * n)
-        z *= lognormal_shape(scheme.cv)
-        resistance = np.fromiter(map(math.exp, z), dtype=np.float64, count=n * n).reshape(n, n)
-        resistance *= scheme.median
-    _clamp(resistance, params)
+    resistance = apply_reset_pulse((n, n), reset_pulse, params, scheme.median, scheme.cv, rng)
     return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
-
-
-def _clamp(resistance: np.ndarray, params: DeviceParams) -> np.ndarray:
-    """Clamp to [r_min, r_max] in place; np.clip's bits without its Python wrapper."""
-    np.maximum(resistance, params.r_min, out=resistance)
-    return np.minimum(resistance, params.r_max, out=resistance)
 
 
 def read_bitlines(
@@ -201,13 +182,9 @@ def program_cells(
     count = len(bls) * len(wls)
     if count == 0:
         return out, 0.0, 0
-    params = array.params
-    check_set_pulse(pulse, params)
     block = (np.asarray(bls)[:, None], np.asarray(wls))
     before = out.resistance[block]
-    # One row-major batch of normals is the same stream as one draw per cell.
-    noise = rng.normal(0.0, params.sigma_c2c, size=before.shape) if params.sigma_c2c > 0 else 0.0
-    out.resistance[block] = _clamp(set_target(before, noise, params), params)
+    out.resistance[block] = apply_set_pulse(before, pulse, array.params, rng)
     out.set_counts[block] += 1
     # Running sum in row-major order, as a per-cell loop adds it.
     energy = float(np.add.accumulate(pulse_energy(pulse, before).ravel())[-1])
@@ -244,13 +221,6 @@ def flat_mean(values: np.ndarray) -> float:
     return float(np.add.reduce(values)) / values.size
 
 
-def normalized_weights(array: CrossbarArray, baseline: CrossbarArray) -> np.ndarray:
-    """Element-wise resistance ratio against a baseline array (dimensionless)."""
-    if array.n != baseline.n:
-        raise DimensionMismatch(f"array dimension {array.n} != baseline dimension {baseline.n}")
-    return array.resistance / baseline.resistance
-
-
 def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
     """Write each (matrix, path) pair as bare CSV, in the order given: rows x columns, ohms.
 
@@ -278,10 +248,10 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
 def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray:
     """Read a resistance matrix CSV back into an array (pulse counts reset).
 
-    Rejects a file that is not a square matrix of at least 2 x 2 numbers in
-    [r_min, r_max]; every error names the file. numpy's C reader parses a
-    well-formed file; the csv loop parses the rest, so every file loads, or
-    fails, as the csv loop alone would have it.
+    Rejects a file that is not UTF-8 text holding a square matrix of at
+    least 2 x 2 numbers in [r_min, r_max]; every error names the file.
+    numpy's C reader parses a well-formed file; the csv loop parses the rest,
+    so every file loads, or fails, as the csv loop alone would have it.
     """
     resistance = _parse_with_numpy(path)
     if resistance is None or not _is_square_in_range(resistance, params):
@@ -311,14 +281,14 @@ def _lines_read_alike(fh: Iterable[str]) -> Iterator[str]:
 
 def _parse_with_numpy(path: str | Path) -> np.ndarray | None:
     """Matrix numpy's C reader parses from path, or None where it declines the file."""
-    with open(path, newline="") as fh, warnings.catch_warnings(record=True) as caught:
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings(record=True) as caught:
         # an empty file only warns; it declines like any other fault
         warnings.simplefilter("always")
         try:
             matrix = np.loadtxt(
                 _lines_read_alike(fh), delimiter=",", comments=None, dtype=np.float64, ndmin=2
             )
-        except ValueError:
+        except ValueError:  # UnicodeDecodeError included: the csv loop reports it
             return None
     return None if caught else matrix
 
@@ -326,12 +296,15 @@ def _parse_with_numpy(path: str | Path) -> np.ndarray | None:
 def _parse_with_csv(path: str | Path, params: DeviceParams) -> np.ndarray:
     """Matrix the csv module and float() parse from path; raises if it is no valid array."""
     rows: list[list[float]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             for record in reader:
                 if record:
                     rows.append([float(v) for v in record])
+        except UnicodeDecodeError as exc:
+            # text decodes in chunks, so the reader's line count does not locate the byte
+            raise CorruptArrayFile(f"{path} is not UTF-8 text: {exc}") from exc
         except (ValueError, csv.Error) as exc:
             raise CorruptArrayFile(f"{path}, line {reader.line_num}: {exc}") from exc
     n = len(rows)

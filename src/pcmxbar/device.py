@@ -1,10 +1,12 @@
-"""Single phase-change memory cell: pulse response, variability, energy.
+"""Phase-change memory cells: pulse response, variability, energy.
 
-The cell is a programmable resistor. A SET pulse partially crystallizes the
+A cell is a programmable resistor. A SET pulse partially crystallizes the
 chalcogenide volume and moves the resistance a fixed fraction of the way to
 the crystalline floor; a RESET pulse melt-quenches the volume back to an
 amorphous state whose resistance is drawn from a lognormal distribution.
-All operations are value-semantic: they take a cell in and return a new one.
+Each law is written once, elementwise over an array of cells in row-major
+order, and returns a new resistance array; the crossbar and the CLI call it
+for a block of any size, a single cell included.
 """
 from __future__ import annotations
 
@@ -90,14 +92,6 @@ class DeviceParams:
             raise ValueError("need 0 < v_set_threshold < v_reset_threshold")
 
 
-@dataclass(frozen=True)
-class PcmCell:
-    """State of one cell: resistance in ohms plus SET pulses since last RESET."""
-
-    resistance: float
-    pulse_count_set: int = 0
-
-
 def pulse_energy(pulse: PulseSpec, resistance_before: float | np.ndarray) -> float | np.ndarray:
     """Energy in joules dissipated by one pulse into a fixed resistance.
 
@@ -113,14 +107,6 @@ def pulse_energy(pulse: PulseSpec, resistance_before: float | np.ndarray) -> flo
     return power_top * (pulse.t_rise / 3.0 + pulse.t_width + pulse.t_fall / 3.0)
 
 
-def read_current(cell: PcmCell, v_read: float) -> float:
-    """Ohmic read current in amperes. Non-destructive, pure."""
-    # negated, so that NaN fails the check
-    if not v_read >= 0:
-        raise ValueError("read voltage must be >= 0")
-    return v_read / cell.resistance
-
-
 def check_read_voltage(v_read: float, params: DeviceParams) -> None:
     """Raise unless 0 <= v_read < v_set_threshold, the window where a read disturbs no cell."""
     # negated, so that NaN fails the check
@@ -128,8 +114,20 @@ def check_read_voltage(v_read: float, params: DeviceParams) -> None:
         raise ValueError(f"read voltage {v_read!r} V outside [0, v_set_threshold = {params.v_set_threshold!r} V)")
 
 
-def check_set_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
-    """Raise unless pulse is a SET pulse strong enough to crystallize."""
+def apply_set_pulse(
+    resistance: np.ndarray,
+    pulse: PulseSpec,
+    params: DeviceParams,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One gradual-SET pulse on every cell: move resistance toward the crystalline floor.
+
+    The distance to r_min shrinks by the factor (1 - alpha_set), perturbed per
+    cell by a zero-mean Gaussian cycle-to-cycle factor, then clamps to
+    [r_min, r_max]. The noise is one row-major batch, the same stream as one
+    draw per cell in that order. resistance is an array of one or more
+    dimensions and is left unchanged; returns the new resistances.
+    """
     if pulse.role is not PulseRole.SET:
         raise ValueError(f"expected a pulse with role SET, got role {pulse.role.name}")
     if pulse.amplitude < params.v_set_threshold:
@@ -137,10 +135,26 @@ def check_set_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
             f"SET amplitude {pulse.amplitude} V below threshold "
             f"{params.v_set_threshold} V; no state change"
         )
+    noise = rng.normal(0.0, params.sigma_c2c, size=resistance.shape) if params.sigma_c2c > 0 else 0.0
+    return _clamp(params.r_min + (resistance - params.r_min) * (1.0 - params.alpha_set) * (1.0 + noise), params)
 
 
-def check_reset_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
-    """Raise unless pulse is a RESET pulse strong enough to amorphize."""
+def apply_reset_pulse(
+    shape: int | tuple[int, ...],
+    pulse: PulseSpec,
+    params: DeviceParams,
+    target_median: float,
+    rel_spread: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One RESET pulse on every cell of an array of the given shape: re-amorphize.
+
+    Each cell draws a lognormal resistance, clamped to [r_min, r_max], whatever
+    its state before. target_median is the median of the distribution and
+    rel_spread its coefficient of variation; rel_spread = 0 lands exactly on
+    the median and draws nothing. Otherwise the normals are one row-major
+    batch, the same stream as one draw per cell in that order.
+    """
     if pulse.role is not PulseRole.RESET:
         raise ValueError(f"expected a pulse with role RESET, got role {pulse.role.name}")
     if pulse.amplitude < params.v_reset_threshold:
@@ -148,66 +162,24 @@ def check_reset_pulse(pulse: PulseSpec, params: DeviceParams) -> None:
             f"RESET amplitude {pulse.amplitude} V below threshold "
             f"{params.v_reset_threshold} V; no state change"
         )
-
-
-def set_target(
-    resistance: float | np.ndarray, noise: float | np.ndarray, params: DeviceParams
-) -> float | np.ndarray:
-    """Resistance after one SET pulse with cycle-to-cycle factor noise, before clamping.
-
-    Applies elementwise to arrays of resistances and noise draws.
-    """
-    return params.r_min + (resistance - params.r_min) * (1.0 - params.alpha_set) * (1.0 + noise)
-
-
-def lognormal_shape(cv: float) -> float:
-    """Shape sqrt(ln(1 + cv^2)) of the lognormal whose coefficient of variation is cv."""
-    return math.sqrt(math.log1p(cv * cv))
-
-
-def apply_set_pulse(
-    cell: PcmCell,
-    pulse: PulseSpec,
-    params: DeviceParams,
-    rng: np.random.Generator,
-) -> tuple[PcmCell, float]:
-    """One gradual-SET pulse: move resistance toward the crystalline floor.
-
-    The distance to r_min shrinks by the factor (1 - alpha_set), perturbed by
-    a zero-mean Gaussian cycle-to-cycle factor, then clamps to [r_min, r_max].
-    Returns the new cell and the energy in joules dissipated by the pulse.
-    """
-    check_set_pulse(pulse, params)
-    energy = pulse_energy(pulse, cell.resistance)
-    noise = rng.normal(0.0, params.sigma_c2c) if params.sigma_c2c > 0 else 0.0
-    new_r = min(max(set_target(cell.resistance, noise, params), params.r_min), params.r_max)
-    return PcmCell(new_r, cell.pulse_count_set + 1), energy
-
-
-def apply_reset_pulse(
-    cell: PcmCell,
-    pulse: PulseSpec,
-    params: DeviceParams,
-    target_median: float,
-    rel_spread: float,
-    rng: np.random.Generator,
-) -> tuple[PcmCell, float]:
-    """One RESET pulse: re-amorphize to a lognormal resistance.
-
-    target_median is the median of the post-RESET distribution and rel_spread
-    its coefficient of variation; rel_spread = 0 lands exactly on the median.
-    The SET pulse counter restarts at zero.
-    """
-    check_reset_pulse(pulse, params)
     # negated, so that NaN fails the checks
     if not target_median > 0:
         raise ValueError("target_median must be positive")
     if not rel_spread >= 0:
         raise ValueError("rel_spread must be >= 0")
-    energy = pulse_energy(pulse, cell.resistance)
     if rel_spread == 0:
-        drawn = target_median
+        resistance = np.full(shape, target_median, dtype=np.float64)
     else:
-        drawn = target_median * math.exp(lognormal_shape(rel_spread) * rng.standard_normal())
-    new_r = min(max(drawn, params.r_min), params.r_max)
-    return PcmCell(new_r, 0), energy
+        z = rng.standard_normal(shape)
+        z *= math.sqrt(math.log1p(rel_spread * rel_spread))  # lognormal shape of this CV
+        # The exponential stays math.exp: np.exp differs from it in the last bit
+        # for some inputs, and streaming keeps no list of floats alive.
+        resistance = np.fromiter(map(math.exp, z.ravel()), dtype=np.float64, count=z.size).reshape(z.shape)
+        resistance *= target_median
+    return _clamp(resistance, params)
+
+
+def _clamp(resistance: np.ndarray, params: DeviceParams) -> np.ndarray:
+    """Clamp to [r_min, r_max] in place; np.clip's bits without its Python wrapper."""
+    np.maximum(resistance, params.r_min, out=resistance)
+    return np.minimum(resistance, params.r_max, out=resistance)

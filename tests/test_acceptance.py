@@ -19,7 +19,6 @@ import pytest
 from pcmxbar import (
     CrossbarArray,
     DeviceParams,
-    PcmCell,
     PulseRole,
     PulseSpec,
     apply_set_pulse,
@@ -202,10 +201,10 @@ def test_criterion_5_locality_and_purity_randomized():
             alpha_set=float(rng.uniform(0.05, 0.95)),
             sigma_c2c=float(rng.uniform(0.0, 1.5)),
         )
-        cell = PcmCell(float(rng.uniform(params.r_min, params.r_max)))
+        cell = np.array([rng.uniform(params.r_min, params.r_max)])
         for _ in range(6):
-            cell, _ = apply_set_pulse(cell, pulse, params, rng)
-            assert params.r_min <= cell.resistance <= params.r_max
+            cell = apply_set_pulse(cell, pulse, params, rng)
+            assert params.r_min <= cell[0] <= params.r_max
         cases += 1
 
     assert cases >= 10_000
@@ -219,14 +218,14 @@ def test_criterion_6_device_law_oracles():
     # geometric trajectory over 50 pulses, 1e-12 relative
     params = DeviceParams(alpha_set=0.6, sigma_c2c=0.0)
     rng = make_rng(0)
-    cell = PcmCell(1.0e6)
+    cell = np.array([1.0e6])
     worst = 0.0
     for k in range(1, 51):
-        cell, _ = apply_set_pulse(
+        cell = apply_set_pulse(
             cell, PulseSpec(1.0, 50e-9, 300e-9, 1e-6, PulseRole.SET), params, rng
         )
         expected = params.r_min + (1.0e6 - params.r_min) * 0.4**k
-        worst = max(worst, abs(cell.resistance - expected) / expected)
+        worst = max(worst, float(abs(cell[0] - expected) / expected))
     assert worst <= 1e-12
 
     # trapezoid energy vs adaptive quadrature, 1e-9 relative

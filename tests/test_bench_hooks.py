@@ -84,3 +84,16 @@ def test_traced_learn_times_the_array_writer(tracer, tmp_path):
         t.uninstall()
     assert t.counts["crossbar.save_resistance_csv.calls"] >= 1
     assert "crossbar.save_resistance_csv" in t.names
+
+
+def test_traced_learn_times_the_device_laws(tracer, tmp_path):
+    # init_array and program_cells call the device laws through their own
+    # module bindings, which the tracer patches
+    t = tracer.Tracer().install()
+    try:
+        assert main(["learn", "--config", "paper10x10.json", "--out-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+    finally:
+        t.uninstall()
+    assert t.counts["device.apply_reset_pulse.calls"] == t.counts["crossbar.init_array.calls"] >= 1
+    assert t.counts["device.apply_set_pulse.calls"] == t.counts["crossbar.program_cells.calls"] >= 1
+    assert {"device.apply_set_pulse", "device.apply_reset_pulse"} <= set(t.names)

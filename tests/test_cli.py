@@ -165,6 +165,22 @@ def test_recall_rejects_array_of_other_dimension_naming_the_file(tmp_path, capsy
     assert not (tmp_path / "recall.json").exists()
 
 
+@pytest.mark.parametrize("name", ["array_final.csv", "array_initial.csv"])
+def test_recall_rejects_array_that_is_not_utf8_naming_the_file(tmp_path, capsys, name):
+    # the decoder reads in chunks, so the csv reader's count said "line 0" for a byte on line 3
+    learn_into(tmp_path, "--quiet")
+    path = tmp_path / name
+    lines = path.read_bytes().split(b"\r\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\r\n".join(lines))
+    code = main(["recall", "--config", "paper10x10.json", "--out-dir", str(tmp_path)])
+    assert code == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert f"{name} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err
+    assert ", line" not in err and "Traceback" not in err
+    assert not (tmp_path / "recall.json").exists()
+
+
 # ---------------------------------------------------------------- sweep
 
 

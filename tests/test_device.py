@@ -1,8 +1,11 @@
-"""Cell-level model tests: SET/RESET laws, read, and pulse energy.
+"""Device-law tests: the SET and RESET laws, a one-cell read, and pulse energy.
 
 Expected values come from closed-form evaluation of the update law and the
 trapezoid energy integral, from brute-force iteration, and from Monte Carlo
-estimates of the lognormal moments.
+estimates of the lognormal moments. The laws act on arrays; a single cell
+is an array of shape (1,). Pulse counts and energies of SET pulses are the
+crossbar's, checked here on a one-cell program_cells block, and a cell's
+read current is a bitline read gated at that cell alone.
 """
 from __future__ import annotations
 
@@ -13,20 +16,24 @@ import pytest
 
 from pcmxbar import (
     DeviceParams,
-    PcmCell,
     PulseRole,
     PulseSpec,
     apply_reset_pulse,
     apply_set_pulse,
+    program_cells,
     pulse_energy,
-    read_current,
 )
+from pcmxbar.crossbar import DEFAULT_READ_PULSE, read_bitlines
 from pcmxbar.errors import AmplitudeBelowThreshold
 
-from conftest import make_rng
+from conftest import make_rng, uniform_array
 
 SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 RESET_PULSE = PulseSpec(1.5, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
+
+
+def one_cell(resistance: float) -> np.ndarray:
+    return np.array([resistance])
 
 
 # ---------------------------------------------------------------- SET law
@@ -34,39 +41,37 @@ RESET_PULSE = PulseSpec(1.5, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
 
 def test_set_pulse_single_step_closed_form(quiet_device, rng):
     # 10 kOhm + 0.99 MOhm * 0.4 = 406 kOhm
-    cell = PcmCell(1.0e6)
-    out, _ = apply_set_pulse(cell, SET_PULSE, quiet_device, rng)
-    assert out.resistance == pytest.approx(406000.0, rel=1e-13)
-    assert out.pulse_count_set == 1
-    # input cell untouched (value semantics)
-    assert cell.resistance == 1.0e6
-    assert cell.pulse_count_set == 0
+    cell = one_cell(1.0e6)
+    out = apply_set_pulse(cell, SET_PULSE, quiet_device, rng)
+    assert out[0] == pytest.approx(406000.0, rel=1e-13)
+    # input array untouched
+    assert cell[0] == 1.0e6
 
 
 def test_set_pulse_floor_is_fixed_point(quiet_device, rng):
-    cell = PcmCell(quiet_device.r_min)
-    out, _ = apply_set_pulse(cell, SET_PULSE, quiet_device, rng)
-    assert out.resistance == quiet_device.r_min
+    out = apply_set_pulse(one_cell(quiet_device.r_min), SET_PULSE, quiet_device, rng)
+    assert out[0] == quiet_device.r_min
 
 
 def test_set_trajectory_matches_geometric_form(rng):
-    # R_k = r_min + (R_0 - r_min) * (1 - alpha)^k, checked at every k
+    # R_k = r_min + (R_0 - r_min) * (1 - alpha)^k, checked at every k,
+    # on a one-cell block that also counts its pulses
     params = DeviceParams(alpha_set=0.3, sigma_c2c=0.0)
-    cell = PcmCell(1.0e6)
+    array = uniform_array(2, 1.0e6, params)
     for k in range(1, 21):
-        cell, _ = apply_set_pulse(cell, SET_PULSE, params, rng)
+        array, _, _ = program_cells(array, {0}, {0}, SET_PULSE, rng)
         expected = params.r_min + (1.0e6 - params.r_min) * 0.7**k
-        assert cell.resistance == pytest.approx(expected, rel=1e-12)
-        assert cell.pulse_count_set == k
+        assert array.resistance[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert array.set_counts[0, 0] == k
 
 
 def test_set_monotone_noise_free(quiet_device, rng):
-    cell = PcmCell(5.0e6)
-    prev = cell.resistance
+    cell = one_cell(5.0e6)
+    prev = cell[0]
     for _ in range(30):
-        cell, _ = apply_set_pulse(cell, SET_PULSE, quiet_device, rng)
-        assert cell.resistance <= prev
-        prev = cell.resistance
+        cell = apply_set_pulse(cell, SET_PULSE, quiet_device, rng)
+        assert cell[0] <= prev
+        prev = cell[0]
 
 
 def test_set_ensemble_median_non_increasing_with_noise(noisy_device):
@@ -77,38 +82,36 @@ def test_set_ensemble_median_non_increasing_with_noise(noisy_device):
     traj = np.empty((n_seeds, n_pulses + 1))
     for s in range(n_seeds):
         rng = make_rng(1000 + s)
-        cell = PcmCell(1.0e6)
-        traj[s, 0] = cell.resistance
+        cell = one_cell(1.0e6)
+        traj[s, 0] = cell[0]
         for k in range(n_pulses):
-            cell, _ = apply_set_pulse(cell, SET_PULSE, noisy_device, rng)
-            traj[s, k + 1] = cell.resistance
+            cell = apply_set_pulse(cell, SET_PULSE, noisy_device, rng)
+            traj[s, k + 1] = cell[0]
     medians = np.median(traj, axis=0)
     assert np.all(np.diff(medians) <= 0)
 
 
 def test_set_resistance_clamped_to_bounds(rng):
-    # huge noise makes the raw update overshoot in both directions
+    # huge noise makes the raw update overshoot in both directions; 200 cells
     params = DeviceParams(sigma_c2c=5.0)
-    for _ in range(200):
-        cell = PcmCell(1.0e6)
-        out, _ = apply_set_pulse(cell, SET_PULSE, params, rng)
-        assert params.r_min <= out.resistance <= params.r_max
+    out = apply_set_pulse(np.full(200, 1.0e6), SET_PULSE, params, rng)
+    assert np.all((params.r_min <= out) & (out <= params.r_max))
 
 
 def test_set_below_threshold_amplitude_rejected(quiet_device, rng):
     weak = PulseSpec(0.4, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
     with pytest.raises(AmplitudeBelowThreshold):
-        apply_set_pulse(PcmCell(1.0e6), weak, quiet_device, rng)
+        apply_set_pulse(one_cell(1.0e6), weak, quiet_device, rng)
 
 
 def test_set_rejects_non_set_role(quiet_device, rng):
     with pytest.raises(ValueError):
-        apply_set_pulse(PcmCell(1.0e6), RESET_PULSE, quiet_device, rng)
+        apply_set_pulse(one_cell(1.0e6), RESET_PULSE, quiet_device, rng)
 
 
 def test_set_energy_uses_pre_pulse_resistance(quiet_device, rng):
-    cell = PcmCell(1.0e6)
-    _, energy = apply_set_pulse(cell, SET_PULSE, quiet_device, rng)
+    array = uniform_array(2, 1.0e6, quiet_device)
+    _, energy, _ = program_cells(array, {0}, {0}, SET_PULSE, rng)
     assert energy == pulse_energy(SET_PULSE, 1.0e6)
 
 
@@ -116,17 +119,15 @@ def test_set_energy_uses_pre_pulse_resistance(quiet_device, rng):
 
 
 def test_reset_zero_spread_hits_median_exactly(quiet_device, rng):
-    cell = PcmCell(quiet_device.r_min, pulse_count_set=7)
-    out, _ = apply_reset_pulse(cell, RESET_PULSE, quiet_device, 1.0e6, 0.0, rng)
-    assert out.resistance == 1.0e6
-    assert out.pulse_count_set == 0
+    state = rng.bit_generator.state
+    out = apply_reset_pulse((1,), RESET_PULSE, quiet_device, 1.0e6, 0.0, rng)
+    assert out[0] == 1.0e6
+    assert rng.bit_generator.state == state  # nothing drawn
 
 
 def test_reset_median_above_ceiling_clamps(quiet_device, rng):
-    out, _ = apply_reset_pulse(
-        PcmCell(1.0e6), RESET_PULSE, quiet_device, 1.0e9, 0.0, rng
-    )
-    assert out.resistance == quiet_device.r_max
+    out = apply_reset_pulse((1,), RESET_PULSE, quiet_device, 1.0e9, 0.0, rng)
+    assert out[0] == quiet_device.r_max
 
 
 def test_reset_sample_cv_matches_target(quiet_device):
@@ -134,79 +135,72 @@ def test_reset_sample_cv_matches_target(quiet_device):
     # requested rel_spread
     rng = make_rng(42)
     target_cv = 0.6
-    samples = np.array(
-        [
-            apply_reset_pulse(
-                PcmCell(1.0e6), RESET_PULSE, quiet_device, 1.0e6, target_cv, rng
-            )[0].resistance
-            for _ in range(10_000)
-        ]
-    )
+    samples = apply_reset_pulse(10_000, RESET_PULSE, quiet_device, 1.0e6, target_cv, rng)
     cv = samples.std() / samples.mean()
     assert abs(cv - target_cv) / target_cv < 0.05
 
 
 def test_reset_sample_median_matches_target(quiet_device):
     rng = make_rng(7)
-    samples = np.array(
-        [
-            apply_reset_pulse(
-                PcmCell(1.0e6), RESET_PULSE, quiet_device, 2.0e5, 0.3, rng
-            )[0].resistance
-            for _ in range(10_000)
-        ]
-    )
+    samples = apply_reset_pulse(10_000, RESET_PULSE, quiet_device, 2.0e5, 0.3, rng)
     assert np.median(samples) == pytest.approx(2.0e5, rel=0.03)
 
 
 def test_reset_below_threshold_amplitude_rejected(quiet_device, rng):
     weak = PulseSpec(1.0, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
     with pytest.raises(AmplitudeBelowThreshold):
-        apply_reset_pulse(PcmCell(1.0e6), weak, quiet_device, 1.0e6, 0.0, rng)
+        apply_reset_pulse((1,), weak, quiet_device, 1.0e6, 0.0, rng)
 
 
 def test_reset_rejects_non_reset_role(quiet_device, rng):
     with pytest.raises(ValueError):
-        apply_reset_pulse(PcmCell(1.0e6), SET_PULSE, quiet_device, 1.0e6, 0.0, rng)
+        apply_reset_pulse((1,), SET_PULSE, quiet_device, 1.0e6, 0.0, rng)
 
 
 def test_reset_rejects_nan_spread(quiet_device, rng):
     # NaN passed `rel_spread < 0` and drew a NaN resistance
     with pytest.raises(ValueError, match="rel_spread"):
-        apply_reset_pulse(PcmCell(1.0e6), RESET_PULSE, quiet_device, 1.0e6, math.nan, rng)
+        apply_reset_pulse((1,), RESET_PULSE, quiet_device, 1.0e6, math.nan, rng)
 
 
 def test_reset_rejects_nan_median(quiet_device, rng):
     # NaN slipped through the [r_min, r_max] clamp as a NaN resistance
     with pytest.raises(ValueError, match="target_median"):
-        apply_reset_pulse(PcmCell(1.0e6), RESET_PULSE, quiet_device, math.nan, 0.3, rng)
+        apply_reset_pulse((1,), RESET_PULSE, quiet_device, math.nan, 0.3, rng)
 
 
 def test_reset_rejects_negative_median(quiet_device, rng):
     # a negative median was silently clamped up to r_min
     with pytest.raises(ValueError, match="target_median"):
-        apply_reset_pulse(PcmCell(1.0e6), RESET_PULSE, quiet_device, -5.0, 0.0, rng)
+        apply_reset_pulse((1,), RESET_PULSE, quiet_device, -5.0, 0.0, rng)
 
 
 # ---------------------------------------------------------------- read
 
 
+def read_current(resistance: float, v_read: float) -> float:
+    """Current of a read of one cell: one bitline gated at one wordline."""
+    array = uniform_array(2, resistance, DeviceParams())
+    currents, _ = read_bitlines(array, [0], [0], v_read, DEFAULT_READ_PULSE)
+    return float(currents[0])
+
+
 def test_read_current_ohms_law():
-    assert read_current(PcmCell(1.0e6), 0.1) == pytest.approx(1.0e-7, rel=1e-13)
+    assert read_current(1.0e6, 0.1) == pytest.approx(1.0e-7, rel=1e-13)
 
 
 def test_read_current_zero_volts():
-    assert read_current(PcmCell(1.0e6), 0.0) == 0.0
+    assert read_current(1.0e6, 0.0) == 0.0
 
 
 def test_read_current_rejects_nan_voltage():
     with pytest.raises(ValueError):
-        read_current(PcmCell(1.0e6), math.nan)
+        read_current(1.0e6, math.nan)
 
 
 def test_read_current_post_set_example():
     # 0.1 V / 406 kOhm, chained from the single-step SET example
-    assert read_current(PcmCell(406000.0), 0.1) == pytest.approx(2.463054187e-7, rel=1e-9)
+    assert read_current(406000.0, 0.1) == pytest.approx(2.463054187e-7, rel=1e-9)
 
 
 # ---------------------------------------------------------------- energy
@@ -256,10 +250,10 @@ def test_pulse_energy_matches_quadrature():
 
 
 def test_pulse_energy_additive_over_sequence(quiet_device, rng):
-    cell = PcmCell(1.0e6)
+    array = uniform_array(2, 1.0e6, quiet_device)
     energies = []
     for _ in range(5):
-        cell, e = apply_set_pulse(cell, SET_PULSE, quiet_device, rng)
+        array, e, _ = program_cells(array, {0}, {0}, SET_PULSE, rng)
         energies.append(e)
     assert sum(energies) == pytest.approx(
         sum(pulse_energy(SET_PULSE, r) for r in _trajectory(quiet_device)), rel=1e-13
@@ -305,7 +299,7 @@ def test_pulse_energy_rejects_nan_resistance(quiet_device, rng):
     with pytest.raises(ValueError, match="resistance must be positive"):
         pulse_energy(SET_PULSE, np.array([[1.0e6, math.nan], [1.0e6, 1.0e6]]))
     with pytest.raises(ValueError, match="resistance must be positive"):
-        apply_set_pulse(PcmCell(math.nan), SET_PULSE, quiet_device, rng)
+        program_cells(uniform_array(2, math.nan, quiet_device), {0}, {0}, SET_PULSE, rng)
 
 
 def test_device_params_reject_bad_ordering():

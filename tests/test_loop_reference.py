@@ -1,11 +1,12 @@
 """The whole-array crossbar paths against per-cell loop references.
 
 program_cells, the bitline reads and init_array work on blocks of cells at
-once. The loops below do the same work one cell at a time through the
-device functions, in the documented order. Since the arithmetic per cell is
-unchanged, the two must agree exactly: the matrices, the SET counts, the
-energies (bit for bit, so summation order matters) and the state the
-generator is left in.
+once. The loops below do the same work one cell at a time, in the documented
+order, through scalar SET and RESET laws and Ohm's law written here from the
+README's Model formulas, so the package is not tested against itself. Since
+the arithmetic per cell is the same, the two must agree exactly: the
+matrices, the SET counts, the energies (bit for bit, so summation order
+matters) and the state the generator is left in.
 
 The reductions that call numpy's ufuncs or Python's adds directly, to skip
 the Python wrappers of numpy's functions, are held to the wrapped functions
@@ -38,11 +39,8 @@ from pcmxbar import (
     InitScheme,
     InitVariant,
     Pattern,
-    PcmCell,
     PulseRole,
     PulseSpec,
-    apply_reset_pulse,
-    apply_set_pulse,
     array_stats,
     init_array,
     load_resistance_csv,
@@ -50,13 +48,12 @@ from pcmxbar import (
     program_cells,
     pulse_energy,
     read_bitline,
-    read_current,
     save_resistance_csv,
     weight_contrast,
 )
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
-from pcmxbar.crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, read_bitlines
+from pcmxbar.crossbar import DEFAULT_READ_PULSE, read_bitlines
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
 from pcmxbar.experiments import _contrast_masks, snapshots
 from pcmxbar.network import add_in_order
@@ -70,17 +67,32 @@ READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
 INDEX_KINDS = ("empty", "single", "full", "any")
 
 
+def scalar_set(resistance, params, rng):
+    """One SET pulse on one cell: R' = clamp(r_min + (R - r_min)(1 - alpha_set)(1 + eps))."""
+    eps = rng.normal(0.0, params.sigma_c2c) if params.sigma_c2c > 0 else 0.0
+    updated = params.r_min + (resistance - params.r_min) * (1.0 - params.alpha_set) * (1.0 + eps)
+    return min(max(updated, params.r_min), params.r_max)
+
+
+def scalar_reset(median, cv, params, rng):
+    """One RESET on one cell: a lognormal draw of this median and CV, clamped."""
+    if cv == 0:
+        drawn = median
+    else:
+        drawn = median * math.exp(math.sqrt(math.log1p(cv * cv)) * rng.standard_normal())
+    return min(max(drawn, params.r_min), params.r_max)
+
+
 def loop_program_cells(array, driven_bls, gated_wls, pulse, rng):
     out = array.copy()
     energy = 0.0
     count = 0
     for bl in sorted(driven_bls):
         for wl in sorted(gated_wls):
-            cell = PcmCell(float(out.resistance[bl, wl]), int(out.set_counts[bl, wl]))
-            new_cell, e = apply_set_pulse(cell, pulse, array.params, rng)
-            out.resistance[bl, wl] = new_cell.resistance
-            out.set_counts[bl, wl] = new_cell.pulse_count_set
-            energy += e
+            r = float(out.resistance[bl, wl])
+            out.resistance[bl, wl] = scalar_set(r, array.params, rng)
+            out.set_counts[bl, wl] += 1
+            energy += pulse_energy(pulse, r)
             count += 1
     return out, energy, count
 
@@ -89,19 +101,17 @@ def loop_read_bitline(array, bl, gated_wls, v_read, read_pulse):
     current = 0.0
     energy = 0.0
     for wl in sorted(gated_wls):
-        cell = PcmCell(float(array.resistance[bl, wl]))
-        current += read_current(cell, v_read)
-        energy += pulse_energy(read_pulse, cell.resistance)
+        r = float(array.resistance[bl, wl])
+        current += v_read / r
+        energy += pulse_energy(read_pulse, r)
     return current, energy
 
 
-def loop_init_array(n, scheme, params, rng, reset_pulse=DEFAULT_RESET_PULSE):
+def loop_init_array(n, scheme, params, rng):
     resistance = np.empty((n, n), dtype=np.float64)
-    pristine = PcmCell(params.r_max)
     for i in range(n):
         for j in range(n):
-            cell, _ = apply_reset_pulse(pristine, reset_pulse, params, scheme.median, scheme.cv, rng)
-            resistance[i, j] = cell.resistance
+            resistance[i, j] = scalar_reset(scheme.median, scheme.cv, params, rng)
     return resistance
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pcmxbar import (
     CrossbarArray,
     DeviceParams,
-    PcmCell,
     PulseRole,
     PulseSpec,
     apply_set_pulse,
@@ -44,11 +43,12 @@ SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 def test_resistance_always_within_device_bounds(r0, alpha, sigma, seed):
     params = _device(alpha, sigma)
     rng = make_rng(seed)
-    cell = PcmCell(r0)
+    cell = np.array([r0])
     for _ in range(10):
-        cell, energy = apply_set_pulse(cell, SET_PULSE, params, rng)
-        assert params.r_min <= cell.resistance <= params.r_max
-        assert energy > 0.0
+        energy = pulse_energy(SET_PULSE, cell)
+        cell = apply_set_pulse(cell, SET_PULSE, params, rng)
+        assert params.r_min <= cell[0] <= params.r_max
+        assert energy[0] > 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -56,14 +56,14 @@ def test_resistance_always_within_device_bounds(r0, alpha, sigma, seed):
 def test_noise_free_set_is_monotone_and_geometric(r0, alpha):
     params = _device(alpha, 0.0)
     rng = make_rng(0)
-    cell = PcmCell(r0)
+    cell = np.array([r0])
     prev = r0
     for k in range(1, 11):
-        cell, _ = apply_set_pulse(cell, SET_PULSE, params, rng)
-        assert cell.resistance <= prev
+        cell = apply_set_pulse(cell, SET_PULSE, params, rng)
+        assert cell[0] <= prev
         expected = params.r_min + (r0 - params.r_min) * (1.0 - alpha) ** k
-        assert abs(cell.resistance - expected) <= 1e-12 * expected
-        prev = cell.resistance
+        assert abs(cell[0] - expected) <= 1e-12 * expected
+        prev = cell[0]
 
 
 @settings(max_examples=200, deadline=None)
