@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,10 +17,10 @@ import numpy as np
 
 from .configio import (
     bundled_config_path,
-    config_to_dict,
     histograms_csv,
     load_config,
     load_sweep,
+    recall_json,
     report_json,
     stats_to_dict,
     sweep_rows_csv,
@@ -30,7 +29,7 @@ from .configio import (
 from .crossbar import array_stats, load_resistance_csv, save_resistance_csv
 from .device import apply_set_pulse
 from .errors import ConfigParseError, DimensionMismatch, SimulationError
-from .experiments import distribution_history, learn_and_recall, snapshots, variation_sweep
+from .experiments import distribution_history, learn_and_recall, variation_sweep
 from .network import compute_thresholds, recall_probe, recall_success
 
 EXIT_OK = 0
@@ -74,15 +73,14 @@ def _cmd_learn(args) -> int:
     out = Path(args.out_dir)
     _write(out / "report.json", report_json(report))
     _write(out / "traces.jsonl", traces_jsonl(report))
-    arrays = [(report.initial_resistance, out / "array_initial.csv")]
+    arrays = [(report.snapshots[0][1], out / "array_initial.csv")]
     if config.snapshot_every > 0:
         snapdir = out / "snapshots"
         snapdir.mkdir(parents=True, exist_ok=True)
-        kept = snapshots(report)
-        arrays += [(matrix, snapdir / f"epoch_{epoch:04d}.csv") for epoch, matrix in kept]
+        arrays += [(matrix, snapdir / f"epoch_{epoch:04d}.csv") for epoch, matrix in report.snapshots]
         stats_lines = [
             json.dumps({"epoch": epoch, **stats_to_dict(array_stats(matrix))}, sort_keys=True) + "\n"
-            for epoch, matrix in kept
+            for epoch, matrix in report.snapshots
         ]
         _write(snapdir / "stats.jsonl", "".join(stats_lines))
         _write(out / "histograms.csv", histograms_csv(distribution_history(report)))
@@ -113,24 +111,8 @@ def _cmd_recall(args) -> int:
             raise DimensionMismatch(f"{path}: array dimension {array.n} != config n {config.n}")
     thresholds = compute_thresholds(baseline, config.recall_stimulus, config.protocol)
     probe = recall_probe(trained, config.recall_stimulus, thresholds, config.protocol)
-    payload = {
-        "config": config_to_dict(config),
-        "final_firing": sorted(probe.final_firing),
-        "success": recall_success(probe.final_firing, config.recall_target),
-        # a probe always reaches its fixpoint; the key stays in the format
-        "converged": True,
-        "read_energy_J": probe.read_energy,
-        "thresholds_A": [float(t) for t in thresholds],
-        "steps": [
-            {
-                "step": step.step,
-                "newly_fired": sorted(step.newly_fired),
-                "currents_A": [None if math.isnan(c) else c for c in step.currents.tolist()],
-            }
-            for step in probe.steps
-        ],
-    }
-    _write(out / "recall.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    success = recall_success(probe.final_firing, config.recall_target)
+    _write(out / "recall.json", recall_json(config, probe, thresholds, success))
     _say(args, f"final firing set: {sorted(probe.final_firing)}")
     _say(args, f"wrote {out / 'recall.json'}")
     return EXIT_OK

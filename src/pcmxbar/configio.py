@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 from .crossbar import ArrayStats
 from .errors import ConfigParseError, SimulationError
 from .experiments import ExperimentConfig, RunReport, SweepRow, SweepSpec
-from .network import EpochTrace, Pattern
+from .network import EpochTrace, Pattern, ProbeResult
 
 SWEEP_CSV_HEADER = "cv,median_epochs,mean_energy_J,success_rate"
 HISTOGRAM_CSV_HEADER = "epoch,bin_low_ohm,bin_high_ohm,count"
@@ -167,6 +167,8 @@ def stats_to_dict(stats: ArrayStats) -> dict:
     }
 
 
+# A probe always reaches its fixpoint, so trace and recall records carry
+# "converged": true only to keep the key in both formats.
 def trace_to_dict(trace: EpochTrace) -> dict:
     return {
         "epoch": trace.epoch,
@@ -175,7 +177,6 @@ def trace_to_dict(trace: EpochTrace) -> dict:
         "currents_A": [_json_float(float(c)) for c in trace.currents],
         "program_energy_J": trace.program_energy,
         "read_energy_J": trace.read_energy,
-        # a probe always reaches its fixpoint; the key stays in the format
         "converged": True,
     }
 
@@ -186,7 +187,7 @@ def report_to_dict(report: RunReport) -> dict:
         "epochs_to_recall": report.epochs_to_recall,
         "total_energy_J": report.total_energy,
         "energy_breakdown_J": {k: v for k, v in sorted(report.energy_breakdown.items())},
-        "initial_cv": report.initial_cv,
+        "initial_cv": report.initial_stats.cv,
         "initial_stats": stats_to_dict(report.initial_stats),
         "final_stats": stats_to_dict(report.final_stats),
         "thresholds_A": [float(t) for t in report.thresholds],
@@ -201,6 +202,27 @@ def report_json(report: RunReport) -> str:
 
 def traces_jsonl(report: RunReport) -> str:
     return "".join(json.dumps(trace_to_dict(t), sort_keys=True) + "\n" for t in report.traces)
+
+
+def recall_json(config: ExperimentConfig, probe: ProbeResult, thresholds, success: bool) -> str:
+    """recall.json text: the probe's final firing set, success flag and per-step currents."""
+    payload = {
+        "config": config_to_dict(config),
+        "final_firing": sorted(probe.final_firing),
+        "success": success,
+        "converged": True,
+        "read_energy_J": probe.read_energy,
+        "thresholds_A": [float(t) for t in thresholds],
+        "steps": [
+            {
+                "step": step.step,
+                "newly_fired": sorted(step.newly_fired),
+                "currents_A": [_json_float(c) for c in step.currents.tolist()],
+            }
+            for step in probe.steps
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def sweep_rows_csv(rows: list[SweepRow]) -> str:

@@ -76,13 +76,15 @@ class ArrayStats:
 class CrossbarArray:
     """n x n grid of cells. Treated as immutable: operations return copies."""
 
-    n: int
     resistance: np.ndarray  # ohms, shape (n, n), row = bitline
-    set_counts: np.ndarray  # SET pulses since last RESET, shape (n, n)
     params: DeviceParams
 
+    @property
+    def n(self) -> int:
+        return len(self.resistance)
+
     def copy(self) -> "CrossbarArray":
-        return CrossbarArray(self.n, self.resistance.copy(), self.set_counts.copy(), self.params)
+        return CrossbarArray(self.resistance.copy(), self.params)
 
     def _sorted_indices(self, indices) -> list[int]:
         """The bitline or wordline indices in ascending order; raises if one lies outside."""
@@ -109,7 +111,7 @@ def init_array(
     if n < 2:
         raise InvalidDimension(f"array dimension must be >= 2, got {n}")
     resistance = apply_reset_pulse((n, n), reset_pulse, params, scheme.median, scheme.cv, rng)
-    return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
+    return CrossbarArray(resistance, params)
 
 
 def read_bitlines(
@@ -185,7 +187,6 @@ def program_cells(
     block = (np.asarray(bls)[:, None], np.asarray(wls))
     before = out.resistance[block]
     out.resistance[block] = apply_set_pulse(before, pulse, array.params, rng)
-    out.set_counts[block] += 1
     # Running sum in row-major order, as a per-cell loop adds it.
     energy = float(np.add.accumulate(pulse_energy(pulse, before).ravel())[-1])
     return out, energy, count
@@ -246,7 +247,7 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
 
 
 def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray:
-    """Read a resistance matrix CSV back into an array (pulse counts reset).
+    """Read a resistance matrix CSV back into an array.
 
     Rejects a file that is not UTF-8 text holding a square matrix of at
     least 2 x 2 numbers in [r_min, r_max]; every error names the file.
@@ -258,8 +259,7 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
         # raises the documented error, or reads what only csv and float() take:
         # quoted cells, underscores, non-ASCII digits
         resistance = _parse_with_csv(path, params)
-    n = len(resistance)
-    return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
+    return CrossbarArray(resistance, params)
 
 
 # Characters numpy's reader strips around a number as spaces but float() rejects.

@@ -72,6 +72,9 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
+        # negated, so that NaN fails the check
+        if not self.device.r_min < self.init.median <= self.device.r_max:
+            raise ValueError(f"init.median must lie in (device.r_min, device.r_max], got {self.init.median!r}")
         self.protocol.validate_against(self.device)
 
 
@@ -82,13 +85,14 @@ class RunReport:
     epochs_to_recall: int | None  # None when recall was not reached
     total_energy: float  # joules spent up to and including the deciding probe
     energy_breakdown: dict[str, float]  # joules per phase
-    initial_cv: float
     initial_stats: ArrayStats
     final_stats: ArrayStats
     thresholds: np.ndarray  # amperes, per neuron
     traces: list[EpochTrace]
     contrast_history: list[float]  # weight contrast after each epoch
-    initial_resistance: np.ndarray  # ohms, epoch-0 snapshot
+    # (epoch, ohms) of the initial array (epoch 0) and of each epoch the
+    # snapshot_every cadence keeps, in epoch order
+    snapshots: list[tuple[int, np.ndarray]]
     final_resistance: np.ndarray  # ohms, state when the run stopped
     config: ExperimentConfig
 
@@ -134,7 +138,6 @@ class SnapshotHistogram:
     epoch: int
     bin_edges: np.ndarray  # ohms, length HISTOGRAM_BINS + 1
     counts: np.ndarray
-    normalized: np.ndarray  # resistance ratio vs the initial array
 
 
 def weight_contrast(array: CrossbarArray, pattern: Pattern) -> float:
@@ -173,7 +176,7 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
     pp = config.protocol
     array = init_array(config.n, config.init, config.device, rng, pp.reset_pulse)
     initial_stats = array_stats(array.resistance)
-    initial_resistance = array.resistance.copy()
+    snapshots = [(0, array.resistance.copy())]
     thresholds = compute_thresholds(array, config.recall_stimulus, pp)
 
     traces: list[EpochTrace] = []
@@ -185,7 +188,8 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
             trace.epoch = epoch
             traces.append(trace)
         probe = recall_probe(array, config.recall_stimulus, thresholds, pp)
-        keep_snapshot = config.snapshot_every > 0 and epoch % config.snapshot_every == 0
+        if config.snapshot_every > 0 and epoch % config.snapshot_every == 0:
+            snapshots.append((epoch, array.resistance.copy()))
         traces.append(
             EpochTrace(
                 epoch=epoch,
@@ -194,7 +198,6 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
                 currents=probe.steps[0].currents,
                 program_energy=0.0,
                 read_energy=probe.read_energy,
-                resistance_snapshot=array.resistance.copy() if keep_snapshot else None,
             )
         )
         contrast_history.append(weight_contrast(array, config.recall_target))
@@ -213,13 +216,12 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
         epochs_to_recall=epochs_to_recall,
         total_energy=add_in_order(0.0, breakdown.values()),
         energy_breakdown=breakdown,
-        initial_cv=initial_stats.cv,
         initial_stats=initial_stats,
         final_stats=array_stats(array.resistance),
         thresholds=thresholds,
         traces=traces,
         contrast_history=contrast_history,
-        initial_resistance=initial_resistance,
+        snapshots=snapshots,
         final_resistance=array.resistance.copy(),
         config=config,
     )
@@ -270,34 +272,17 @@ def variation_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def snapshots(report: RunReport) -> list[tuple[int, np.ndarray]]:
-    """(epoch, resistance matrix) of the initial array (epoch 0) and of every kept snapshot."""
-    return [(0, report.initial_resistance)] + [
-        (t.epoch, t.resistance_snapshot) for t in report.traces if t.resistance_snapshot is not None
-    ]
-
-
 def distribution_history(report: RunReport) -> list[SnapshotHistogram]:
     """Log-spaced resistance histograms for every kept snapshot.
 
     The initial array is epoch 0; later entries are the epochs the run kept
-    under its snapshot cadence. Each entry also carries the resistance
-    matrix normalized by the initial array, for external plotting.
+    under its snapshot cadence.
     """
     device = report.config.device
-    kept = snapshots(report)
-    if len(kept) < 2 and report.config.snapshot_every == 0:
+    if report.config.snapshot_every == 0:
         raise NoSnapshots("run kept no snapshots; set snapshot_every > 0")
     edges = np.logspace(np.log10(device.r_min), np.log10(device.r_max), HISTOGRAM_BINS + 1)
-    out = []
-    for epoch, matrix in kept:
-        counts, _ = np.histogram(matrix.ravel(), bins=edges)
-        out.append(
-            SnapshotHistogram(
-                epoch=epoch,
-                bin_edges=edges,
-                counts=counts,
-                normalized=matrix / report.initial_resistance,
-            )
-        )
-    return out
+    return [
+        SnapshotHistogram(epoch, edges, np.histogram(matrix.ravel(), bins=edges)[0])
+        for epoch, matrix in report.snapshots
+    ]

@@ -41,10 +41,6 @@ class Pattern:
     def on_set(self) -> frozenset[int]:
         return self._on
 
-    @classmethod
-    def from_indices(cls, n: int, on: frozenset[int] | set[int]) -> "Pattern":
-        return cls(tuple(i in on for i in range(n)))
-
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -98,7 +94,6 @@ class EpochTrace:
     currents: np.ndarray
     program_energy: float
     read_energy: float
-    resistance_snapshot: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pcmxbar import CrossbarArray, DeviceParams, ProtocolParams, variation_sweep
+from pcmxbar import CrossbarArray, DeviceParams, Pattern, ProtocolParams, variation_sweep
 from pcmxbar.configio import bundled_config_path, load_config, load_sweep
 
 SEEDS_PER_CV = 200
@@ -17,13 +17,13 @@ def make_rng(seed: int = 0) -> np.random.Generator:
 
 
 def uniform_array(n: int, resistance: float, params: DeviceParams) -> CrossbarArray:
-    """Build an array with every cell at the same resistance, zero pulse history."""
-    return CrossbarArray(
-        n,
-        np.full((n, n), resistance, dtype=np.float64),
-        np.zeros((n, n), dtype=np.int64),
-        params,
-    )
+    """Build an array with every cell at the same resistance."""
+    return CrossbarArray(np.full((n, n), resistance, dtype=np.float64), params)
+
+
+def on_pattern(n: int, on) -> Pattern:
+    """Pattern of n neurons that is ON exactly at the indices in on."""
+    return Pattern(tuple(i in on for i in range(n)))
 
 
 @pytest.fixture

@@ -226,6 +226,21 @@ def test_device_curve_traces_geometric_staircase(tmp_path):
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("median", [1e300, 5000.0])
+def test_device_curve_rejects_init_median_outside_device_range(tmp_path, capsys, median):
+    # the staircase started at this median and clamped only from pulse 1 on
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    spec["init"]["median"] = median
+    path = tmp_path / "far_median.json"
+    path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    code = main(["device-curve", "--config", str(path), "--out-dir", str(out_dir), "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config file {path}: init.median" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------- exit codes
 
 

@@ -134,6 +134,8 @@ BAD_CONFIGS = {
     "negative-seed": (("seed",), -1, "seed"),
     "pattern-length-not-n": (("patterns", 0), [1, 1, 1, 1, 0, 1, 0, 0, 0], "patterns[0]"),
     "unknown-pulse-role": (("protocol", "program_pulse", "role"), "write", "protocol.program_pulse.role"),
+    "init-median-above-r-max": (("init", "median"), 1e300, "init.median"),
+    "init-median-at-r-min": (("init", "median"), 10000.0, "init.median"),
 }
 
 

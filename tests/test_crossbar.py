@@ -38,7 +38,6 @@ def test_init_zero_cv_is_exactly_uniform(quiet_device, rng):
     arr = init_array(10, scheme, quiet_device, rng)
     assert arr.n == 10
     assert np.all(arr.resistance == 1.0e6)
-    assert np.all(arr.set_counts == 0)
 
 
 def test_init_rejects_tiny_dimension(quiet_device, rng):
@@ -115,7 +114,7 @@ def test_read_matches_masked_sum_oracle(quiet_device):
     for _ in range(50):
         n = int(rng.integers(2, 12))
         resistance = rng.uniform(1e4, 1e7, size=(n, n))
-        arr = CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), quiet_device)
+        arr = CrossbarArray(resistance, quiet_device)
         gated = {int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
         bl = int(rng.integers(0, n))
         current, _ = read_bitline(arr, bl, gated, 0.1)
@@ -127,7 +126,7 @@ def test_read_matches_masked_sum_oracle(quiet_device):
 def test_read_is_linear_over_disjoint_gates(quiet_device):
     rng = make_rng(6)
     resistance = rng.uniform(1e4, 1e7, size=(10, 10))
-    arr = CrossbarArray(10, resistance, np.zeros((10, 10), dtype=np.int64), quiet_device)
+    arr = CrossbarArray(resistance, quiet_device)
     a, b = {0, 3, 7}, {1, 4}
     ca, _ = read_bitline(arr, 5, a, 0.1)
     cb, _ = read_bitline(arr, 5, b, 0.1)
@@ -138,7 +137,7 @@ def test_read_is_linear_over_disjoint_gates(quiet_device):
 def test_read_leaves_array_bit_identical(quiet_device):
     rng = make_rng(8)
     resistance = rng.uniform(1e4, 1e7, size=(10, 10))
-    arr = CrossbarArray(10, resistance, np.zeros((10, 10), dtype=np.int64), quiet_device)
+    arr = CrossbarArray(resistance, quiet_device)
     before = arr.resistance.copy()
     for bl in range(10):
         read_bitline(arr, bl, set(range(10)), 0.1)
@@ -182,7 +181,6 @@ def test_program_single_cell_leaves_rest_untouched(quiet_device, rng):
     out, energy, count = program_cells(arr, {0}, {0}, SET_PULSE, rng)
     assert count == 1
     assert out.resistance[0, 0] == pytest.approx(406000.0, rel=1e-13)
-    assert out.set_counts[0, 0] == 1
     # other 99 cells bit-identical
     mask = np.ones((10, 10), dtype=bool)
     mask[0, 0] = False
@@ -275,9 +273,7 @@ def test_array_stats_two_level_population(quiet_device):
 
 def test_array_stats_cv_consistency(quiet_device):
     rng = make_rng(14)
-    arr = CrossbarArray(
-        10, rng.uniform(1e4, 1e7, size=(10, 10)), np.zeros((10, 10), dtype=np.int64), quiet_device
-    )
+    arr = CrossbarArray(rng.uniform(1e4, 1e7, size=(10, 10)), quiet_device)
     stats = array_stats(arr.resistance)
     assert stats.cv == pytest.approx(stats.std / stats.mean, rel=1e-12)
     assert stats.min <= stats.median <= stats.max
@@ -298,6 +294,12 @@ def test_stats_type_shape():
         "max",
         "median",
     }
+
+
+def test_array_is_its_matrix_and_params(quiet_device):
+    # n is read from the matrix, so the two cannot disagree
+    assert list(CrossbarArray.__dataclass_fields__) == ["resistance", "params"]
+    assert CrossbarArray(np.full((3, 3), 1.0e6), quiet_device).n == 3
 
 
 # ---------------------------------------------------------------- weights
@@ -334,15 +336,12 @@ def test_normalized_weights_decrease_with_epochs(quiet_device, rng):
 
 def test_resistance_csv_round_trip(quiet_device, tmp_path):
     rng = make_rng(21)
-    arr = CrossbarArray(
-        7, rng.uniform(1e4, 1e7, size=(7, 7)), np.zeros((7, 7), dtype=np.int64), quiet_device
-    )
+    arr = CrossbarArray(rng.uniform(1e4, 1e7, size=(7, 7)), quiet_device)
     path = tmp_path / "array.csv"
     save_resistance_csv([(arr.resistance, path)])
     loaded = load_resistance_csv(path, quiet_device)
     assert loaded.n == 7
     assert np.array_equal(loaded.resistance, arr.resistance)  # repr round-trip
-    assert np.all(loaded.set_counts == 0)
 
 
 def test_load_rejects_ragged_csv(quiet_device, tmp_path):

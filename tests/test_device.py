@@ -54,15 +54,13 @@ def test_set_pulse_floor_is_fixed_point(quiet_device, rng):
 
 
 def test_set_trajectory_matches_geometric_form(rng):
-    # R_k = r_min + (R_0 - r_min) * (1 - alpha)^k, checked at every k,
-    # on a one-cell block that also counts its pulses
+    # R_k = r_min + (R_0 - r_min) * (1 - alpha)^k, checked at every k, on a one-cell block
     params = DeviceParams(alpha_set=0.3, sigma_c2c=0.0)
     array = uniform_array(2, 1.0e6, params)
     for k in range(1, 21):
         array, _, _ = program_cells(array, {0}, {0}, SET_PULSE, rng)
         expected = params.r_min + (1.0e6 - params.r_min) * 0.7**k
         assert array.resistance[0, 0] == pytest.approx(expected, rel=1e-12)
-        assert array.set_counts[0, 0] == k
 
 
 def test_set_monotone_noise_free(quiet_device, rng):

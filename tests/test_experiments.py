@@ -20,7 +20,6 @@ from pcmxbar import (
     ExperimentConfig,
     InitScheme,
     InitVariant,
-    Pattern,
     ProtocolParams,
     SweepSpec,
     class_reports,
@@ -35,11 +34,11 @@ from pcmxbar import (
 from pcmxbar.configio import bundled_config_path, load_sweep, report_json
 from pcmxbar.errors import DegeneratePattern, DimensionMismatch, NoSnapshots
 
-from conftest import uniform_array
+from conftest import on_pattern, uniform_array
 
-PATTERN_1 = Pattern.from_indices(10, {0, 1, 2, 3, 5})
-PATTERN_2 = Pattern.from_indices(10, {4, 6, 7, 8, 9})
-STIMULUS = Pattern.from_indices(10, {0, 1, 2, 3})
+PATTERN_1 = on_pattern(10, {0, 1, 2, 3, 5})
+PATTERN_2 = on_pattern(10, {4, 6, 7, 8, 9})
+STIMULUS = on_pattern(10, {0, 1, 2, 3})
 
 CANONICAL_DEVICE = DeviceParams(
     r_reset_partial_median=2.2e4,
@@ -69,12 +68,12 @@ def canonical_config(**overrides) -> ExperimentConfig:
 
 def test_config_rejects_stimulus_outside_target():
     with pytest.raises(ValueError):
-        canonical_config(recall_stimulus=Pattern.from_indices(10, {0, 4}))
+        canonical_config(recall_stimulus=on_pattern(10, {0, 4}))
 
 
 def test_config_rejects_mismatched_pattern_length():
     with pytest.raises(DimensionMismatch):
-        canonical_config(patterns=(Pattern.from_indices(9, {0}),))
+        canonical_config(patterns=(on_pattern(9, {0}),))
 
 
 # ---------------------------------------------------------------- single run
@@ -83,7 +82,7 @@ def test_config_rejects_mismatched_pattern_length():
 def test_noise_free_run_recalls_in_one_epoch():
     report = learn_and_recall(canonical_config())
     assert report.epochs_to_recall == 1
-    assert report.initial_cv == 0.0
+    assert report.initial_stats.cv == 0.0
     assert report.thresholds == pytest.approx(np.full(10, 8.0e-7), rel=1e-13)
     # 2 training traces + 1 probe trace
     assert [t.phase for t in report.traces] == ["train", "train", "probe"]
@@ -174,7 +173,7 @@ def test_cumulative_energy_grows_every_epoch():
 def test_pattern_swap_relabeling_symmetry():
     swapped = canonical_config(
         patterns=(PATTERN_2, PATTERN_1),
-        recall_stimulus=Pattern.from_indices(10, {4, 6, 7, 8}),
+        recall_stimulus=on_pattern(10, {4, 6, 7, 8}),
         recall_target=PATTERN_2,
     )
     base_report = learn_and_recall(canonical_config())
@@ -197,8 +196,10 @@ def test_identical_config_reproduces_byte_identical_report():
 
 def test_final_state_is_reported():
     report = learn_and_recall(canonical_config())
-    assert report.initial_resistance.shape == (10, 10)
-    assert np.all(report.initial_resistance == 1.0e6)
+    assert [epoch for epoch, _ in report.snapshots] == [0]
+    initial = report.snapshots[0][1]
+    assert initial.shape == (10, 10)
+    assert np.all(initial == 1.0e6)
     on = sorted(PATTERN_1.on_set())
     block = report.final_resistance[np.ix_(on, on)]
     assert np.all(block == pytest.approx(406000.0, rel=1e-13))
@@ -216,9 +217,9 @@ def test_weight_contrast_untrained_is_unity(quiet_device):
 def test_weight_contrast_rejects_degenerate_patterns(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(DegeneratePattern):
-        weight_contrast(arr, Pattern.from_indices(10, set()))
+        weight_contrast(arr, on_pattern(10, set()))
     with pytest.raises(DegeneratePattern):
-        weight_contrast(arr, Pattern.from_indices(10, set(range(10))))
+        weight_contrast(arr, on_pattern(10, set(range(10))))
 
 
 # ---------------------------------------------------------------- init regimes
@@ -283,10 +284,8 @@ def test_class_reports_are_seed_stable_and_seed_distinct():
     runs_a = class_reports(base, spec, cv_index=2)
     runs_b = class_reports(base, spec, cv_index=2)
     for a, b in zip(runs_a, runs_b):
-        assert np.array_equal(a.initial_resistance, b.initial_resistance)
-    assert not np.array_equal(
-        runs_a[0].initial_resistance, runs_a[1].initial_resistance
-    )
+        assert np.array_equal(a.snapshots[0][1], b.snapshots[0][1])
+    assert not np.array_equal(runs_a[0].snapshots[0][1], runs_a[1].snapshots[0][1])
 
 
 def test_energy_grows_with_epochs_within_a_class():
@@ -387,11 +386,12 @@ def test_distribution_history_tracks_training():
     # trained state is two-level: 50 programmed, 50 untouched
     occupied = final.counts[final.counts > 0]
     assert sorted(occupied.tolist()) == [50, 50]
-    # untouched cells keep ratio exactly 1
+    # untouched cells keep their initial resistance exactly
     off = sorted(set(range(10)) - PATTERN_1.on_set() - PATTERN_2.on_set())
     assert off == []  # complementary patterns cover every neuron
-    outside_block = final.normalized[np.ix_(sorted(PATTERN_1.on_set()), sorted(PATTERN_2.on_set()))]
-    assert np.all(outside_block == 1.0)
+    (_, initial_matrix), (_, final_matrix) = report.snapshots
+    outside_block = np.ix_(sorted(PATTERN_1.on_set()), sorted(PATTERN_2.on_set()))
+    assert np.array_equal(final_matrix[outside_block], initial_matrix[outside_block])
 
 
 def test_distribution_history_requires_snapshots():

@@ -38,7 +38,6 @@ from pcmxbar import (
     DeviceParams,
     InitScheme,
     InitVariant,
-    Pattern,
     PulseRole,
     PulseSpec,
     array_stats,
@@ -55,10 +54,10 @@ from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
 from pcmxbar.crossbar import DEFAULT_READ_PULSE, read_bitlines
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
-from pcmxbar.experiments import _contrast_masks, snapshots
+from pcmxbar.experiments import _contrast_masks
 from pcmxbar.network import add_in_order
 
-from conftest import make_rng
+from conftest import make_rng, on_pattern
 
 SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
@@ -91,7 +90,6 @@ def loop_program_cells(array, driven_bls, gated_wls, pulse, rng):
         for wl in sorted(gated_wls):
             r = float(out.resistance[bl, wl])
             out.resistance[bl, wl] = scalar_set(r, array.params, rng)
-            out.set_counts[bl, wl] += 1
             energy += pulse_energy(pulse, r)
             count += 1
     return out, energy, count
@@ -138,7 +136,7 @@ def loop_load_resistance_csv(path, params):
             f"{path}: cell (bitline {bl}, wordline {wl}) holds {float(resistance[bl, wl])!r} ohm, "
             f"outside [r_min, r_max] = [{params.r_min!r}, {params.r_max!r}]"
         )
-    return CrossbarArray(n, resistance, np.zeros((n, n), dtype=np.int64), params)
+    return CrossbarArray(resistance, params)
 
 
 def loop_save_resistance_csv(resistance, path):
@@ -168,12 +166,7 @@ def index_sets(draw, n: int, kind: str) -> frozenset[int]:
 
 def random_array(seed: int, n: int, params: DeviceParams) -> CrossbarArray:
     rng = make_rng(seed)
-    return CrossbarArray(
-        n,
-        rng.uniform(params.r_min, params.r_max, size=(n, n)),
-        rng.integers(0, 5, size=(n, n)),
-        params,
-    )
+    return CrossbarArray(rng.uniform(params.r_min, params.r_max, size=(n, n)), params)
 
 
 sigmas = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.5))
@@ -192,7 +185,6 @@ def test_program_cells_equals_cell_loop(kind, seed, n, sigma, data):
     out, energy, count = program_cells(array, driven, gated, SET_PULSE, rng_block)
     ref, ref_energy, ref_count = loop_program_cells(array, driven, gated, SET_PULSE, rng_loop)
     assert np.array_equal(out.resistance, ref.resistance)
-    assert np.array_equal(out.set_counts, ref.set_counts)
     assert energy == ref_energy and type(energy) is float
     assert count == ref_count
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
@@ -231,7 +223,6 @@ def test_init_array_equals_cell_loop(seed, n, cv, median):
     rng_block, rng_loop = make_rng(seed), make_rng(seed)
     array = init_array(n, scheme, params, rng_block)
     assert np.array_equal(array.resistance, loop_init_array(n, scheme, params, rng_loop))
-    assert np.array_equal(array.set_counts, np.zeros((n, n), dtype=np.int64))
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
 
 
@@ -251,7 +242,7 @@ def test_add_in_order_equals_running_cumsum(total, values):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), data=st.data())
 def test_weight_contrast_with_cached_masks_equals_fresh_masks(seed, n, data):
     on = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
-    pattern = Pattern.from_indices(n, on)
+    pattern = on_pattern(n, on)
     array = random_array(seed, n, DeviceParams())
     expected = fresh_mask_weight_contrast(array, pattern)
     # the first call builds the masks, the second reads them from the cache
@@ -329,7 +320,7 @@ def load_outcome(loader, path):
         array = loader(path, WIDE_DEVICE)
     except Exception as exc:  # the outcome is the error class and message
         return type(exc), str(exc)
-    return array.resistance.shape, array.resistance.tobytes(), array.set_counts.tobytes()
+    return array.resistance.shape, array.resistance.tobytes()
 
 
 def assert_loads_as_loop(path, text):
@@ -460,11 +451,11 @@ def test_learn_writes_every_array_as_the_loop_formats_it(tmp_path, epochs, kept)
 
     report = learn_and_recall(replace(load_config(config_path), max_epochs=epochs))
     assert report.epochs_to_recall is None
-    kept_arrays = snapshots(report)
+    kept_arrays = report.snapshots
     assert [epoch for epoch, _ in kept_arrays] == kept
     # the final array is the last snapshot only when the run ends on a snapshot epoch
     assert np.array_equal(report.final_resistance, kept_arrays[-1][1]) == (epochs in kept)
     assert sorted(p.name for p in (out / "snapshots").glob("*.csv")) == [f"epoch_{e:04d}.csv" for e in kept]
-    expected = {out / "array_initial.csv": report.initial_resistance, out / "array_final.csv": report.final_resistance}
+    expected = {out / "array_initial.csv": kept_arrays[0][1], out / "array_final.csv": report.final_resistance}
     expected.update((out / "snapshots" / f"epoch_{epoch:04d}.csv", matrix) for epoch, matrix in kept_arrays)
     assert_written_as_loop(expected.values(), expected.keys(), tmp_path / "loop.csv")

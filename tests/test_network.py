@@ -14,7 +14,6 @@ import pytest
 from pcmxbar import (
     InitScheme,
     InitVariant,
-    Pattern,
     ProtocolParams,
     PulseRole,
     PulseSpec,
@@ -26,20 +25,19 @@ from pcmxbar import (
 )
 from pcmxbar.errors import DimensionMismatch, EmptyStimulus
 
-from conftest import make_rng, uniform_array
+from conftest import make_rng, on_pattern, uniform_array
 
-PATTERN_1 = Pattern.from_indices(10, {0, 1, 2, 3, 5})
-PATTERN_2 = Pattern.from_indices(10, {4, 6, 7, 8, 9})
-STIMULUS = Pattern.from_indices(10, {0, 1, 2, 3})
+PATTERN_1 = on_pattern(10, {0, 1, 2, 3, 5})
+PATTERN_2 = on_pattern(10, {4, 6, 7, 8, 9})
+STIMULUS = on_pattern(10, {0, 1, 2, 3})
 
 
 # ---------------------------------------------------------------- patterns
 
 
-def test_pattern_round_trips_through_indices():
+def test_pattern_on_set_and_length():
     assert PATTERN_1.on_set() == frozenset({0, 1, 2, 3, 5})
     assert PATTERN_1.n == 10
-    assert Pattern.from_indices(10, PATTERN_2.on_set()) == PATTERN_2
 
 
 def test_patterns_are_complementary():
@@ -101,7 +99,7 @@ def test_thresholds_uniform_array(quiet_device, protocol):
 def test_thresholds_require_nonempty_stimulus(quiet_device, protocol):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(EmptyStimulus):
-        compute_thresholds(arr, Pattern.from_indices(10, set()), protocol)
+        compute_thresholds(arr, on_pattern(10, set()), protocol)
 
 
 def test_threshold_spread_grows_with_variation(quiet_device, protocol):
@@ -131,10 +129,8 @@ def test_training_epoch_programs_on_block_only(quiet_device, protocol, rng):
         for j in range(10):
             if i in on and j in on:
                 assert out.resistance[i, j] == pytest.approx(406000.0, rel=1e-13)
-                assert out.set_counts[i, j] == 1
             else:
                 assert out.resistance[i, j] == 1.0e6
-                assert out.set_counts[i, j] == 0
     assert trace.firing_set == on
     # input array untouched
     assert np.all(arr.resistance == 1.0e6)
@@ -174,15 +170,18 @@ def test_training_epoch_multi_pulse_coactivation(quiet_device, rng):
     pp = ProtocolParams(pulses_per_coactivation=2)
     arr = uniform_array(10, 1.0e6, quiet_device)
     out, _ = training_epoch(arr, PATTERN_1, pp, rng)
-    # two geometric steps: 10k + 990k * 0.4^2
+    # two geometric steps on every ON x ON cell: r_min + (R0 - r_min)(1 - alpha)^2 = 10k + 990k * 0.4^2
     expected = 1.0e4 + 9.9e5 * 0.16
-    assert out.resistance[0, 1] == pytest.approx(expected, rel=1e-12)
-    assert out.set_counts[0, 1] == 2
+    on = sorted(PATTERN_1.on_set())
+    block = np.zeros((10, 10), dtype=bool)
+    block[np.ix_(on, on)] = True
+    assert out.resistance[block] == pytest.approx(np.full(25, expected), rel=1e-12)
+    assert np.all(out.resistance[~block] == 1.0e6)
 
 
 def test_training_epoch_all_off_pattern(quiet_device, protocol, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    out, trace = training_epoch(arr, Pattern.from_indices(10, set()), protocol, rng)
+    out, trace = training_epoch(arr, on_pattern(10, set()), protocol, rng)
     assert np.array_equal(out.resistance, arr.resistance)
     assert trace.firing_set == frozenset()
     assert np.all(trace.currents == 0.0)  # reads against an empty gate set
@@ -272,7 +271,7 @@ def test_probe_rejects_empty_stimulus(quiet_device, protocol):
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = np.full(10, 8.0e-7)
     with pytest.raises(EmptyStimulus):
-        recall_probe(arr, Pattern.from_indices(10, set()), thresholds, protocol)
+        recall_probe(arr, on_pattern(10, set()), thresholds, protocol)
 
 
 def test_probe_rejects_threshold_length_mismatch(quiet_device, protocol):
