@@ -138,6 +138,9 @@ def read_bitlines(
     # pairwise where a column is contiguous (one bitline), which changes bits.
     np.add.accumulate(currents, axis=0, out=currents)
     np.add.accumulate(energies, axis=0, out=energies)
+    # Copy the last rows so that both blocks are freed on return. Views would
+    # keep the blocks alive into the caller's next read, which measured slower
+    # on 256-wide arrays than the two copies.
     return currents[-1].copy(), energies[-1].copy()
 
 

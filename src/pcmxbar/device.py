@@ -100,8 +100,9 @@ def pulse_energy(pulse: PulseSpec, resistance_before: float | np.ndarray) -> flo
     by the pulse is frozen at its pre-pulse value for the whole pulse.
     Applies elementwise to an array of resistances.
     """
-    # negated, so that NaN fails the check; the array method skips np.any's wrapper
-    if not (np.asarray(resistance_before) > 0).all():
+    # negated, so that NaN (which the minimum propagates) fails the check. The
+    # positive initial lets an empty block pass and casts to any dtype, ints too.
+    if not np.minimum.reduce(resistance_before, axis=None, initial=1) > 0:
         raise ValueError("resistance must be positive")
     power_top = pulse.amplitude**2 / resistance_before  # watts on the flat top
     return power_top * (pulse.t_rise / 3.0 + pulse.t_width + pulse.t_fall / 3.0)

@@ -66,6 +66,8 @@ class ExperimentConfig:
                 raise DimensionMismatch(f"{name} has length {p.n}, not n = {self.n}")
         if not self.recall_stimulus.on_set() <= self.recall_target.on_set():
             raise ValueError("recall_stimulus ON set must be contained in recall_target")
+        if len(self.recall_target.on_set()) == self.n:
+            raise ValueError("recall_target must leave at least one neuron OFF: the weight contrast needs both kinds")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.seed < 0:
@@ -206,15 +208,14 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
             break
 
     train = [t for t in traces if t.phase == "train"]
-    probes = [t for t in traces if t.phase == "probe"]
-    breakdown = {
-        "training_program": add_in_order(0.0, [t.program_energy for t in train]),
-        "training_read": add_in_order(0.0, [t.read_energy for t in train]),
-        "probe_read": add_in_order(0.0, [t.read_energy for t in probes]),
-    }
+    breakdown, total_energy = _energy_ledger(
+        [t.program_energy for t in train],
+        [t.read_energy for t in train],
+        [t.read_energy for t in traces if t.phase == "probe"],
+    )
     return RunReport(
         epochs_to_recall=epochs_to_recall,
-        total_energy=add_in_order(0.0, breakdown.values()),
+        total_energy=total_energy,
         energy_breakdown=breakdown,
         initial_stats=initial_stats,
         final_stats=array_stats(array.resistance),
@@ -239,34 +240,83 @@ def scheme_for_cv(device: DeviceParams, cv: float, tuned_cv_max: float) -> InitS
     return InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, cv, device.r_reset_partial_median)
 
 
-def class_reports(base: ExperimentConfig, spec: SweepSpec, cv_index: int) -> list[RunReport]:
-    """All runs of variation class spec.cvs[cv_index], each on a private derived RNG stream.
+def _energy_ledger(
+    training_program: list[float], training_read: list[float], probe_read: list[float]
+) -> tuple[dict[str, float], float]:
+    """Joules per phase and their total, from the per-presentation and per-probe energies in run order.
+
+    Each phase and then the total is a running sum (add_in_order), so the
+    bits do not depend on numpy's or Python's summation algorithm.
+    """
+    breakdown = {
+        "training_program": add_in_order(0.0, training_program),
+        "training_read": add_in_order(0.0, training_read),
+        "probe_read": add_in_order(0.0, probe_read),
+    }
+    return breakdown, add_in_order(0.0, breakdown.values())
+
+
+def _sweep_run(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int | None, float]:
+    """(epochs_to_recall, total_energy) of learn_and_recall(config, rng), and nothing else.
+
+    The simulation calls are learn_and_recall's, in its order, so the
+    generator draws, the events and both results have the same bits. The
+    run keeps no traces, contrast, statistics or array copies.
+    """
+    pp = config.protocol
+    array = init_array(config.n, config.init, config.device, rng, pp.reset_pulse)
+    thresholds = compute_thresholds(array, config.recall_stimulus, pp)
+    training_program: list[float] = []
+    training_read: list[float] = []
+    probe_read: list[float] = []
+    epochs_to_recall: int | None = None
+    for epoch in range(1, config.max_epochs + 1):
+        for pattern in config.patterns:
+            array, trace = training_epoch(array, pattern, pp, rng)
+            training_program.append(trace.program_energy)
+            training_read.append(trace.read_energy)
+        probe = recall_probe(array, config.recall_stimulus, thresholds, pp)
+        probe_read.append(probe.read_energy)
+        if recall_success(probe.final_firing, config.recall_target):
+            epochs_to_recall = epoch
+            break
+    return epochs_to_recall, _energy_ledger(training_program, training_read, probe_read)[1]
+
+
+def _class_runs(base: ExperimentConfig, spec: SweepSpec, cv_index: int, run) -> list:
+    """run(config, rng) for every seed of variation class spec.cvs[cv_index].
 
     Stream (cv_index, seed_index) is split off the master seed, so results
     do not depend on execution order and the classes can run in parallel.
     """
     cfg = replace(base, init=scheme_for_cv(base.device, spec.cvs[cv_index], spec.tuned_cv_max))
-    reports = []
-    for seed_index in range(spec.seeds_per_cv):
-        rng = np.random.default_rng(np.random.SeedSequence(base.seed, spawn_key=(cv_index, seed_index)))
-        reports.append(learn_and_recall(cfg, rng))
-    return reports
+    return [
+        run(cfg, np.random.default_rng(np.random.SeedSequence(base.seed, spawn_key=(cv_index, seed_index))))
+        for seed_index in range(spec.seeds_per_cv)
+    ]
+
+
+def class_reports(base: ExperimentConfig, spec: SweepSpec, cv_index: int) -> list[RunReport]:
+    """All runs of variation class spec.cvs[cv_index], each on a private derived RNG stream."""
+    return _class_runs(base, spec, cv_index, learn_and_recall)
 
 
 def variation_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[SweepRow]:
-    """Median epochs, mean energy, and success rate per variation class."""
+    """Median epochs, mean energy, and success rate per variation class.
+
+    Each run computes only its epochs and energy (_sweep_run), bit for bit
+    those of the class_reports run on the same stream.
+    """
     rows = []
     for cv_index, cv in enumerate(spec.cvs):
-        reports = class_reports(base, spec, cv_index)
-        epochs = np.array(
-            [r.epochs_to_recall if r.epochs_to_recall is not None else np.inf for r in reports]
-        )
+        runs = _class_runs(base, spec, cv_index, _sweep_run)
+        epochs = np.array([e if e is not None else np.inf for e, _ in runs])
         rows.append(
             SweepRow(
                 cv=cv,
                 median_epochs=float(np.median(epochs)),
-                mean_energy=float(np.mean([r.total_energy for r in reports])),
-                success_rate=float(np.mean([r.epochs_to_recall is not None for r in reports])),
+                mean_energy=float(np.mean([energy for _, energy in runs])),
+                success_rate=float(np.mean([e is not None for e, _ in runs])),
             )
         )
     return rows

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pcmxbar import CrossbarArray, DeviceParams, Pattern, ProtocolParams, variation_sweep
+from pcmxbar import CrossbarArray, DeviceParams, Pattern, ProtocolParams, class_reports, variation_sweep
 from pcmxbar.configio import bundled_config_path, load_config, load_sweep
 
 SEEDS_PER_CV = 200
@@ -14,6 +14,11 @@ SEEDS_PER_CV = 200
 
 def make_rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def sweep_rng(seed: int, cv_index: int, seed_index: int) -> np.random.Generator:
+    """The generator of sweep run (cv_index, seed_index) under master seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cv_index, seed_index)))
 
 
 def uniform_array(n: int, resistance: float, params: DeviceParams) -> CrossbarArray:
@@ -62,3 +67,10 @@ def ensemble():
     rows = variation_sweep(base, spec)
     elapsed = time.perf_counter() - start
     return base, spec, rows, elapsed
+
+
+@pytest.fixture(scope="session")
+def bundled_class_reports():
+    """The bundled sweep's full run reports, one list per variation class."""
+    base, spec = load_sweep(bundled_config_path("sweep10x10.json"))
+    return base, spec, [class_reports(base, spec, i) for i in range(len(spec.cvs))]

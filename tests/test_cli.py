@@ -281,6 +281,20 @@ def test_simulation_error_has_its_own_exit_code(tmp_path, capsys):
     assert "simulation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["learn", "sweep"])
+def test_target_without_off_neuron_is_config_error(tmp_path, capsys, command):
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    spec["recall_target"] = [1] * 10  # weight contrast needs an OFF neuron
+    spec["sweep"] = {"cvs": [0.09], "seeds_per_cv": 2}
+    path = tmp_path / "all_on.json"
+    path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out-dir", str(out_dir), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config file {path}: recall_target" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["learn", "device-curve"])
 @pytest.mark.parametrize(
     "flag, value", [("--epochs", "0"), ("--epochs", "-5"), ("--epochs", "two"), ("--seed", "-1"), ("--seed", "x")]

@@ -136,6 +136,7 @@ BAD_CONFIGS = {
     "unknown-pulse-role": (("protocol", "program_pulse", "role"), "write", "protocol.program_pulse.role"),
     "init-median-above-r-max": (("init", "median"), 1e300, "init.median"),
     "init-median-at-r-min": (("init", "median"), 10000.0, "init.median"),
+    "target-without-off-neuron": (("recall_target",), [1] * 10, "recall_target"),
 }
 
 

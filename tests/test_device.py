@@ -300,6 +300,40 @@ def test_pulse_energy_rejects_nan_resistance(quiet_device, rng):
         program_cells(uniform_array(2, math.nan, quiet_device), {0}, {0}, SET_PULSE, rng)
 
 
+# (resistance, whether pulse_energy takes it): cells inside otherwise valid
+# blocks, empty blocks and scalars of either number type
+POSITIVITY_CASES = {
+    "positive-scalar": (1.0e4, True),
+    "positive-int-scalar": (10_000, True),
+    "zero-scalar": (0.0, False),
+    "empty-block": (np.empty((0, 3)), True),
+    "positive-block": (np.array([[1.0e4, 2.0e6], [5.0e5, 1.0e7]]), True),
+    "int-block": (np.array([10_000, 20_000]), True),
+    "zero-cell": (np.array([[1.0e6, 1.0e6], [0.0, 1.0e6]]), False),
+    "minus-zero-cell": (np.array([1.0e6, -0.0, 1.0e6]), False),
+    "negative-cell": (np.array([[1.0e6, -1.0e4], [1.0e6, 1.0e6]]), False),
+    "nan-cell": (np.array([1.0e6, 1.0e6, math.nan]), False),
+    "zero-int-cell": (np.array([10_000, 0]), False),
+}
+
+
+@pytest.mark.parametrize("case", list(POSITIVITY_CASES))
+def test_pulse_energy_takes_exactly_positive_resistances(case):
+    resistance, taken = POSITIVITY_CASES[case]
+    # the check pulse_energy's minimum-reduce replaced
+    assert bool((np.asarray(resistance) > 0).all()) == taken
+    if taken:
+        energy = pulse_energy(SET_PULSE, resistance)
+        expected = SET_PULSE.amplitude**2 / np.asarray(resistance, dtype=np.float64) * (
+            SET_PULSE.t_rise / 3.0 + SET_PULSE.t_width + SET_PULSE.t_fall / 3.0
+        )
+        assert np.shape(energy) == np.shape(resistance)
+        assert np.array_equal(energy, expected)
+    else:
+        with pytest.raises(ValueError, match="resistance must be positive"):
+            pulse_energy(SET_PULSE, resistance)
+
+
 def test_device_params_reject_bad_ordering():
     with pytest.raises(ValueError):
         DeviceParams(r_min=1e7, r_max=1e4)

@@ -372,6 +372,41 @@ def test_bundled_sweep_event_contract(monkeypatch):
     }
 
 
+def test_variation_sweep_builds_no_report_contrast_or_stats(monkeypatch):
+    """A sweep reads only each run's epochs and energy, so it calls none of the report builders."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep run computes only its epochs and energy")
+
+    modules = [m for name, m in list(sys.modules.items()) if name == "pcmxbar" or name.startswith("pcmxbar.")]
+    for fn in (learn_and_recall, weight_contrast, crossbar.array_stats):
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, refuse)
+    rows = variation_sweep(canonical_config(), SweepSpec((0.09, 0.6), seeds_per_cv=3))
+    assert [row.cv for row in rows] == [0.09, 0.6]
+
+
+def test_bundled_sweep_unreachable_runs_never_recall(bundled_class_reports):
+    """Runs whose init rules recall out, however long they train.
+
+    Gradual SET takes a cell at most to r_min, so target neuron m outside the
+    stimulus S can never carry more than |S| v_read / r_min. A run whose
+    threshold for some such m is at least that bound cannot recall.
+    """
+    base, spec, reports = bundled_class_reports
+    stimulus = base.recall_stimulus.on_set()
+    to_recruit = sorted(base.recall_target.on_set() - stimulus)
+    ceiling = len(stimulus) * base.protocol.v_read / base.device.r_min
+    flagged = {}
+    for cv, runs in zip(spec.cvs, reports):
+        unreachable = [r for r in runs if any(ceiling <= r.thresholds[m] for m in to_recruit)]
+        assert all(r.epochs_to_recall is None for r in unreachable)
+        flagged[cv] = len(unreachable)
+    assert flagged == {0.05: 0, 0.09: 0, 0.3: 72, 0.6: 92}
+
+
 # ---------------------------------------------------------------- histograms
 
 

@@ -20,6 +20,9 @@ same bits, or raise the same error with the same message.
 save_resistance_csv writes a series of matrices and formats a cell only
 where its bits changed since the matrix before. The reference formats every
 cell of one matrix; each file of a series must equal it byte for byte.
+
+variation_sweep computes only each run's epochs and energy; learn_and_recall,
+which builds the full report, is its reference, run for run and bit for bit.
 """
 from __future__ import annotations
 
@@ -36,8 +39,10 @@ from hypothesis import strategies as st
 from pcmxbar import (
     CrossbarArray,
     DeviceParams,
+    ExperimentConfig,
     InitScheme,
     InitVariant,
+    ProtocolParams,
     PulseRole,
     PulseSpec,
     array_stats,
@@ -48,16 +53,18 @@ from pcmxbar import (
     pulse_energy,
     read_bitline,
     save_resistance_csv,
+    scheme_for_cv,
+    variation_sweep,
     weight_contrast,
 )
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
 from pcmxbar.crossbar import DEFAULT_READ_PULSE, read_bitlines
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
-from pcmxbar.experiments import _contrast_masks
+from pcmxbar.experiments import SweepRow, _contrast_masks, _sweep_run
 from pcmxbar.network import add_in_order
 
-from conftest import make_rng, on_pattern
+from conftest import make_rng, on_pattern, sweep_rng
 
 SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
@@ -459,3 +466,84 @@ def test_learn_writes_every_array_as_the_loop_formats_it(tmp_path, epochs, kept)
     expected = {out / "array_initial.csv": kept_arrays[0][1], out / "array_final.csv": report.final_resistance}
     expected.update((out / "snapshots" / f"epoch_{epoch:04d}.csv", matrix) for epoch, matrix in kept_arrays)
     assert_written_as_loop(expected.values(), expected.keys(), tmp_path / "loop.csv")
+
+
+# ---------------------------------------------------------------- the sweep's per-run path
+
+
+def test_sweep_run_equals_learn_and_recall_on_bundled_sweep(bundled_class_reports):
+    base, _, reports = bundled_class_reports
+    for cv_index, runs in enumerate(reports):
+        for seed_index, report in enumerate(runs):
+            epochs, energy = _sweep_run(report.config, sweep_rng(base.seed, cv_index, seed_index))
+            expected = (report.epochs_to_recall, report.total_energy.hex())
+            assert (epochs, energy.hex()) == expected, (cv_index, seed_index)
+
+
+def test_variation_sweep_rows_equal_rows_reduced_from_class_reports(bundled_class_reports):
+    base, spec, reports = bundled_class_reports
+    expected = []
+    for cv, runs in zip(spec.cvs, reports):
+        epochs = [r.epochs_to_recall if r.epochs_to_recall is not None else np.inf for r in runs]
+        expected.append(
+            SweepRow(
+                cv=cv,
+                median_epochs=float(np.median(epochs)),
+                mean_energy=float(np.mean([r.total_energy for r in runs])),
+                success_rate=float(np.mean([r.epochs_to_recall is not None for r in runs])),
+            )
+        )
+    assert variation_sweep(base, spec) == expected
+
+
+# Each case forces one setting the bundled sweep never uses; hypothesis draws the rest.
+SWEEP_RUN_CASES = ("sigma-c2c", "no-diagonal", "two-pulses", "one-epoch", "out-of-reach")
+
+
+@st.composite
+def small_configs(draw, case: str) -> ExperimentConfig:
+    n = draw(st.integers(3, 8))
+    neurons = st.integers(0, n - 1)
+    stimulus = draw(st.frozensets(neurons, min_size=1, max_size=n - 2))
+    off = draw(neurons.filter(lambda i: i not in stimulus))
+    rest = sorted(set(range(n)) - stimulus - {off})
+    if case == "out-of-reach":
+        # no cell can gain this factor over its initial conductance: nobody is
+        # ever recruited, and the target needs someone
+        threshold_factor = 1.0e4
+        target = stimulus | {rest[0]}
+    else:
+        threshold_factor = draw(st.floats(1.0, 3.0))
+        target = stimulus | draw(st.frozensets(st.sampled_from(rest)))
+    sigma = draw(st.floats(1e-3, 0.3) if case == "sigma-c2c" else st.sampled_from([0.0, 0.05]))
+    device = DeviceParams(r_reset_partial_median=22e3, sigma_c2c=sigma)
+    protocol = ProtocolParams(
+        threshold_factor=threshold_factor,
+        include_diagonal=case != "no-diagonal" and draw(st.booleans()),
+        pulses_per_coactivation=2 if case == "two-pulses" else draw(st.integers(1, 2)),
+    )
+    return ExperimentConfig(
+        n=n,
+        device=device,
+        protocol=protocol,
+        init=scheme_for_cv(device, draw(st.floats(0.0, 1.0)), 0.15),
+        patterns=tuple(on_pattern(n, p) for p in draw(st.lists(st.frozensets(neurons), min_size=1, max_size=3))),
+        recall_stimulus=on_pattern(n, stimulus),
+        recall_target=on_pattern(n, target),
+        max_epochs=1 if case == "one-epoch" else draw(st.integers(1, 4)),
+    )
+
+
+@pytest.mark.parametrize("case", SWEEP_RUN_CASES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sweep_run_equals_learn_and_recall(case, seed, data):
+    config = data.draw(small_configs(case))
+    reference_rng, rng = make_rng(seed), make_rng(seed)
+    report = learn_and_recall(config, reference_rng)
+    epochs, energy = _sweep_run(config, rng)
+    assert (epochs, energy.hex()) == (report.epochs_to_recall, report.total_energy.hex())
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    if case == "out-of-reach":
+        assert epochs is None
+        assert len(report.contrast_history) == config.max_epochs
