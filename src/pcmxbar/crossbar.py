@@ -86,13 +86,20 @@ class CrossbarArray:
     def copy(self) -> "CrossbarArray":
         return CrossbarArray(self.resistance.copy(), self.params)
 
-    def _sorted_indices(self, indices) -> list[int]:
-        """The bitline or wordline indices in ascending order; raises if one lies outside."""
-        ordered = sorted(indices)
-        for idx in ordered[:1] + ordered[-1:]:
-            if not (0 <= idx < self.n):
-                raise IndexOutOfRange(f"index {idx} outside array of dimension {self.n}")
-        return ordered
+
+def ascending_indices(n: int, indices) -> np.ndarray:
+    """Indices into range(n) as an ascending np.intp array; raises if one lies outside or is no integer."""
+    ordered = sorted(indices)
+    if ordered and not (0 <= ordered[0] and ordered[-1] < n):
+        idx = ordered[0] if not 0 <= ordered[0] < n else ordered[-1]
+        raise IndexOutOfRange(f"index {idx} outside array of dimension {n}")
+    index = np.array(ordered, dtype=None if ordered else np.intp)
+    if index.dtype != np.intp:
+        # a float or bool would pass as an index once cast to np.intp
+        if index.dtype.kind not in "iu":
+            raise TypeError(f"indices must be integers, got {index.dtype} values")
+        index = index.astype(np.intp)
+    return index
 
 
 def init_array(
@@ -116,32 +123,35 @@ def init_array(
 
 def read_bitlines(
     array: CrossbarArray,
-    bls: list[int],
-    gated_wls: list[int],
+    bls: list[int] | np.ndarray,
+    gated_wls: list[int] | np.ndarray,
     v_read: float,
     read_pulse: PulseSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Currents and read energies of several bitlines under one gated wordline set.
 
-    bls and gated_wls must be ascending and inside the array. Returns per
-    bitline (current in amperes, read energy in joules). Every bitline adds
-    its cells in ascending wordline order, so each sum has the bits of a
-    cell-by-cell loop.
+    bls and gated_wls are lists or integer arrays, ascending and inside the
+    array. Returns per bitline (current in amperes, read energy in joules).
+    Every bitline adds its cells in ascending wordline order, so each sum
+    has the bits of a cell-by-cell loop.
     """
     check_read_voltage(v_read, array.params)
-    if not gated_wls:
+    if len(gated_wls) == 0:
         return np.zeros(len(bls)), np.zeros(len(bls))
-    r = array.resistance.T[np.asarray(gated_wls)[:, None], bls]  # a copy, row = wordline
-    energies = pulse_energy(read_pulse, r)
-    currents = np.divide(v_read, r, out=r)
-    # accumulate adds down each column in order. np.sum and np.add.reduce sum
-    # pairwise where a column is contiguous (one bitline), which changes bits.
-    np.add.accumulate(currents, axis=0, out=currents)
-    np.add.accumulate(energies, axis=0, out=energies)
-    # Copy the last rows so that both blocks are freed on return. Views would
-    # keep the blocks alive into the caller's next read, which measured slower
-    # on 256-wide arrays than the two copies.
-    return currents[-1].copy(), energies[-1].copy()
+    r = array.resistance.take(bls, axis=0).take(gated_wls, axis=1)  # row = bitline
+    sums = np.empty((2,) + r.shape)  # currents, energies
+    np.divide(v_read, r, out=sums[0])
+    sums[1] = pulse_energy(read_pulse, r)
+    # accumulate is a running sum: it adds along the last axis in order, one
+    # wordline after another, whatever the layout, so one call serves both
+    # quantities of every bitline. np.sum and np.add.reduce sum pairwise along
+    # a contiguous axis, which changes bits.
+    np.add.accumulate(sums, axis=2, out=sums)
+    # Copy the last column so that the block is freed on return. Views would
+    # keep it alive into the caller's next read, which measured slower on
+    # 256-wide arrays than the copy.
+    currents, energies = sums[:, :, -1].copy()
+    return currents, energies
 
 
 def read_bitline(
@@ -159,8 +169,8 @@ def read_bitline(
     must stay below the SET threshold so a read never disturbs state.
     Without read_pulse the read uses DEFAULT_READ_PULSE at amplitude v_read.
     """
-    bls = array._sorted_indices((bl,))
-    wls = array._sorted_indices(gated_wls)
+    bls = ascending_indices(array.n, (bl,))
+    wls = ascending_indices(array.n, gated_wls)
     if read_pulse is None:
         read_pulse = replace(DEFAULT_READ_PULSE, amplitude=v_read)
     currents, energies = read_bitlines(array, bls, wls, v_read, read_pulse)
@@ -181,13 +191,14 @@ def program_cells(
     (new array, total programming energy in joules, number of cells pulsed).
     Cells outside the block are byte-identical to the input array.
     """
-    bls = array._sorted_indices(driven_bls)
-    wls = array._sorted_indices(gated_wls)
+    bls = ascending_indices(array.n, driven_bls)
+    # training_epoch drives and gates one set; sort it once
+    wls = bls if gated_wls is driven_bls else ascending_indices(array.n, gated_wls)
     out = array.copy()
-    count = len(bls) * len(wls)
+    count = bls.size * wls.size
     if count == 0:
         return out, 0.0, 0
-    block = (np.asarray(bls)[:, None], np.asarray(wls))
+    block = (bls[:, None], wls)
     before = out.resistance[block]
     out.resistance[block] = apply_set_pulse(before, pulse, array.params, rng)
     # Running sum in row-major order, as a per-cell loop adds it.

@@ -64,6 +64,8 @@ class ExperimentConfig:
         for name, p in named:
             if p.n != self.n:
                 raise DimensionMismatch(f"{name} has length {p.n}, not n = {self.n}")
+        if not self.recall_stimulus.on_set():
+            raise ValueError("recall_stimulus must turn at least one neuron ON: the recall probe starts from it")
         if not self.recall_stimulus.on_set() <= self.recall_target.on_set():
             raise ValueError("recall_stimulus ON set must be contained in recall_target")
         if len(self.recall_target.on_set()) == self.n:

@@ -17,7 +17,14 @@ from functools import reduce
 
 import numpy as np
 
-from .crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, CrossbarArray, program_cells, read_bitlines
+from .crossbar import (
+    DEFAULT_READ_PULSE,
+    DEFAULT_RESET_PULSE,
+    CrossbarArray,
+    ascending_indices,
+    program_cells,
+    read_bitlines,
+)
 from .device import DeviceParams, PulseRole, PulseSpec, check_read_voltage
 from .errors import DimensionMismatch, EmptyStimulus
 
@@ -26,13 +33,22 @@ DEFAULT_PROGRAM_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 
 @dataclass(frozen=True)
 class Pattern:
-    """Binary activity pattern over the neurons; bit i is neuron i's pixel."""
+    """Binary activity pattern over the neurons; bit i is neuron i's pixel.
+
+    on_idx and off_idx hold the ON and the OFF neurons as read-only
+    ascending np.intp arrays.
+    """
 
     bits: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        # the ON set is read on every epoch and probe; build it once
-        object.__setattr__(self, "_on", frozenset(i for i, b in enumerate(self.bits) if b))
+        # the ON set and both index arrays are read on every epoch and probe; build them once
+        on = frozenset(i for i, b in enumerate(self.bits) if b)
+        object.__setattr__(self, "_on", on)
+        for name, members in (("on_idx", on), ("off_idx", set(range(self.n)) - on)):
+            index = ascending_indices(self.n, members)
+            index.flags.writeable = False  # shared by every caller
+            object.__setattr__(self, name, index)
 
     @property
     def n(self) -> int:
@@ -130,18 +146,18 @@ def add_in_order(total: float, values: Iterable[float]) -> float:
 
 
 def _read_idle(
-    array: CrossbarArray, firing: frozenset[int] | set[int], pp: ProtocolParams
+    array: CrossbarArray, firing_idx: np.ndarray, idle_idx: np.ndarray, pp: ProtocolParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Read every non-firing neuron's bitline gated by the firing set.
+    """Read every idle neuron's bitline gated by the firing neurons' wordlines.
 
-    Returns (per-neuron currents, NaN for firing neurons; the read energies in
-    ascending bitline order).
+    firing_idx and idle_idx are ascending integer arrays that split
+    range(array.n) between them. Returns (per-neuron currents, NaN for firing
+    neurons; the read energies in ascending bitline order).
     """
-    idle = [i for i in range(array.n) if i not in firing]
-    read, energies = read_bitlines(array, idle, sorted(firing), pp.v_read, pp.read_pulse)
+    read, energies = read_bitlines(array, idle_idx, firing_idx, pp.v_read, pp.read_pulse)
     currents = np.empty(array.n)
-    currents.fill(np.nan)
-    currents[idle] = read
+    currents[firing_idx] = np.nan
+    currents[idle_idx] = read
     return currents, energies
 
 
@@ -157,7 +173,7 @@ def compute_thresholds(array: CrossbarArray, stimulus: Pattern, pp: ProtocolPara
     on = stimulus.on_set()
     if not on:
         raise EmptyStimulus("stimulus has no ON bits")
-    currents, _ = read_bitlines(array, list(range(array.n)), sorted(on), pp.v_read, pp.read_pulse)
+    currents, _ = read_bitlines(array, np.arange(array.n), stimulus.on_idx, pp.v_read, pp.read_pulse)
     return pp.threshold_factor * currents
 
 
@@ -192,7 +208,7 @@ def training_epoch(
                     program_energy += e
     if out is array:
         out = array.copy()
-    currents, energies = _read_idle(out, firing, pp)
+    currents, energies = _read_idle(out, pattern.on_idx, pattern.off_idx, pp)
     trace = EpochTrace(
         epoch=0,
         phase="train",
@@ -220,23 +236,25 @@ def recall_probe(
     _check_pattern(array, partial)
     if len(thresholds) != array.n:
         raise DimensionMismatch(f"threshold vector length {len(thresholds)} != array dimension {array.n}")
-    firing = set(partial.on_set())
-    if not firing:
+    if not partial.on_idx.size:
         raise EmptyStimulus("recall stimulus has no ON bits")
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    result = ProbeResult(final_firing=frozenset(firing))
+    firing_idx, idle_idx = partial.on_idx, partial.off_idx
+    result = ProbeResult(final_firing=partial.on_set())
     # Every step but the last recruits someone and the firing set starts
     # non-empty, so the fixpoint comes within n steps.
     for step in itertools.count():
-        currents, energies = _read_idle(array, firing, pp)
+        currents, energies = _read_idle(array, firing_idx, idle_idx, pp)
         result.read_energy = add_in_order(result.read_energy, energies.tolist())
         # NaN > threshold is False, so firing neurons never recruit again
-        newly_fired = frozenset((currents > thresholds).nonzero()[0].tolist())
+        recruited = currents > thresholds
+        newly_fired = frozenset(recruited.nonzero()[0].tolist())
         result.steps.append(ProbeStep(step, currents, newly_fired))
         if not newly_fired:
             break
-        firing |= newly_fired
-    result.final_firing = frozenset(firing)
+        recruited[firing_idx] = True  # now every neuron that fires next step
+        firing_idx, idle_idx = recruited.nonzero()[0], (~recruited).nonzero()[0]
+    result.final_firing = frozenset(firing_idx.tolist())
     return result
 
 

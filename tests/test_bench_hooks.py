@@ -3,14 +3,16 @@
 perfbench/tracer.py wraps pcmxbar functions by module and name, and its
 counters read arguments by position (or by keyword). A rename or a moved
 parameter breaks a traced benchmark run (`perfbench/run.py --trace 1`)
-without failing any other test. These tests load the tracer from its file,
-change nothing in it, and check it against the package.
+without failing any other test. These tests load the tracer (and the
+workloads and pins) from their files, change nothing in them, and check
+them against the package.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 import sys
 from pathlib import Path
@@ -19,18 +21,24 @@ import pytest
 
 from pcmxbar.cli import EXIT_OK, main
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 # How a counter reads an argument of the hooked call: _arg(args, kwargs, index, "name").
 ARG_READ = re.compile(r'_arg\(args, kwargs, (\d+), "(\w+)"\)')
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return load_module("perfbench_tracer", TRACER_PATH)
 
 
 def hooked(module_name: str, fn_name: str):
@@ -97,3 +105,24 @@ def test_traced_learn_times_the_device_laws(tracer, tmp_path):
     assert t.counts["device.apply_reset_pulse.calls"] == t.counts["crossbar.init_array.calls"] >= 1
     assert t.counts["device.apply_set_pulse.calls"] == t.counts["crossbar.program_cells.calls"] >= 1
     assert {"device.apply_set_pulse", "device.apply_reset_pulse"} <= set(t.names)
+
+
+def test_traced_256_workloads_recount_the_pinned_events(tracer, tmp_path):
+    # The benchmark's counting warm-up recounts sim.* through SIM_HOOKS and
+    # reports correct: false unless the totals equal the pins. The bundled
+    # sweep's totals are held by test_bundled_sweep_event_contract.
+    workloads = load_module("perfbench_workloads", PERFBENCH / "workloads.py")
+    pins = json.loads((PERFBENCH / "pins.json").read_text())
+    seed = workloads.DEFAULT_SEED
+    root = PERFBENCH.parent
+    learn_dir = None
+    for name in ("learn256", "recall256"):
+        workload = workloads.WORKLOADS[name]
+        config_path, out_dir = workloads.write_inputs(workload, root, seed, tmp_path / name)
+        if workload.trained:
+            # the arrays of the learn run just made, as the benchmark's set-up stores them
+            workloads.write_trained_arrays(learn_dir, out_dir, seed, workload.n)
+        with tracer.Tracer().install(only=tracer.SIM_HOOKS) as counter:
+            assert main(workloads.cli_argv(workload, config_path, out_dir)) == EXIT_OK
+        assert {k: counter.counts[k] for k in tracer.SIM_COUNTS} == pins[name][str(seed)]["sim"], name
+        learn_dir = out_dir

@@ -272,13 +272,29 @@ def test_config_that_is_not_utf8_is_config_error_naming_the_file(tmp_path, capsy
 
 
 def test_simulation_error_has_its_own_exit_code(tmp_path, capsys):
-    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
-    spec["recall_stimulus"] = [0] * 10  # no ON bits: probe cannot start
-    path = tmp_path / "empty_stim.json"
-    path.write_text(json.dumps(spec))
-    code = main(["learn", "--config", str(path), "--out-dir", str(tmp_path)])
+    learn_into(tmp_path, "--quiet")
+    path = tmp_path / "array_final.csv"
+    rows = path.read_text().splitlines()
+    rows[0] = ",".join(["1e2"] + rows[0].split(",")[1:])  # below r_min: no valid stored array
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["recall", "--config", "paper10x10.json", "--out-dir", str(tmp_path)])
     assert code == EXIT_SIMULATION
     assert "simulation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["learn", "sweep"])
+def test_stimulus_without_on_neuron_is_config_error(tmp_path, capsys, command):
+    # the recall probe cannot start from it
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    spec["recall_stimulus"] = [0] * 10
+    spec["sweep"] = {"cvs": [0.09], "seeds_per_cv": 2}
+    path = tmp_path / "all_off.json"
+    path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out-dir", str(out_dir), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config file {path}: recall_stimulus" in err and "Traceback" not in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["learn", "sweep"])

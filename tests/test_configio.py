@@ -137,6 +137,7 @@ BAD_CONFIGS = {
     "init-median-above-r-max": (("init", "median"), 1e300, "init.median"),
     "init-median-at-r-min": (("init", "median"), 10000.0, "init.median"),
     "target-without-off-neuron": (("recall_target",), [1] * 10, "recall_target"),
+    "stimulus-without-on-neuron": (("recall_stimulus",), [0] * 10, "recall_stimulus"),
 }
 
 

@@ -251,6 +251,59 @@ def test_program_rejects_bad_indices(quiet_device, rng):
         program_cells(arr, {0}, {-1}, SET_PULSE, rng)
 
 
+def test_program_checks_each_block_against_its_own_array(quiet_device, rng):
+    # the block {0, 5} x {1, 5} is valid on an 8-wide array, not on a 4-wide one
+    program_cells(uniform_array(8, 1.0e6, quiet_device), {0, 5}, {1, 5}, SET_PULSE, rng)
+    narrow = uniform_array(4, 1.0e6, quiet_device)
+    for _ in range(2):
+        with pytest.raises(IndexOutOfRange, match=r"^index 5 outside array of dimension 4$"):
+            program_cells(narrow, {0, 5}, {1, 5}, SET_PULSE, rng)
+
+
+def test_program_takes_a_mutable_set_as_a_frozenset(noisy_device):
+    arr = uniform_array(10, 1.0e6, noisy_device)
+    driven, gated = {7, 1}, {9, 0}
+    for _ in range(2):  # the set grows between calls, and the block with it
+        out, energy, count = program_cells(arr, driven, gated, SET_PULSE, make_rng(3))
+        ref, ref_energy, ref_count = program_cells(arr, frozenset(driven), frozenset(gated), SET_PULSE, make_rng(3))
+        assert np.array_equal(out.resistance, ref.resistance)
+        assert (energy, count) == (ref_energy, ref_count)
+        changed = np.argwhere(out.resistance != arr.resistance).tolist()
+        assert changed == [[i, j] for i in sorted(driven) for j in sorted(gated)]
+        driven.add(4)
+
+
+def test_program_with_one_set_for_both_sides_equals_two_copies(noisy_device):
+    arr = uniform_array(10, 1.0e6, noisy_device)
+    firing = frozenset({8, 2, 5})
+    out, energy, count = program_cells(arr, firing, firing, SET_PULSE, make_rng(5))
+    ref, ref_energy, ref_count = program_cells(arr, set(firing), set(firing), SET_PULSE, make_rng(5))
+    assert np.array_equal(out.resistance, ref.resistance)
+    assert (energy, count) == (ref_energy, ref_count) and count == 9
+    with pytest.raises(IndexOutOfRange, match=r"^index 10 outside array of dimension 10$"):
+        program_cells(arr, firing | {10}, firing | {10}, SET_PULSE, make_rng(5))
+
+
+@pytest.mark.parametrize("float_index", [5.0, np.float64(5)])
+def test_program_rejects_a_float_index_after_its_int_twin(quiet_device, rng, float_index):
+    # 5.0 == 5 and hashes alike, so an earlier {5} must not let {5.0} through
+    arr = uniform_array(8, 1.0e6, quiet_device)
+    program_cells(arr, {5}, {1}, SET_PULSE, rng)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            program_cells(arr, {float_index}, {1}, SET_PULSE, rng)
+        with pytest.raises(TypeError):
+            program_cells(arr, {1}, {float_index}, SET_PULSE, rng)
+
+
+def test_program_without_noise_leaves_the_generator_alone(quiet_device):
+    rng = make_rng(4)
+    state = rng.bit_generator.state
+    out, _, count = program_cells(uniform_array(10, 1.0e6, quiet_device), {0, 1}, {2, 3}, SET_PULSE, rng)
+    assert count == 4 and (out.resistance[[0, 1]][:, [2, 3]] < 1.0e6).all()
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------- stats
 
 

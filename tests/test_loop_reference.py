@@ -42,6 +42,7 @@ from pcmxbar import (
     ExperimentConfig,
     InitScheme,
     InitVariant,
+    Pattern,
     ProtocolParams,
     PulseRole,
     PulseSpec,
@@ -215,6 +216,22 @@ def test_reads_equal_cell_loop(kind, seed, n, data):
     currents, energies = read_bitlines(array, bls, sorted(gated), 0.1, READ_PULSE)
     expected = [loop_read_bitline(array, b, gated, 0.1, READ_PULSE) for b in bls]
     assert list(zip(currents.tolist(), energies.tolist())) == expected
+    # ascending np.intp arrays, as the network passes them, give the same bits
+    as_arrays = (np.array(bls, dtype=np.intp), np.array(sorted(gated), dtype=np.intp))
+    currents, energies = read_bitlines(array, *as_arrays, 0.1, READ_PULSE)
+    assert list(zip(currents.tolist(), energies.tolist())) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=st.lists(st.booleans(), min_size=1, max_size=40))
+def test_pattern_index_arrays_are_its_sorted_sets(bits):
+    pattern = Pattern(tuple(bits))
+    on = sorted(pattern.on_set())
+    off = sorted(set(range(len(bits))) - pattern.on_set())
+    for index, expected in ((pattern.on_idx, on), (pattern.off_idx, off)):
+        assert index.dtype == np.intp and index.tolist() == expected
+        with pytest.raises(ValueError, match="read-only"):
+            index[:] = 0
 
 
 @settings(max_examples=60, deadline=None)
