@@ -104,7 +104,8 @@ def pulse_energy(pulse: PulseSpec, resistance_before: float | np.ndarray) -> flo
     # positive initial lets an empty block pass and casts to any dtype, ints too.
     if not np.minimum.reduce(resistance_before, axis=None, initial=1) > 0:
         raise ValueError("resistance must be positive")
-    power_top = pulse.amplitude**2 / resistance_before  # watts on the flat top
+    # a product, which rounds correctly, where libm's pow may miss by an ulp
+    power_top = pulse.amplitude * pulse.amplitude / resistance_before  # watts on the flat top
     return power_top * (pulse.t_rise / 3.0 + pulse.t_width + pulse.t_fall / 3.0)
 
 

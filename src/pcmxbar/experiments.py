@@ -9,7 +9,6 @@ resistance variation class and reduces each class to one summary row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .crossbar import (
     InitScheme,
     InitVariant,
     array_stats,
-    flat_mean,
     init_array,
 )
 from .device import DeviceParams
@@ -148,24 +146,13 @@ def weight_contrast(array: CrossbarArray, pattern: Pattern) -> float:
     """Mean conductance of the pattern's ON x ON block over all other cells."""
     if pattern.n != array.n:
         raise DimensionMismatch(f"pattern length {pattern.n} != array dimension {array.n}")
-    on = pattern.on_set()
-    if not on or len(on) == array.n:
+    on = pattern.on_idx
+    if not on.size or on.size == array.n:
         raise DegeneratePattern("contrast needs both ON and OFF neurons")
-    block_mask, rest_mask = _contrast_masks(array.n, on)
     conductance = 1.0 / array.resistance
-    return flat_mean(conductance[block_mask]) / flat_mean(conductance[rest_mask])
-
-
-@lru_cache(maxsize=8)
-def _contrast_masks(n: int, on: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only masks of the ON x ON block of an n x n array and of every other cell."""
-    block_mask = np.zeros((n, n), dtype=bool)
-    idx = np.array(sorted(on))
-    block_mask[idx[:, None], idx] = True
-    rest_mask = ~block_mask
-    block_mask.flags.writeable = False
-    rest_mask.flags.writeable = False
-    return block_mask, rest_mask
+    block_mask = np.zeros((array.n, array.n), dtype=bool)
+    block_mask[np.ix_(on, on)] = True
+    return float(np.mean(conductance[block_mask]) / np.mean(conductance[~block_mask]))
 
 
 def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None = None) -> RunReport:
@@ -334,6 +321,9 @@ def distribution_history(report: RunReport) -> list[SnapshotHistogram]:
     if report.config.snapshot_every == 0:
         raise NoSnapshots("run kept no snapshots; set snapshot_every > 0")
     edges = np.logspace(np.log10(device.r_min), np.log10(device.r_max), HISTOGRAM_BINS + 1)
+    # logspace can round an outer edge inward, and np.histogram would then
+    # drop every cell clamped to that limit
+    edges[0], edges[-1] = device.r_min, device.r_max
     return [
         SnapshotHistogram(epoch, edges, np.histogram(matrix.ravel(), bins=edges)[0])
         for epoch, matrix in report.snapshots

@@ -337,3 +337,26 @@ def test_rerun_is_byte_identical(tmp_path):
     assert learn_into(b) == EXIT_OK
     for name in ("report.json", "traces.jsonl", "array_initial.csv", "array_final.csv", "histograms.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def output_tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("snapshot_every", [1, 0])
+def test_learn_rerun_into_used_out_dir_leaves_what_a_fresh_dir_gets(tmp_path, snapshot_every):
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    spec["snapshot_every"] = snapshot_every
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(spec))
+    # an earlier run that never recalls keeps five snapshots (epochs 0-4)
+    spec.update(snapshot_every=1, protocol={**spec["protocol"], "threshold_factor": 1.0e4})
+    slow_path = tmp_path / "slow.json"
+    slow_path.write_text(json.dumps(spec))
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    argv = ["learn", "--quiet", "--out-dir"]
+    assert main([*argv, str(used), "--config", str(slow_path), "--epochs", "4"]) == EXIT_OK
+    assert (used / "snapshots" / "epoch_0004.csv").is_file()
+    assert main([*argv, str(used), "--config", str(config_path)]) == EXIT_OK
+    assert main([*argv, str(fresh), "--config", str(config_path)]) == EXIT_OK
+    assert output_tree(used) == output_tree(fresh)

@@ -429,6 +429,25 @@ def test_distribution_history_tracks_training():
     assert np.array_equal(final_matrix[outside_block], initial_matrix[outside_block])
 
 
+@pytest.mark.parametrize(
+    "device_overrides, init",
+    [
+        # np.logspace puts the top edge at 4999999.999999999
+        ({"r_max": 5.0e6}, InitScheme(InitVariant.TUNED_FULL_RESET, 0.0, 5.0e6)),
+        # and the bottom edge at 7000.000000000002
+        ({"r_min": 7.0e3}, InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 1.5, 1.0e4)),
+    ],
+)
+def test_distribution_history_counts_cells_at_the_device_limits(device_overrides, init):
+    device = dataclasses.replace(CANONICAL_DEVICE, **device_overrides)
+    report = learn_and_recall(canonical_config(device=device, init=init, max_epochs=2, snapshot_every=1))
+    initial = report.snapshots[0][1]
+    assert np.isin(initial, (device.r_min, device.r_max)).any()
+    for histogram in distribution_history(report):
+        assert histogram.counts.sum() == 100
+        assert (histogram.bin_edges[0], histogram.bin_edges[-1]) == (device.r_min, device.r_max)
+
+
 def test_distribution_history_requires_snapshots():
     report = learn_and_recall(canonical_config())
     with pytest.raises(NoSnapshots):

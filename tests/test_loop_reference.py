@@ -8,10 +8,11 @@ the arithmetic per cell is the same, the two must agree exactly: the
 matrices, the SET counts, the energies (bit for bit, so summation order
 matters) and the state the generator is left in.
 
-The reductions that call numpy's ufuncs or Python's adds directly, to skip
-the Python wrappers of numpy's functions, are held to the wrapped functions
-they replace, also bit for bit: the in-order energy sum, weight_contrast
-with its cached masks, and array_stats.
+Two reductions are held bit for bit to the numpy functions they stand in
+for: add_in_order, the in-order energy sum over Python floats, to np.cumsum,
+and array_stats, whose median comes from np.partition, to np.mean, np.std,
+np.min, np.max and np.median. weight_contrast is held to a reference that
+builds its block mask from the sorted ON set.
 
 load_resistance_csv parses with numpy's C reader and falls back to a csv
 loop; the loop alone is the reference. For any text the two must load the
@@ -62,7 +63,7 @@ from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
 from pcmxbar.crossbar import DEFAULT_READ_PULSE, read_bitlines
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
-from pcmxbar.experiments import SweepRow, _contrast_masks, _sweep_run
+from pcmxbar.experiments import SweepRow, _sweep_run
 from pcmxbar.network import add_in_order
 
 from conftest import make_rng, on_pattern, sweep_rng
@@ -264,19 +265,11 @@ def test_add_in_order_equals_running_cumsum(total, values):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), data=st.data())
-def test_weight_contrast_with_cached_masks_equals_fresh_masks(seed, n, data):
+def test_weight_contrast_equals_fresh_masks(seed, n, data):
     on = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     pattern = on_pattern(n, on)
     array = random_array(seed, n, DeviceParams())
-    expected = fresh_mask_weight_contrast(array, pattern)
-    # the first call builds the masks, the second reads them from the cache
-    assert weight_contrast(array, pattern) == expected
-    assert weight_contrast(array, pattern) == expected
-    block_mask, rest_mask = _contrast_masks(n, pattern.on_set())
-    for mask in (block_mask, rest_mask):
-        with pytest.raises(ValueError, match="read-only"):
-            mask[0, 0] = not mask[0, 0]
-    assert np.array_equal(rest_mask, ~block_mask)
+    assert weight_contrast(array, pattern) == fresh_mask_weight_contrast(array, pattern)
 
 
 @settings(max_examples=200, deadline=None)
