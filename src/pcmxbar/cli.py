@@ -67,19 +67,6 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _remove_stale_snapshots(out: Path, keep: set[Path]) -> None:
-    """Delete the snapshot files learn names under out, except the epoch CSVs in keep.
-
-    With keep empty the run writes no snapshot at all, so stats.jsonl and
-    histograms.csv go too.
-    """
-    stale = set((out / "snapshots").glob("epoch_*.csv")) - keep
-    if not keep:
-        stale |= {out / "snapshots" / "stats.jsonl", out / "histograms.csv"}
-    for path in stale:
-        path.unlink(missing_ok=True)
-
-
 def _cmd_learn(args) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     report = learn_and_recall(config)
@@ -87,7 +74,9 @@ def _cmd_learn(args) -> int:
     snapdir = out / "snapshots"
     kept = report.snapshots if config.snapshot_every > 0 else []
     snapshot_files = [(matrix, snapdir / f"epoch_{epoch:04d}.csv") for epoch, matrix in kept]
-    _remove_stale_snapshots(out, {path for _, path in snapshot_files})
+    # an earlier run's snapshot files go, so the directory holds what a fresh one would
+    for path in [*snapdir.glob("epoch_*.csv"), snapdir / "stats.jsonl", out / "histograms.csv"]:
+        path.unlink(missing_ok=True)
     _write(out / "report.json", report_json(report))
     _write(out / "traces.jsonl", traces_jsonl(report))
     arrays = [(report.snapshots[0][1], out / "array_initial.csv"), *snapshot_files]

@@ -121,7 +121,9 @@ def load_config_dict(path: str | Path) -> dict:
         raise ConfigParseError(f"config file {path} is not UTF-8 text: {exc}") from exc
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError is a ValueError, and so is an integer past Python's
+    # digit limit; deep nesting overflows the decoder's recursion
+    except (ValueError, RecursionError) as exc:
         raise ConfigParseError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise ConfigParseError(f"config file {path} must hold a JSON object")
@@ -215,11 +217,11 @@ def recall_json(config: ExperimentConfig, probe: ProbeResult, thresholds, succes
         "thresholds_A": [float(t) for t in thresholds],
         "steps": [
             {
-                "step": step.step,
+                "step": index,
                 "newly_fired": sorted(step.newly_fired),
                 "currents_A": [_json_float(c) for c in step.currents.tolist()],
             }
-            for step in probe.steps
+            for index, step in enumerate(probe.steps)
         ],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -8,6 +8,7 @@ resistance variation class and reduces each class to one summary row.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,53 +156,54 @@ def weight_contrast(array: CrossbarArray, pattern: Pattern) -> float:
     return float(np.mean(conductance[block_mask]) / np.mean(conductance[~block_mask]))
 
 
-def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None = None) -> RunReport:
-    """Run the full protocol for one seed.
+def _protocol(config: ExperimentConfig, rng: np.random.Generator) -> Iterator[tuple]:
+    """Every simulation call of one run, in order, as a generator.
 
-    Each epoch presents every training pattern once (programming plus a
-    diagnostic read), then fires the recall stimulus into a read-only probe.
-    The run stops at the first probe that matches the recall target exactly.
+    Forms the array and freezes the thresholds, then yields (array,
+    thresholds). Each epoch then presents every training pattern once
+    (programming plus a diagnostic read) and fires the recall stimulus into
+    a read-only probe, and yields (epoch, array, traces, recalled): the
+    training traces, then the probe's. The run stops at the first probe that
+    matches the recall target exactly.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     pp = config.protocol
     array = init_array(config.n, config.init, config.device, rng, pp.reset_pulse)
-    initial_stats = array_stats(array.resistance)
-    snapshots = [(0, array.resistance.copy())]
     thresholds = compute_thresholds(array, config.recall_stimulus, pp)
-
-    traces: list[EpochTrace] = []
-    contrast_history: list[float] = []
-    epochs_to_recall: int | None = None
+    yield array, thresholds
     for epoch in range(1, config.max_epochs + 1):
+        traces = []
         for pattern in config.patterns:
             array, trace = training_epoch(array, pattern, pp, rng)
             trace.epoch = epoch
             traces.append(trace)
         probe = recall_probe(array, config.recall_stimulus, thresholds, pp)
+        traces.append(EpochTrace(epoch, "probe", probe.final_firing, probe.steps[0].currents, 0.0, probe.read_energy))
+        recalled = recall_success(probe.final_firing, config.recall_target)
+        yield epoch, array, traces, recalled
+        if recalled:
+            return
+
+
+def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None = None) -> RunReport:
+    """Run the full protocol for one seed and report everything observable about it."""
+    if rng is None:
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    run = _protocol(config, rng)
+    array, thresholds = next(run)
+    initial_stats = array_stats(array.resistance)
+    snapshots = [(0, array.resistance.copy())]
+    traces: list[EpochTrace] = []
+    contrast_history: list[float] = []
+    epochs_to_recall: int | None = None
+    for epoch, array, epoch_traces, recalled in run:
+        traces += epoch_traces
         if config.snapshot_every > 0 and epoch % config.snapshot_every == 0:
             snapshots.append((epoch, array.resistance.copy()))
-        traces.append(
-            EpochTrace(
-                epoch=epoch,
-                phase="probe",
-                firing_set=probe.final_firing,
-                currents=probe.steps[0].currents,
-                program_energy=0.0,
-                read_energy=probe.read_energy,
-            )
-        )
         contrast_history.append(weight_contrast(array, config.recall_target))
-        if recall_success(probe.final_firing, config.recall_target):
+        if recalled:
             epochs_to_recall = epoch
-            break
 
-    train = [t for t in traces if t.phase == "train"]
-    breakdown, total_energy = _energy_ledger(
-        [t.program_energy for t in train],
-        [t.read_energy for t in train],
-        [t.read_energy for t in traces if t.phase == "probe"],
-    )
+    breakdown, total_energy = _energy_ledger(traces)
     return RunReport(
         epochs_to_recall=epochs_to_recall,
         total_energy=total_energy,
@@ -229,18 +231,17 @@ def scheme_for_cv(device: DeviceParams, cv: float, tuned_cv_max: float) -> InitS
     return InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, cv, device.r_reset_partial_median)
 
 
-def _energy_ledger(
-    training_program: list[float], training_read: list[float], probe_read: list[float]
-) -> tuple[dict[str, float], float]:
-    """Joules per phase and their total, from the per-presentation and per-probe energies in run order.
+def _energy_ledger(traces: list[EpochTrace]) -> tuple[dict[str, float], float]:
+    """Joules per phase and their total, from a run's traces in run order.
 
     Each phase and then the total is a running sum (add_in_order), so the
     bits do not depend on numpy's or Python's summation algorithm.
     """
+    train = [t for t in traces if t.phase == "train"]
     breakdown = {
-        "training_program": add_in_order(0.0, training_program),
-        "training_read": add_in_order(0.0, training_read),
-        "probe_read": add_in_order(0.0, probe_read),
+        "training_program": add_in_order(0.0, (t.program_energy for t in train)),
+        "training_read": add_in_order(0.0, (t.read_energy for t in train)),
+        "probe_read": add_in_order(0.0, (t.read_energy for t in traces if t.phase == "probe")),
     }
     return breakdown, add_in_order(0.0, breakdown.values())
 
@@ -248,28 +249,19 @@ def _energy_ledger(
 def _sweep_run(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int | None, float]:
     """(epochs_to_recall, total_energy) of learn_and_recall(config, rng), and nothing else.
 
-    The simulation calls are learn_and_recall's, in its order, so the
-    generator draws, the events and both results have the same bits. The
-    run keeps no traces, contrast, statistics or array copies.
+    The run consumes the same _protocol, so the generator draws, the events
+    and both results have the same bits. It builds no report, contrast,
+    statistics or array copies.
     """
-    pp = config.protocol
-    array = init_array(config.n, config.init, config.device, rng, pp.reset_pulse)
-    thresholds = compute_thresholds(array, config.recall_stimulus, pp)
-    training_program: list[float] = []
-    training_read: list[float] = []
-    probe_read: list[float] = []
+    run = _protocol(config, rng)
+    next(run)
+    traces: list[EpochTrace] = []
     epochs_to_recall: int | None = None
-    for epoch in range(1, config.max_epochs + 1):
-        for pattern in config.patterns:
-            array, trace = training_epoch(array, pattern, pp, rng)
-            training_program.append(trace.program_energy)
-            training_read.append(trace.read_energy)
-        probe = recall_probe(array, config.recall_stimulus, thresholds, pp)
-        probe_read.append(probe.read_energy)
-        if recall_success(probe.final_firing, config.recall_target):
+    for epoch, _, epoch_traces, recalled in run:
+        traces += epoch_traces
+        if recalled:
             epochs_to_recall = epoch
-            break
-    return epochs_to_recall, _energy_ledger(training_program, training_read, probe_read)[1]
+    return epochs_to_recall, _energy_ledger(traces)[1]
 
 
 def _class_runs(base: ExperimentConfig, spec: SweepSpec, cv_index: int, run) -> list:

@@ -9,7 +9,6 @@ firing set and join it when their input crosses a threshold.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -116,10 +115,10 @@ class EpochTrace:
 class ProbeStep:
     """One cascade step: per-neuron input currents and the neurons they recruited.
 
-    currents holds amperes, NaN for neurons that were already firing.
+    currents holds amperes, NaN for neurons that were already firing. The
+    step's number is its index in ProbeResult.steps.
     """
 
-    step: int
     currents: np.ndarray
     newly_fired: frozenset[int]
 
@@ -243,13 +242,13 @@ def recall_probe(
     result = ProbeResult(final_firing=partial.on_set())
     # Every step but the last recruits someone and the firing set starts
     # non-empty, so the fixpoint comes within n steps.
-    for step in itertools.count():
+    while True:
         currents, energies = _read_idle(array, firing_idx, idle_idx, pp)
         result.read_energy = add_in_order(result.read_energy, energies.tolist())
         # NaN > threshold is False, so firing neurons never recruit again
         recruited = currents > thresholds
         newly_fired = frozenset(recruited.nonzero()[0].tolist())
-        result.steps.append(ProbeStep(step, currents, newly_fired))
+        result.steps.append(ProbeStep(currents, newly_fired))
         if not newly_fired:
             break
         recruited[firing_idx] = True  # now every neuron that fires next step

@@ -271,6 +271,21 @@ def test_config_that_is_not_utf8_is_config_error_naming_the_file(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [("deep.json", "[" * 200_000), ("longint.json", '{"n": ' + "1" * 5000 + "}")],
+    ids=["nesting-past-recursion-limit", "int-past-digit-limit"],
+)
+def test_config_json_cannot_hold_is_config_error_naming_the_file(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    code = main(["learn", "--config", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{name} is not valid JSON" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulation_error_has_its_own_exit_code(tmp_path, capsys):
     learn_into(tmp_path, "--quiet")
     path = tmp_path / "array_final.csv"

@@ -303,10 +303,17 @@ def test_energy_grows_with_epochs_within_a_class():
     assert all(b > a for a, b in zip(means, means[1:]))
 
 
-def test_bundled_sweep_event_contract(monkeypatch):
+def class_reports_of_every_cv(base, spec):
+    for cv_index in range(len(spec.cvs)):
+        class_reports(base, spec, cv_index)
+
+
+@pytest.mark.parametrize("drive", [variation_sweep, class_reports_of_every_cv], ids=["variation_sweep", "class_reports"])
+def test_bundled_sweep_event_contract(monkeypatch, drive):
     """The bundled sweep's calls and simulated events, as the benchmark pins them.
 
-    Each event function is wrapped at every pcmxbar binding, the way a
+    The sweep and the reference path (class_reports on every variation
+    class) make the same calls. Each event function is wrapped at every pcmxbar binding, the way a
     tracer hooks it, so a caller that bypassed the module-level name would
     go uncounted. The events are recounted from arguments and results.
     """
@@ -356,7 +363,7 @@ def test_bundled_sweep_event_contract(monkeypatch):
                     monkeypatch.setattr(module, attr, wrapper)
 
     base, spec = load_sweep(bundled_config_path("sweep10x10.json"))
-    variation_sweep(base, spec)
+    drive(base, spec)
     assert calls == {
         "init_array": 800,
         "compute_thresholds": 800,
