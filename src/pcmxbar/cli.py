@@ -8,7 +8,6 @@ config, 3 file system trouble, 4 simulation error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 from .configio import (
     bundled_config_path,
     histograms_csv,
+    json_text,
     load_config,
     load_sweep,
     recall_json,
@@ -70,6 +70,9 @@ def _write(path: Path, text: str) -> None:
 def _cmd_learn(args) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     report = learn_and_recall(config)
+    # Serialized before any file changes, so a non-finite result writes nothing;
+    # traces.jsonl holds only records the report holds too.
+    report_text = report_json(report)
     out = Path(args.out_dir)
     snapdir = out / "snapshots"
     kept = report.snapshots if config.snapshot_every > 0 else []
@@ -77,13 +80,13 @@ def _cmd_learn(args) -> int:
     # an earlier run's snapshot files go, so the directory holds what a fresh one would
     for path in [*snapdir.glob("epoch_*.csv"), snapdir / "stats.jsonl", out / "histograms.csv"]:
         path.unlink(missing_ok=True)
-    _write(out / "report.json", report_json(report))
+    _write(out / "report.json", report_text)
     _write(out / "traces.jsonl", traces_jsonl(report))
     arrays = [(report.snapshots[0][1], out / "array_initial.csv"), *snapshot_files]
     if config.snapshot_every > 0:
         snapdir.mkdir(parents=True, exist_ok=True)
         stats_lines = [
-            json.dumps({"epoch": epoch, **stats_to_dict(array_stats(matrix))}, sort_keys=True) + "\n"
+            json_text("stats.jsonl", {"epoch": epoch, **stats_to_dict(array_stats(matrix))})
             for epoch, matrix in report.snapshots
         ]
         _write(snapdir / "stats.jsonl", "".join(stats_lines))

@@ -154,6 +154,17 @@ def bundled_config_path(name: str) -> Path:
     return Path(str(path))
 
 
+def json_text(name: str, payload, indent: int | None = None) -> str:
+    """Text of the JSON output file name: payload with sorted keys, then a newline.
+
+    JSON (RFC 8259) has no Infinity or NaN; a payload holding one raises SimulationError.
+    """
+    try:
+        return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SimulationError(f"cannot write {name}: a result is not finite ({exc})") from exc
+
+
 def _json_float(value: float):
     return None if math.isnan(value) else float(value)
 
@@ -199,11 +210,11 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_json(report: RunReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    return json_text("report.json", report_to_dict(report), indent=2)
 
 
 def traces_jsonl(report: RunReport) -> str:
-    return "".join(json.dumps(trace_to_dict(t), sort_keys=True) + "\n" for t in report.traces)
+    return "".join(json_text("traces.jsonl", trace_to_dict(t)) for t in report.traces)
 
 
 def recall_json(config: ExperimentConfig, probe: ProbeResult, thresholds, success: bool) -> str:
@@ -224,7 +235,7 @@ def recall_json(config: ExperimentConfig, probe: ProbeResult, thresholds, succes
             for index, step in enumerate(probe.steps)
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text("recall.json", payload, indent=2)
 
 
 def sweep_rows_csv(rows: list[SweepRow]) -> str:

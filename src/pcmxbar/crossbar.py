@@ -12,14 +12,13 @@ import csv
 import enum
 import warnings
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .device import (
     DeviceParams,
-    PulseRole,
     PulseSpec,
     apply_reset_pulse,
     apply_set_pulse,
@@ -27,13 +26,6 @@ from .device import (
     pulse_energy,
 )
 from .errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
-
-# Read waveform: a 100 us rectangle at the read voltage. Reads given only a
-# voltage use this shape at that amplitude.
-DEFAULT_READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
-
-# RESET waveform used to form arrays when none is configured: 1.5 V, 20/50/5 ns.
-DEFAULT_RESET_PULSE = PulseSpec(1.5, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
 
 
 class InitVariant(enum.Enum):
@@ -106,7 +98,7 @@ def init_array(
     scheme: InitScheme,
     params: DeviceParams,
     rng: np.random.Generator,
-    reset_pulse: PulseSpec = DEFAULT_RESET_PULSE,
+    reset_pulse: PulseSpec,
 ) -> CrossbarArray:
     """Form a fresh array by applying one RESET to every cell, row-major.
 
@@ -124,7 +116,6 @@ def read_bitlines(
     array: CrossbarArray,
     bls: list[int] | np.ndarray,
     gated_wls: list[int] | np.ndarray,
-    v_read: float,
     read_pulse: PulseSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Currents and read energies of several bitlines under one gated wordline set.
@@ -132,17 +123,18 @@ def read_bitlines(
     bls and gated_wls are lists or integer arrays, ascending, without repeats
     and inside the array. They are not checked: a negative index reads from
     the end, and a repeated wordline adds twice. ascending_indices(n, indices)
-    or a Pattern's on_idx and off_idx give checked arrays. Returns per
-    bitline (current in amperes, read energy in joules).
+    or a Pattern's on_idx and off_idx give checked arrays. The read voltage
+    is read_pulse.amplitude, below the SET threshold so a read never disturbs
+    state. Returns per bitline (current in amperes, read energy in joules).
     Every bitline adds its cells in ascending wordline order, so each sum
     has the bits of a cell-by-cell loop.
     """
-    check_read_voltage(v_read, array.params)
+    check_read_voltage(read_pulse.amplitude, array.params)
     if len(gated_wls) == 0:
         return np.zeros(len(bls)), np.zeros(len(bls))
     r = array.resistance.take(bls, axis=0).take(gated_wls, axis=1)  # row = bitline
     sums = np.empty((2,) + r.shape)  # currents, energies
-    np.divide(v_read, r, out=sums[0])
+    np.divide(read_pulse.amplitude, r, out=sums[0])
     sums[1] = pulse_energy(read_pulse, r)
     # accumulate is a running sum: it adds along the last axis in order, one
     # wordline after another, whatever the layout, so one call serves both
@@ -160,22 +152,18 @@ def read_bitline(
     array: CrossbarArray,
     bl: int,
     gated_wls: frozenset[int] | set[int],
-    v_read: float,
-    read_pulse: PulseSpec | None = None,
+    read_pulse: PulseSpec,
 ) -> tuple[float, float]:
     """Sum of ohmic currents on one bitline over the gated wordlines.
 
     Returns (current in amperes, read energy in joules). Ungated cells
     contribute nothing: their selection transistors are ideal. The gated set
-    is traversed in sorted order so the float sum is reproducible. v_read
-    must stay below the SET threshold so a read never disturbs state.
-    Without read_pulse the read uses DEFAULT_READ_PULSE at amplitude v_read.
+    is traversed in sorted order so the float sum is reproducible. The read
+    voltage is read_pulse.amplitude.
     """
     bls = ascending_indices(array.n, (bl,))
     wls = ascending_indices(array.n, gated_wls)
-    if read_pulse is None:
-        read_pulse = replace(DEFAULT_READ_PULSE, amplitude=v_read)
-    currents, energies = read_bitlines(array, bls, wls, v_read, read_pulse)
+    currents, energies = read_bitlines(array, bls, wls, read_pulse)
     return float(currents[0]), float(energies[0])
 
 

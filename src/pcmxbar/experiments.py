@@ -191,14 +191,14 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
     run = _protocol(config, rng)
     array, thresholds = next(run)
     initial_stats = array_stats(array.resistance)
-    snapshots = [(0, array.resistance.copy())]
+    snapshots = [(0, array.resistance)]
     traces: list[EpochTrace] = []
     contrast_history: list[float] = []
     epochs_to_recall: int | None = None
     for epoch, array, epoch_traces, recalled in run:
         traces += epoch_traces
         if config.snapshot_every > 0 and epoch % config.snapshot_every == 0:
-            snapshots.append((epoch, array.resistance.copy()))
+            snapshots.append((epoch, array.resistance))
         contrast_history.append(weight_contrast(array, config.recall_target))
         if recalled:
             epochs_to_recall = epoch
@@ -214,7 +214,7 @@ def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None =
         traces=traces,
         contrast_history=contrast_history,
         snapshots=snapshots,
-        final_resistance=array.resistance.copy(),
+        final_resistance=array.resistance,
         config=config,
     )
 
@@ -250,8 +250,8 @@ def _sweep_run(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int 
     """(epochs_to_recall, total_energy) of learn_and_recall(config, rng), and nothing else.
 
     The run consumes the same _protocol, so the generator draws, the events
-    and both results have the same bits. It builds no report, contrast,
-    statistics or array copies.
+    and both results have the same bits. It builds no report, contrast or
+    statistics.
     """
     run = _protocol(config, rng)
     next(run)

@@ -11,23 +11,20 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .crossbar import (
-    DEFAULT_READ_PULSE,
-    DEFAULT_RESET_PULSE,
-    CrossbarArray,
-    ascending_indices,
-    program_cells,
-    read_bitlines,
-)
+from .crossbar import CrossbarArray, ascending_indices, program_cells, read_bitlines
 from .device import DeviceParams, PulseRole, PulseSpec, check_read_voltage
 from .errors import DimensionMismatch, EmptyStimulus
 
+# Read waveform: a 100 us rectangle at the read voltage.
+DEFAULT_READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
 DEFAULT_PROGRAM_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
+# RESET waveform that forms the array: 1.5 V, 20/50/5 ns.
+DEFAULT_RESET_PULSE = PulseSpec(1.5, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
 
 
 @dataclass(frozen=True)
@@ -123,11 +120,11 @@ class ProbeStep:
     newly_fired: frozenset[int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeResult:
     final_firing: frozenset[int]
-    steps: list[ProbeStep] = field(default_factory=list)
-    read_energy: float = 0.0
+    steps: list[ProbeStep]
+    read_energy: float
 
 
 def _check_pattern(array: CrossbarArray, pattern: Pattern) -> None:
@@ -153,7 +150,7 @@ def _read_idle(
     range(array.n) between them. Returns (per-neuron currents, NaN for firing
     neurons; the read energies in ascending bitline order).
     """
-    read, energies = read_bitlines(array, idle_idx, firing_idx, pp.v_read, pp.read_pulse)
+    read, energies = read_bitlines(array, idle_idx, firing_idx, pp.read_pulse)
     currents = np.empty(array.n)
     currents[firing_idx] = np.nan
     currents[idle_idx] = read
@@ -172,7 +169,7 @@ def compute_thresholds(array: CrossbarArray, stimulus: Pattern, pp: ProtocolPara
     on = stimulus.on_set()
     if not on:
         raise EmptyStimulus("stimulus has no ON bits")
-    currents, _ = read_bitlines(array, np.arange(array.n), stimulus.on_idx, pp.v_read, pp.read_pulse)
+    currents, _ = read_bitlines(array, np.arange(array.n), stimulus.on_idx, pp.read_pulse)
     return pp.threshold_factor * currents
 
 
@@ -205,8 +202,6 @@ def training_epoch(
                 for bl in sorted(firing):
                     out, e, _ = program_cells(out, {bl}, firing - {bl}, pp.program_pulse, rng)
                     program_energy += e
-    if out is array:
-        out = array.copy()
     currents, energies = _read_idle(out, pattern.on_idx, pattern.off_idx, pp)
     trace = EpochTrace(
         epoch=0,
@@ -239,22 +234,22 @@ def recall_probe(
         raise EmptyStimulus("recall stimulus has no ON bits")
     thresholds = np.asarray(thresholds, dtype=np.float64)
     firing_idx, idle_idx = partial.on_idx, partial.off_idx
-    result = ProbeResult(final_firing=partial.on_set())
+    steps: list[ProbeStep] = []
+    read_energy = 0.0
     # Every step but the last recruits someone and the firing set starts
     # non-empty, so the fixpoint comes within n steps.
     while True:
         currents, energies = _read_idle(array, firing_idx, idle_idx, pp)
-        result.read_energy = add_in_order(result.read_energy, energies.tolist())
+        read_energy = add_in_order(read_energy, energies.tolist())
         # NaN > threshold is False, so firing neurons never recruit again
         recruited = currents > thresholds
         newly_fired = frozenset(recruited.nonzero()[0].tolist())
-        result.steps.append(ProbeStep(currents, newly_fired))
+        steps.append(ProbeStep(currents, newly_fired))
         if not newly_fired:
             break
         recruited[firing_idx] = True  # now every neuron that fires next step
         firing_idx, idle_idx = recruited.nonzero()[0], (~recruited).nonzero()[0]
-    result.final_firing = frozenset(firing_idx.tolist())
-    return result
+    return ProbeResult(frozenset(firing_idx.tolist()), steps, read_energy)
 
 
 def recall_success(final_set: frozenset[int] | set[int], target: Pattern) -> bool:

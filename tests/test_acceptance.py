@@ -34,6 +34,7 @@ from pcmxbar import (
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, load_config
 from pcmxbar.experiments import class_reports
+from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
 
 from conftest import make_rng, on_pattern
 
@@ -108,7 +109,7 @@ def test_criterion_4_no_spurious_recall(ensemble):
     for cv in spec.cvs:
         scheme = scheme_for_cv(base.device, cv, spec.tuned_cv_max)
         for seed in range(50):
-            arr = init_array(base.n, scheme, base.device, make_rng(700_000 + seed))
+            arr = init_array(base.n, scheme, base.device, make_rng(700_000 + seed), DEFAULT_RESET_PULSE)
             thresholds = compute_thresholds(arr, base.recall_stimulus, base.protocol)
             result = recall_probe(arr, base.recall_stimulus, thresholds, base.protocol)
             assert result.final_firing == base.recall_stimulus.on_set()
@@ -152,7 +153,7 @@ def test_criterion_5_locality_and_purity_randomized():
         before = arr.resistance.copy()
         gated = {int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
         bl = int(rng.integers(0, n))
-        current, energy = read_bitline(arr, bl, gated, 0.1)
+        current, energy = read_bitline(arr, bl, gated, DEFAULT_READ_PULSE)
         mask = np.zeros(n)
         for j in gated:
             mask[j] = 1.0
@@ -258,7 +259,8 @@ def test_criterion_6_device_law_oracles():
     device = DeviceParams()
     scheme = scheme_for_cv(device, 0.60, tuned_cv_max=0.15)
     cvs = [
-        array_stats(init_array(10, scheme, device, make_rng(s)).resistance).cv for s in range(500)
+        array_stats(init_array(10, scheme, device, make_rng(s), DEFAULT_RESET_PULSE).resistance).cv
+        for s in range(500)
     ]
     mean_cv = float(np.mean(cvs))
     assert abs(mean_cv - 0.60) / 0.60 <= 0.10

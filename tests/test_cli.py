@@ -297,6 +297,21 @@ def test_simulation_error_has_its_own_exit_code(tmp_path, capsys):
     assert "simulation error" in capsys.readouterr().err
 
 
+def test_learn_result_json_cannot_hold_is_simulation_error_naming_the_file(tmp_path, capsys):
+    # finite and above threshold, but its square overflows the pulse energy
+    # to inf, which json.dumps wrote as Infinity
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    spec["protocol"]["program_pulse"]["amplitude"] = 1e200
+    path = tmp_path / "huge_pulse.json"
+    path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    assert main(["learn", "--config", str(path), "--out-dir", str(out_dir), "--quiet"]) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert "simulation error: cannot write report.json" in err and "Traceback" not in err
+    assert not (out_dir / "report.json").exists()
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["learn", "sweep"])
 def test_stimulus_without_on_neuron_is_config_error(tmp_path, capsys, command):
     # the recall probe cannot start from it

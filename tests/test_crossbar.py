@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pcmxbar import (
     save_resistance_csv,
 )
 from pcmxbar import crossbar
-from pcmxbar.crossbar import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
+from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
 
 from conftest import make_rng, uniform_array
@@ -35,7 +36,7 @@ SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 
 def test_init_zero_cv_is_exactly_uniform(quiet_device, rng):
     scheme = InitScheme(InitVariant.TUNED_FULL_RESET, 0.0, 1.0e6)
-    arr = init_array(10, scheme, quiet_device, rng)
+    arr = init_array(10, scheme, quiet_device, rng, DEFAULT_RESET_PULSE)
     assert arr.n == 10
     assert np.all(arr.resistance == 1.0e6)
 
@@ -43,13 +44,13 @@ def test_init_zero_cv_is_exactly_uniform(quiet_device, rng):
 def test_init_rejects_tiny_dimension(quiet_device, rng):
     scheme = InitScheme(InitVariant.TUNED_FULL_RESET, 0.0, 1.0e6)
     with pytest.raises(InvalidDimension):
-        init_array(1, scheme, quiet_device, rng)
+        init_array(1, scheme, quiet_device, rng, DEFAULT_RESET_PULSE)
 
 
 def test_init_single_seed_cv_within_sampling_error(quiet_device):
     # 100 cells at cv 0.09: sample CV lands within +-30% for a single draw
     scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 0.09, 1.0e6)
-    arr = init_array(10, scheme, quiet_device, make_rng(3))
+    arr = init_array(10, scheme, quiet_device, make_rng(3), DEFAULT_RESET_PULSE)
     stats = array_stats(arr.resistance)
     assert abs(stats.cv - 0.09) / 0.09 < 0.30
 
@@ -58,7 +59,7 @@ def test_init_ensemble_mean_cv_hits_target(quiet_device):
     # 500 seeds at cv 0.60; the seed-ensemble mean of sample CVs converges
     scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 0.60, 1.0e6)
     cvs = [
-        array_stats(init_array(10, scheme, quiet_device, make_rng(s)).resistance).cv
+        array_stats(init_array(10, scheme, quiet_device, make_rng(s), DEFAULT_RESET_PULSE).resistance).cv
         for s in range(500)
     ]
     assert abs(np.mean(cvs) - 0.60) / 0.60 < 0.10
@@ -66,7 +67,7 @@ def test_init_ensemble_mean_cv_hits_target(quiet_device):
 
 def test_init_respects_device_bounds(quiet_device):
     scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 1.5, 1.0e6)
-    arr = init_array(10, scheme, quiet_device, make_rng(11))
+    arr = init_array(10, scheme, quiet_device, make_rng(11), DEFAULT_RESET_PULSE)
     assert np.all(arr.resistance >= quiet_device.r_min)
     assert np.all(arr.resistance <= quiet_device.r_max)
 
@@ -95,7 +96,7 @@ def test_init_scheme_rejects_nan_median():
 
 def test_read_empty_gate_set_is_dark(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    current, energy = read_bitline(arr, 0, set(), 0.1)
+    current, energy = read_bitline(arr, 0, set(), DEFAULT_READ_PULSE)
     assert current == 0.0
     assert energy == 0.0
 
@@ -103,7 +104,7 @@ def test_read_empty_gate_set_is_dark(quiet_device):
 def test_read_four_gated_uniform_cells(quiet_device):
     # 4 x 0.1 V / 1 MOhm = 400 nA
     arr = uniform_array(10, 1.0e6, quiet_device)
-    current, energy = read_bitline(arr, 2, {0, 1, 2, 3}, 0.1)
+    current, energy = read_bitline(arr, 2, {0, 1, 2, 3}, DEFAULT_READ_PULSE)
     assert current == pytest.approx(4.0e-7, rel=1e-13)
     # rectangular 100 us read on each of the 4 cells
     assert energy == pytest.approx(4.0e-12, rel=1e-13)
@@ -117,7 +118,7 @@ def test_read_matches_masked_sum_oracle(quiet_device):
         arr = CrossbarArray(resistance, quiet_device)
         gated = {int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
         bl = int(rng.integers(0, n))
-        current, _ = read_bitline(arr, bl, gated, 0.1)
+        current, _ = read_bitline(arr, bl, gated, DEFAULT_READ_PULSE)
         mask = np.array([j in gated for j in range(n)], dtype=float)
         oracle = float(np.sum(mask * 0.1 / resistance[bl]))
         assert current == pytest.approx(oracle, rel=1e-12, abs=1e-30)
@@ -128,9 +129,9 @@ def test_read_is_linear_over_disjoint_gates(quiet_device):
     resistance = rng.uniform(1e4, 1e7, size=(10, 10))
     arr = CrossbarArray(resistance, quiet_device)
     a, b = {0, 3, 7}, {1, 4}
-    ca, _ = read_bitline(arr, 5, a, 0.1)
-    cb, _ = read_bitline(arr, 5, b, 0.1)
-    cab, _ = read_bitline(arr, 5, a | b, 0.1)
+    ca, _ = read_bitline(arr, 5, a, DEFAULT_READ_PULSE)
+    cb, _ = read_bitline(arr, 5, b, DEFAULT_READ_PULSE)
+    cab, _ = read_bitline(arr, 5, a | b, DEFAULT_READ_PULSE)
     assert cab == pytest.approx(ca + cb, rel=1e-12)
 
 
@@ -140,36 +141,36 @@ def test_read_leaves_array_bit_identical(quiet_device):
     arr = CrossbarArray(resistance, quiet_device)
     before = arr.resistance.copy()
     for bl in range(10):
-        read_bitline(arr, bl, set(range(10)), 0.1)
+        read_bitline(arr, bl, set(range(10)), DEFAULT_READ_PULSE)
     assert np.array_equal(arr.resistance, before)
 
 
 def test_read_rejects_disturb_level_voltage(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(ValueError):
-        read_bitline(arr, 0, {0}, quiet_device.v_set_threshold)
+        read_bitline(arr, 0, {0}, replace(DEFAULT_READ_PULSE, amplitude=quiet_device.v_set_threshold))
 
 
 def test_read_rejects_nan_voltage(quiet_device):
     # NaN passed both comparisons and the read returned a NaN current
     arr = uniform_array(10, 1.0e6, quiet_device)
-    with pytest.raises(ValueError, match="read voltage"):
-        read_bitline(arr, 0, {0, 1}, math.nan, DEFAULT_READ_PULSE)
+    with pytest.raises(ValueError, match="amplitude"):
+        read_bitline(arr, 0, {0, 1}, replace(DEFAULT_READ_PULSE, amplitude=math.nan))
 
 
 def test_read_with_no_gated_wordline_rejects_negative_voltage(quiet_device):
     # an empty gate set returned (0.0, 0.0) before the voltage was checked
     arr = uniform_array(10, 1.0e6, quiet_device)
-    with pytest.raises(ValueError, match="read voltage"):
-        read_bitline(arr, 0, set(), -1.0, DEFAULT_READ_PULSE)
+    with pytest.raises(ValueError, match="amplitude"):
+        read_bitline(arr, 0, set(), replace(DEFAULT_READ_PULSE, amplitude=-1.0))
 
 
 def test_read_rejects_bad_indices(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(IndexOutOfRange):
-        read_bitline(arr, 10, {0}, 0.1)
+        read_bitline(arr, 10, {0}, DEFAULT_READ_PULSE)
     with pytest.raises(IndexOutOfRange):
-        read_bitline(arr, 0, {0, 10}, 0.1)
+        read_bitline(arr, 0, {0, 10}, DEFAULT_READ_PULSE)
 
 
 # ---------------------------------------------------------------- program

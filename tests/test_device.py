@@ -10,6 +10,7 @@ read current is a bitline read gated at that cell alone.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from pcmxbar import (
     program_cells,
     pulse_energy,
 )
-from pcmxbar.crossbar import DEFAULT_READ_PULSE, read_bitlines
+from pcmxbar.crossbar import read_bitlines
 from pcmxbar.errors import AmplitudeBelowThreshold
+from pcmxbar.network import DEFAULT_READ_PULSE
 
 from conftest import make_rng, uniform_array
 
@@ -179,7 +181,7 @@ def test_reset_rejects_negative_median(quiet_device, rng):
 def read_current(resistance: float, v_read: float) -> float:
     """Current of a read of one cell: one bitline gated at one wordline."""
     array = uniform_array(2, resistance, DeviceParams())
-    currents, _ = read_bitlines(array, [0], [0], v_read, DEFAULT_READ_PULSE)
+    currents, _ = read_bitlines(array, [0], [0], replace(DEFAULT_READ_PULSE, amplitude=v_read))
     return float(currents[0])
 
 

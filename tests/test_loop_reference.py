@@ -61,10 +61,10 @@ from pcmxbar import (
 )
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
-from pcmxbar.crossbar import DEFAULT_READ_PULSE, read_bitlines
+from pcmxbar.crossbar import read_bitlines
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
 from pcmxbar.experiments import SweepRow, _sweep_run
-from pcmxbar.network import add_in_order
+from pcmxbar.network import DEFAULT_RESET_PULSE, add_in_order
 
 from conftest import make_rng, on_pattern, sweep_rng
 
@@ -104,12 +104,12 @@ def loop_program_cells(array, driven_bls, gated_wls, pulse, rng):
     return out, energy, count
 
 
-def loop_read_bitline(array, bl, gated_wls, v_read, read_pulse):
+def loop_read_bitline(array, bl, gated_wls, read_pulse):
     current = 0.0
     energy = 0.0
     for wl in sorted(gated_wls):
         r = float(array.resistance[bl, wl])
-        current += v_read / r
+        current += read_pulse.amplitude / r
         energy += pulse_energy(read_pulse, r)
     return current, energy
 
@@ -207,19 +207,18 @@ def test_reads_equal_cell_loop(kind, seed, n, data):
     array = random_array(seed, n, DeviceParams())
     gated = data.draw(index_sets(n, kind))
     bl = data.draw(st.integers(0, n - 1))
-    assert read_bitline(array, bl, gated, 0.1, READ_PULSE) == loop_read_bitline(array, bl, gated, 0.1, READ_PULSE)
-    # the default read waveform is DEFAULT_READ_PULSE at the read voltage
-    assert read_bitline(array, bl, gated, 0.05) == loop_read_bitline(
-        array, bl, gated, 0.05, PulseSpec(0.05, 0.0, DEFAULT_READ_PULSE.t_width, 0.0, PulseRole.READ)
-    )
+    # the current and the energy both come from the pulse's one amplitude
+    v_read = data.draw(st.floats(0.0, array.params.v_set_threshold, exclude_max=True))
+    pulse = replace(READ_PULSE, amplitude=v_read)
+    assert read_bitline(array, bl, gated, pulse) == loop_read_bitline(array, bl, gated, pulse)
     # several bitlines in one call give each bitline's loop sums
     bls = sorted(data.draw(index_sets(n, data.draw(st.sampled_from(INDEX_KINDS)))))
-    currents, energies = read_bitlines(array, bls, sorted(gated), 0.1, READ_PULSE)
-    expected = [loop_read_bitline(array, b, gated, 0.1, READ_PULSE) for b in bls]
+    currents, energies = read_bitlines(array, bls, sorted(gated), pulse)
+    expected = [loop_read_bitline(array, b, gated, pulse) for b in bls]
     assert list(zip(currents.tolist(), energies.tolist())) == expected
     # ascending np.intp arrays, as the network passes them, give the same bits
     as_arrays = (np.array(bls, dtype=np.intp), np.array(sorted(gated), dtype=np.intp))
-    currents, energies = read_bitlines(array, *as_arrays, 0.1, READ_PULSE)
+    currents, energies = read_bitlines(array, *as_arrays, pulse)
     assert list(zip(currents.tolist(), energies.tolist())) == expected
 
 
@@ -246,7 +245,7 @@ def test_init_array_equals_cell_loop(seed, n, cv, median):
     params = DeviceParams()
     scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, cv, median)
     rng_block, rng_loop = make_rng(seed), make_rng(seed)
-    array = init_array(n, scheme, params, rng_block)
+    array = init_array(n, scheme, params, rng_block, DEFAULT_RESET_PULSE)
     assert np.array_equal(array.resistance, loop_init_array(n, scheme, params, rng_loop))
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
 

@@ -24,6 +24,7 @@ from pcmxbar import (
     training_epoch,
 )
 from pcmxbar.errors import DimensionMismatch, EmptyStimulus
+from pcmxbar.network import DEFAULT_RESET_PULSE
 
 from conftest import make_rng, on_pattern, uniform_array
 
@@ -111,7 +112,7 @@ def test_threshold_spread_grows_with_variation(quiet_device, protocol):
         ratios = []
         for cv in (0.60, 0.09):
             scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, cv, 1.0e6)
-            arr = init_array(10, scheme, quiet_device, make_rng(10_000 + s))
+            arr = init_array(10, scheme, quiet_device, make_rng(10_000 + s), DEFAULT_RESET_PULSE)
             t = compute_thresholds(arr, STIMULUS, protocol)
             ratios.append(t.max() / t.min())
         wins += ratios[0] > ratios[1]
@@ -215,7 +216,7 @@ def test_probe_untrained_high_variation_never_recruits(quiet_device, protocol):
     # factor > 1 blocks recruitment regardless of variation
     for s in range(50):
         scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 0.60, 1.0e6)
-        arr = init_array(10, scheme, quiet_device, make_rng(20_000 + s))
+        arr = init_array(10, scheme, quiet_device, make_rng(20_000 + s), DEFAULT_RESET_PULSE)
         thresholds = compute_thresholds(arr, STIMULUS, protocol)
         result = recall_probe(arr, STIMULUS, thresholds, protocol)
         assert result.final_firing == STIMULUS.on_set()

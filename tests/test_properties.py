@@ -20,6 +20,8 @@ from pcmxbar import (
     read_bitline,
 )
 
+from pcmxbar.network import DEFAULT_READ_PULSE
+
 from conftest import make_rng
 
 alphas = st.floats(min_value=0.05, max_value=0.95)
@@ -95,9 +97,9 @@ def test_read_matches_masked_sum_and_is_linear(seed, n, data):
     gate_a = data.draw(st.sets(st.integers(0, n - 1)))
     gate_b = data.draw(st.sets(st.integers(0, n - 1))) - gate_a
     bl = data.draw(st.integers(0, n - 1))
-    ca, _ = read_bitline(arr, bl, gate_a, 0.1)
-    cb, _ = read_bitline(arr, bl, gate_b, 0.1)
-    cab, _ = read_bitline(arr, bl, gate_a | gate_b, 0.1)
+    ca, _ = read_bitline(arr, bl, gate_a, DEFAULT_READ_PULSE)
+    cb, _ = read_bitline(arr, bl, gate_b, DEFAULT_READ_PULSE)
+    cab, _ = read_bitline(arr, bl, gate_a | gate_b, DEFAULT_READ_PULSE)
     oracle = sum(0.1 / arr.resistance[bl, j] for j in sorted(gate_a))
     assert abs(ca - oracle) <= 1e-12 * max(oracle, 1e-300)
     assert abs(cab - (ca + cb)) <= 1e-12 * max(cab, 1e-300)
