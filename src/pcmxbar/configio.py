@@ -239,8 +239,16 @@ def recall_json(config: ExperimentConfig, probe: ProbeResult, thresholds, succes
 
 
 def sweep_rows_csv(rows: list[SweepRow]) -> str:
+    """sweep.csv text; raises SimulationError if a class's mean energy is not finite.
+
+    median_epochs is inf by design when over half the seeds never recall.
+    """
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
+        if not math.isfinite(row.mean_energy):
+            raise SimulationError(
+                f"cannot write sweep.csv: the mean energy of cv {row.cv!r} is not finite ({row.mean_energy!r} J)"
+            )
         lines.append(f"{row.cv!r},{row.median_epochs!r},{row.mean_energy!r},{row.success_rate!r}")
     return "\n".join(lines) + "\n"
 

@@ -135,7 +135,7 @@ def read_bitlines(
     r = array.resistance.take(bls, axis=0).take(gated_wls, axis=1)  # row = bitline
     sums = np.empty((2,) + r.shape)  # currents, energies
     np.divide(read_pulse.amplitude, r, out=sums[0])
-    sums[1] = pulse_energy(read_pulse, r)
+    pulse_energy(read_pulse, r, out=sums[1])
     # accumulate is a running sum: it adds along the last axis in order, one
     # wordline after another, whatever the layout, so one call serves both
     # quantities of every bitline. np.sum and np.add.reduce sum pairwise along
@@ -143,9 +143,10 @@ def read_bitlines(
     np.add.accumulate(sums, axis=2, out=sums)
     # Copy the last column so that the block is freed on return. Views would
     # keep it alive into the caller's next read, which measured slower on
-    # 256-wide arrays than the copy.
-    currents, energies = sums[:, :, -1].copy()
-    return currents, energies
+    # 256-wide arrays than the copy. Indexed, not unpacked: iterating an
+    # array costs more than two index calls.
+    last = sums[:, :, -1].copy()
+    return last[0], last[1]
 
 
 def read_bitline(
@@ -181,18 +182,20 @@ def program_cells(
     (new array, total programming energy in joules, number of cells pulsed).
     Cells outside the block are byte-identical to the input array.
     """
-    bls = ascending_indices(array.n, driven_bls)
+    n = len(array.resistance)
+    bls = ascending_indices(n, driven_bls)
     # training_epoch drives and gates one set; sort it once
-    wls = bls if gated_wls is driven_bls else ascending_indices(array.n, gated_wls)
+    wls = bls if gated_wls is driven_bls else ascending_indices(n, gated_wls)
     out = array.copy()
     count = bls.size * wls.size
     if count == 0:
         return out, 0.0, 0
-    block = (bls[:, None], wls)
-    before = out.resistance[block]
-    out.resistance[block] = apply_set_pulse(before, pulse, array.params, rng)
-    # Running sum in row-major order, as a per-cell loop adds it.
-    energy = float(np.add.accumulate(pulse_energy(pulse, before).ravel())[-1])
+    before = array.resistance.take(bls, axis=0).take(wls, axis=1)
+    out.resistance[bls[:, None], wls] = apply_set_pulse(before, pulse, array.params, rng)
+    # Running sum in row-major order, as a per-cell loop adds it; the
+    # energies overwrite the gathered block, which nothing reads after.
+    energies = pulse_energy(pulse, before, out=before).ravel()
+    energy = float(np.add.accumulate(energies, out=energies)[-1])
     return out, energy, count
 
 

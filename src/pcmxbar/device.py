@@ -92,21 +92,29 @@ class DeviceParams:
             raise ValueError("need 0 < v_set_threshold < v_reset_threshold")
 
 
-def pulse_energy(pulse: PulseSpec, resistance_before: float | np.ndarray) -> float | np.ndarray:
+def pulse_energy(
+    pulse: PulseSpec, resistance_before: float | np.ndarray, *, out: np.ndarray | None = None
+) -> float | np.ndarray:
     """Energy in joules dissipated by one pulse into a fixed resistance.
 
     Integrates v(t)^2 / R over the trapezoid; each linear ramp contributes
     a third of the flat-top power times its duration. The resistance seen
     by the pulse is frozen at its pre-pulse value for the whole pulse.
-    Applies elementwise to an array of resistances.
+    Applies elementwise to an array of resistances; given out, a float64
+    array of their shape, writes the energies there and returns it.
     """
     # negated, so that NaN (which the minimum propagates) fails the check. The
     # positive initial lets an empty block pass and casts to any dtype, ints too.
     if not np.minimum.reduce(resistance_before, axis=None, initial=1) > 0:
         raise ValueError("resistance must be positive")
     # a product, which rounds correctly, where libm's pow may miss by an ulp
-    power_top = pulse.amplitude * pulse.amplitude / resistance_before  # watts on the flat top
-    return power_top * (pulse.t_rise / 3.0 + pulse.t_width + pulse.t_fall / 3.0)
+    v_squared = pulse.amplitude * pulse.amplitude
+    seconds = pulse.t_rise / 3.0 + pulse.t_width + pulse.t_fall / 3.0
+    if out is None:
+        return v_squared / resistance_before * seconds  # flat-top watts times seconds
+    np.divide(v_squared, resistance_before, out=out)
+    out *= seconds
+    return out
 
 
 def check_read_voltage(v_read: float, params: DeviceParams) -> None:
@@ -127,8 +135,8 @@ def apply_set_pulse(
     The distance to r_min shrinks by the factor (1 - alpha_set), perturbed per
     cell by a zero-mean Gaussian cycle-to-cycle factor, then clamps to
     [r_min, r_max]. The noise is one row-major batch, the same stream as one
-    draw per cell in that order. resistance is an array of one or more
-    dimensions and is left unchanged; returns the new resistances.
+    draw per cell in that order. resistance is a float64 array of one or
+    more dimensions and is left unchanged; returns the new resistances.
     """
     if pulse.role is not PulseRole.SET:
         raise ValueError(f"expected a pulse with role SET, got role {pulse.role.name}")
@@ -137,8 +145,15 @@ def apply_set_pulse(
             f"SET amplitude {pulse.amplitude} V below threshold "
             f"{params.v_set_threshold} V; no state change"
         )
-    noise = rng.normal(0.0, params.sigma_c2c, size=resistance.shape) if params.sigma_c2c > 0 else 0.0
-    return _clamp(params.r_min + (resistance - params.r_min) * (1.0 - params.alpha_set) * (1.0 + noise), params)
+    # r_min + (R - r_min)(1 - alpha_set)(1 + noise), in that order, in one
+    # scratch array. Addition commutes exactly and x * 1.0 == x, so a
+    # noise-free pulse skips the factor and keeps the bits.
+    step = resistance - params.r_min
+    step *= 1.0 - params.alpha_set
+    if params.sigma_c2c > 0:
+        step *= 1.0 + rng.normal(0.0, params.sigma_c2c, size=resistance.shape)
+    step += params.r_min
+    return _clamp(step, params)
 
 
 def apply_reset_pulse(

@@ -128,7 +128,8 @@ class ProbeResult:
 
 
 def _check_pattern(array: CrossbarArray, pattern: Pattern) -> None:
-    if pattern.n != array.n:
+    # len() of the fields: the n properties cost a call each on every epoch and probe
+    if len(pattern.bits) != len(array.resistance):
         raise DimensionMismatch(f"pattern length {pattern.n} != array dimension {array.n}")
 
 
@@ -151,8 +152,8 @@ def _read_idle(
     neurons; the read energies in ascending bitline order).
     """
     read, energies = read_bitlines(array, idle_idx, firing_idx, pp.read_pulse)
-    currents = np.empty(array.n)
-    currents[firing_idx] = np.nan
+    currents = np.empty(len(array.resistance))
+    currents.fill(np.nan)  # cheaper than an indexed write of the firing neurons
     currents[idle_idx] = read
     return currents, energies
 
@@ -228,7 +229,7 @@ def recall_probe(
     next step. The probe stops at the first step that recruits nobody.
     """
     _check_pattern(array, partial)
-    if len(thresholds) != array.n:
+    if len(thresholds) != len(array.resistance):
         raise DimensionMismatch(f"threshold vector length {len(thresholds)} != array dimension {array.n}")
     if not partial.on_idx.size:
         raise EmptyStimulus("recall stimulus has no ON bits")

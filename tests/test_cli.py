@@ -312,6 +312,21 @@ def test_learn_result_json_cannot_hold_is_simulation_error_naming_the_file(tmp_p
     assert not out_dir.exists()
 
 
+def test_sweep_energy_not_finite_is_simulation_error_naming_the_file(tmp_path, capsys):
+    # the squared amplitude overflows every class's mean energy to inf; an
+    # inf median_epochs is legal, an inf energy is not
+    spec = json.loads(bundled_config_path("sweep10x10.json").read_text())
+    spec["protocol"]["program_pulse"]["amplitude"] = 1e200
+    spec["sweep"]["seeds_per_cv"] = 2
+    path = tmp_path / "huge_pulse_sweep.json"
+    path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir), "--quiet"]) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert "simulation error: cannot write sweep.csv" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["learn", "sweep"])
 def test_stimulus_without_on_neuron_is_config_error(tmp_path, capsys, command):
     # the recall probe cannot start from it

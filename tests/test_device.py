@@ -336,6 +336,19 @@ def test_pulse_energy_takes_exactly_positive_resistances(case):
             pulse_energy(SET_PULSE, resistance)
 
 
+def test_pulse_energy_into_out_has_the_bits_of_a_new_array():
+    resistance = np.array([[1.0e4, 2.0e6], [5.0e5, 1.0e7]])
+    expected = pulse_energy(SET_PULSE, resistance).tobytes()
+    out = np.empty_like(resistance)
+    assert pulse_energy(SET_PULSE, resistance, out=out) is out
+    assert out.tobytes() == expected
+    # over the resistances themselves, as program_cells writes its block's energies
+    assert pulse_energy(SET_PULSE, resistance, out=resistance) is resistance
+    assert resistance.tobytes() == expected
+    with pytest.raises(ValueError, match="resistance must be positive"):
+        pulse_energy(SET_PULSE, np.array([1.0e6, math.nan]), out=np.empty(2))
+
+
 def test_device_params_reject_bad_ordering():
     with pytest.raises(ValueError):
         DeviceParams(r_min=1e7, r_max=1e4)

@@ -48,6 +48,10 @@ NOISY32 = {
 
 SWEEP10X10_CSV = "e70f69fc12dacf49be8bc0d0edef3bfc5dd1f0fe57cc7f0a5ae5c54ab2e928a0"
 
+# sweep.csv of the small noisy sweep below, which runs the branches the
+# bundled sweep skips: SET noise, no diagonal, two pulses per coactivation.
+NOISY_SWEEP_CSV = "8461148372b4195116e05130c8a0781c08f1ea956a883bfd436a07884bb8c9a6"
+
 # device_curve.csv of `pcmxbar device-curve` at its default 50 pulses. The
 # noisy config draws cycle-to-cycle noise on every pulse.
 PAPER10X10_DEVICE_CURVE = "058f2e469bac22f3f295423cc59cda5fa82bdb42aa9b4a8f2756db02864d2648"
@@ -129,3 +133,16 @@ def test_sweep10x10_csv_is_pinned(ensemble):
     _, _, rows, _ = ensemble
     assert hashlib.sha256(sweep_rows_csv(rows).encode()).hexdigest() == SWEEP10X10_CSV
 
+
+def test_noisy_sweep_csv_is_pinned(tmp_path):
+    # the bundled sweep's patterns and classes, 10 seeds per cv; 3 of the 10
+    # cv 0.6 runs never recall
+    spec = json.loads(bundled_config_path("sweep10x10.json").read_text())
+    spec["device"]["sigma_c2c"] = 0.05
+    spec["protocol"].update(include_diagonal=False, pulses_per_coactivation=2)
+    spec["sweep"]["seeds_per_cv"] = 10
+    config = tmp_path / "noisy_sweep.json"
+    config.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir), "--quiet"]) == EXIT_OK
+    assert hashlib.sha256((out_dir / "sweep.csv").read_bytes()).hexdigest() == NOISY_SWEEP_CSV

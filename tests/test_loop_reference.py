@@ -6,7 +6,9 @@ order, through scalar SET and RESET laws and Ohm's law written here from the
 README's Model formulas, so the package is not tested against itself. Since
 the arithmetic per cell is the same, the two must agree exactly: the
 matrices, the SET counts, the energies (bit for bit, so summation order
-matters) and the state the generator is left in.
+matters) and the state the generator is left in. apply_set_pulse, which
+works in one scratch array, is also held to the SET law written as one
+numpy expression.
 
 Two reductions are held bit for bit to the numpy functions they stand in
 for: add_in_order, the in-order energy sum over Python floats, to np.cumsum,
@@ -47,6 +49,7 @@ from pcmxbar import (
     ProtocolParams,
     PulseRole,
     PulseSpec,
+    apply_set_pulse,
     array_stats,
     init_array,
     load_resistance_csv,
@@ -194,10 +197,40 @@ def test_program_cells_equals_cell_loop(kind, seed, n, sigma, data):
     out, energy, count = program_cells(array, driven, gated, SET_PULSE, rng_block)
     ref, ref_energy, ref_count = loop_program_cells(array, driven, gated, SET_PULSE, rng_loop)
     assert np.array_equal(out.resistance, ref.resistance)
+    # the loop adds pulse_energy of each cell's pre-pulse resistance, in order
     assert energy == ref_energy and type(energy) is float
     assert count == ref_count
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
     assert np.array_equal(array.resistance, before)
+
+
+def one_expression_set(resistance, params, rng):
+    """The SET law as one numpy expression over the block, then the clamp."""
+    noise = rng.normal(0.0, params.sigma_c2c, size=resistance.shape) if params.sigma_c2c > 0 else 0.0
+    updated = params.r_min + (resistance - params.r_min) * (1.0 - params.alpha_set) * (1.0 + noise)
+    return np.minimum(np.maximum(updated, params.r_min), params.r_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.one_of(st.tuples(st.integers(0, 12)), st.tuples(st.integers(0, 12), st.integers(0, 12))),
+    sigma=sigmas,
+    alpha=st.floats(min_value=0.01, max_value=0.99),
+)
+def test_set_law_in_place_equals_one_expression(seed, shape, sigma, alpha):
+    # apply_set_pulse evaluates the law step by step in one scratch array
+    params = DeviceParams(alpha_set=alpha, sigma_c2c=sigma)
+    # cells outside [r_min, r_max] too, so that both sides of the clamp act
+    resistance = make_rng(seed).uniform(params.r_min / 2, 2 * params.r_max, size=shape)
+    before = resistance.copy()
+    rng_law, rng_ref = make_rng(seed + 1), make_rng(seed + 1)
+    out = apply_set_pulse(resistance, SET_PULSE, params, rng_law)
+    ref = one_expression_set(before, params, rng_ref)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+    assert resistance.tobytes() == before.tobytes()
+    assert rng_law.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", INDEX_KINDS)
