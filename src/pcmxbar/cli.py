@@ -3,7 +3,7 @@
 Subcommands: learn (full learn-and-recall run), recall (read-only probe of a
 stored array), sweep (variation classes to a CSV summary), device-curve
 (gradual-SET staircase of a single cell). Exit codes: 0 success, 2 bad
-config, 3 file system trouble, 4 simulation error.
+config, 3 file system trouble, 4 simulation error or out of memory.
 """
 from __future__ import annotations
 
@@ -104,6 +104,14 @@ def _cmd_learn(args) -> int:
     return EXIT_OK
 
 
+def _load_stored(path: Path, params):
+    """The stored array at path; out of memory, the error names the file."""
+    try:
+        return load_resistance_csv(path, params)
+    except MemoryError as exc:
+        raise MemoryError(f"reading {path}: {exc}") from None
+
+
 def _cmd_recall(args) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     out = Path(args.out_dir)
@@ -112,7 +120,7 @@ def _cmd_recall(args) -> int:
     for path in (trained_path, baseline_path):
         if not path.is_file():
             raise FileNotFoundError(f"no stored array at {path}; run learn into this directory first")
-    trained, baseline = (load_resistance_csv(path, config.device) for path in (trained_path, baseline_path))
+    trained, baseline = (_load_stored(path, config.device) for path in (trained_path, baseline_path))
     for path, array in ((trained_path, trained), (baseline_path, baseline)):
         if array.n != config.n:
             raise DimensionMismatch(f"{path}: array dimension {array.n} != config n {config.n}")
@@ -208,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
+    except MemoryError as exc:
+        print(f"simulation error: out of memory with config {args.config}: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
 
 

@@ -161,6 +161,10 @@ def read_bitline(
     contribute nothing: their selection transistors are ideal. The gated set
     is traversed in sorted order so the float sum is reproducible. The read
     voltage is read_pulse.amplitude.
+
+    No run calls it: runs read through read_bitlines. It stays as the
+    benchmark tracer's crossbar.read_bitline hook and as a one-bitline test
+    helper, until the tracer hooks read_bitlines (ROADMAP item 2).
     """
     bls = ascending_indices(array.n, (bl,))
     wls = ascending_indices(array.n, gated_wls)

@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from pcmxbar import CrossbarArray, DeviceParams, Pattern, ProtocolParams, class_reports, variation_sweep
+from pcmxbar import DeviceParams, Pattern, ProtocolParams, class_reports, variation_sweep
 from pcmxbar.configio import bundled_config_path, load_config, load_sweep
+from pcmxbar.crossbar import CrossbarArray
 
 SEEDS_PER_CV = 200
 

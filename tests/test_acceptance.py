@@ -16,25 +16,13 @@ import json
 import numpy as np
 import pytest
 
-from pcmxbar import (
-    CrossbarArray,
-    DeviceParams,
-    PulseRole,
-    PulseSpec,
-    apply_set_pulse,
-    array_stats,
-    compute_thresholds,
-    init_array,
-    learn_and_recall,
-    program_cells,
-    read_bitline,
-    recall_probe,
-    scheme_for_cv,
-)
+from pcmxbar import DeviceParams, PulseRole, PulseSpec, learn_and_recall
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, load_config
-from pcmxbar.experiments import class_reports
-from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
+from pcmxbar.crossbar import CrossbarArray, array_stats, init_array, program_cells, read_bitline
+from pcmxbar.device import apply_set_pulse
+from pcmxbar.experiments import class_reports, scheme_for_cv
+from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, compute_thresholds, recall_probe
 
 from conftest import make_rng, on_pattern
 
@@ -225,7 +213,7 @@ def test_criterion_6_device_law_oracles():
     assert worst <= 1e-12
 
     # trapezoid energy vs adaptive quadrature, 1e-9 relative
-    from pcmxbar import pulse_energy
+    from pcmxbar.device import pulse_energy
 
     rng = make_rng(60_001)
     worst_e = 0.0

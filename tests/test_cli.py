@@ -1,14 +1,20 @@
 """Command-line tests: subcommands end to end in temp directories.
 
-All invocations go through main(argv) in-process; exit codes and files are
-the contract under test.
+All invocations go through main(argv), in-process except for the
+out-of-memory tests, which run it in a child that limits its own memory;
+exit codes and files are the contract under test.
 """
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pcmxbar
 from pcmxbar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main, run_cli
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
 
@@ -367,6 +373,70 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, command, flag,
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+# A child interpreter lowers its own address-space limit to the size it has
+# after importing the CLI plus a headroom, then runs main. The limit binds that
+# child only: the test process keeps its own.
+UNDER_MEMORY_LIMIT = """
+import resource, sys
+from pcmxbar.cli import main
+size = next(int(line.split()[1]) * 1024 for line in open("/proc/self/status") if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_with_headroom(headroom: int, *argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(pcmxbar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", UNDER_MEMORY_LIMIT, str(headroom), *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def config_of_size(tmp_path, n: int):
+    """paper10x10.json scaled to n neurons: two complementary halves, a quarter as stimulus."""
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    half = [1] * (n // 2) + [0] * (n - n // 2)
+    spec.update(
+        n=n,
+        snapshot_every=0,
+        patterns=[half, [1 - b for b in half]],
+        recall_stimulus=[1] * (n // 4) + [0] * (n - n // 4),
+        recall_target=half,
+    )
+    path = tmp_path / f"n{n}.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_learn_out_of_memory_is_simulation_error_naming_the_config(tmp_path):
+    # one 30000 x 30000 float64 array is 6.71 GiB, far above 1 GiB of headroom
+    config = config_of_size(tmp_path, 30_000)
+    out_dir = tmp_path / "out"
+    done = run_with_headroom(1 << 30, "learn", "--config", str(config), "--out-dir", str(out_dir), "--quiet")
+    assert done.returncode == EXIT_SIMULATION, done.stderr
+    assert f"simulation error: out of memory with config {config}: Unable to allocate" in done.stderr
+    assert "(30000, 30000)" in done.stderr and "Traceback" not in done.stderr
+    assert not out_dir.exists()
+
+
+def test_recall_out_of_memory_is_simulation_error_naming_the_stored_array(tmp_path):
+    # a 2000 x 2000 array is 30.5 MiB of float64, parsed under 32 MiB of headroom
+    config = config_of_size(tmp_path, 2000)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    row = ",".join(["1e6"] * 2000) + "\n"
+    for name in ("array_final.csv", "array_initial.csv"):
+        (out_dir / name).write_text(row * 2000)
+    done = run_with_headroom(32 << 20, "recall", "--config", str(config), "--out-dir", str(out_dir), "--quiet")
+    assert done.returncode == EXIT_SIMULATION, done.stderr
+    prefix = f"simulation error: out of memory with config {config}: reading {out_dir / 'array_final.csv'}: "
+    assert done.stderr.startswith(prefix) and done.stderr[len(prefix):].strip()  # numpy's allocation message
+    assert "Traceback" not in done.stderr
+    assert sorted(p.name for p in out_dir.iterdir()) == ["array_final.csv", "array_initial.csv"]
 
 
 def test_run_cli_is_main():

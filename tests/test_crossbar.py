@@ -8,13 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pcmxbar import (
+from pcmxbar import InitScheme, InitVariant, PulseRole, PulseSpec, crossbar
+from pcmxbar.crossbar import (
     ArrayStats,
     CrossbarArray,
-    InitScheme,
-    InitVariant,
-    PulseRole,
-    PulseSpec,
     array_stats,
     init_array,
     load_resistance_csv,
@@ -22,7 +19,6 @@ from pcmxbar import (
     read_bitline,
     save_resistance_csv,
 )
-from pcmxbar import crossbar
 from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
 

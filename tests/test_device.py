@@ -15,16 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pcmxbar import (
-    DeviceParams,
-    PulseRole,
-    PulseSpec,
-    apply_reset_pulse,
-    apply_set_pulse,
-    program_cells,
-    pulse_energy,
-)
-from pcmxbar.crossbar import read_bitlines
+from pcmxbar import DeviceParams, PulseRole, PulseSpec
+from pcmxbar.crossbar import program_cells, read_bitlines
+from pcmxbar.device import apply_reset_pulse, apply_set_pulse, pulse_energy
 from pcmxbar.errors import AmplitudeBelowThreshold
 from pcmxbar.network import DEFAULT_READ_PULSE
 

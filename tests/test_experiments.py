@@ -27,12 +27,11 @@ from pcmxbar import (
     distribution_history,
     learn_and_recall,
     network,
-    scheme_for_cv,
     variation_sweep,
-    weight_contrast,
 )
 from pcmxbar.configio import bundled_config_path, load_sweep, report_json
 from pcmxbar.errors import DegeneratePattern, DimensionMismatch, NoSnapshots
+from pcmxbar.experiments import scheme_for_cv, weight_contrast
 
 from conftest import on_pattern, uniform_array
 

@@ -40,7 +40,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmxbar import (
-    CrossbarArray,
     DeviceParams,
     ExperimentConfig,
     InitScheme,
@@ -49,24 +48,24 @@ from pcmxbar import (
     ProtocolParams,
     PulseRole,
     PulseSpec,
-    apply_set_pulse,
-    array_stats,
-    init_array,
-    load_resistance_csv,
     learn_and_recall,
-    program_cells,
-    pulse_energy,
-    read_bitline,
-    save_resistance_csv,
-    scheme_for_cv,
     variation_sweep,
-    weight_contrast,
 )
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
-from pcmxbar.crossbar import read_bitlines
+from pcmxbar.crossbar import (
+    CrossbarArray,
+    array_stats,
+    init_array,
+    load_resistance_csv,
+    program_cells,
+    read_bitline,
+    read_bitlines,
+    save_resistance_csv,
+)
+from pcmxbar.device import apply_set_pulse, pulse_energy
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
-from pcmxbar.experiments import SweepRow, _sweep_run
+from pcmxbar.experiments import SweepRow, _sweep_run, scheme_for_cv, weight_contrast
 from pcmxbar.network import DEFAULT_RESET_PULSE, add_in_order
 
 from conftest import make_rng, on_pattern, sweep_rng

@@ -11,20 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from pcmxbar import (
-    InitScheme,
-    InitVariant,
-    ProtocolParams,
-    PulseRole,
-    PulseSpec,
-    compute_thresholds,
-    init_array,
-    recall_probe,
-    recall_success,
-    training_epoch,
-)
+from pcmxbar import InitScheme, InitVariant, ProtocolParams, PulseRole, PulseSpec
+from pcmxbar.crossbar import init_array
 from pcmxbar.errors import DimensionMismatch, EmptyStimulus
-from pcmxbar.network import DEFAULT_RESET_PULSE
+from pcmxbar.network import DEFAULT_RESET_PULSE, compute_thresholds, recall_probe, recall_success, training_epoch
 
 from conftest import make_rng, on_pattern, uniform_array
 

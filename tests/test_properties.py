@@ -9,16 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmxbar import (
-    CrossbarArray,
-    DeviceParams,
-    PulseRole,
-    PulseSpec,
-    apply_set_pulse,
-    program_cells,
-    pulse_energy,
-    read_bitline,
-)
+from pcmxbar import DeviceParams, PulseRole, PulseSpec
+from pcmxbar.crossbar import CrossbarArray, program_cells, read_bitline
+from pcmxbar.device import apply_set_pulse, pulse_energy
 
 from pcmxbar.network import DEFAULT_READ_PULSE
 
