@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,27 +75,37 @@ def _cmd_learn(args) -> int:
     # traces.jsonl holds only records the report holds too.
     report_text = report_json(report)
     out = Path(args.out_dir)
-    snapdir = out / "snapshots"
-    kept = report.snapshots if config.snapshot_every > 0 else []
-    snapshot_files = [(matrix, snapdir / f"epoch_{epoch:04d}.csv") for epoch, matrix in kept]
-    # an earlier run's snapshot files go, so the directory holds what a fresh one would
-    for path in [*snapdir.glob("epoch_*.csv"), snapdir / "stats.jsonl", out / "histograms.csv"]:
-        path.unlink(missing_ok=True)
-    _write(out / "report.json", report_text)
-    _write(out / "traces.jsonl", traces_jsonl(report))
-    arrays = [(report.snapshots[0][1], out / "array_initial.csv"), *snapshot_files]
-    if config.snapshot_every > 0:
-        snapdir.mkdir(parents=True, exist_ok=True)
-        stats_lines = [
-            json_text("stats.jsonl", {"epoch": epoch, **stats_to_dict(array_stats(matrix))})
-            for epoch, matrix in report.snapshots
-        ]
-        _write(snapdir / "stats.jsonl", "".join(stats_lines))
-        _write(out / "histograms.csv", histograms_csv(distribution_history(report)))
-    # In epoch order, each array differs from the one before only where it
-    # was programmed, and only those cells are formatted anew.
-    arrays.append((report.final_resistance, out / "array_final.csv"))
-    save_resistance_csv(arrays)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # Every file is written into a scratch directory beside out and renamed
+    # into out once all are complete, so a run that fails while it writes
+    # leaves out as it found it.
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as scratch:
+        stage = Path(scratch)
+        _write(stage / "report.json", report_text)
+        _write(stage / "traces.jsonl", traces_jsonl(report))
+        names = ["report.json", "traces.jsonl"]
+        arrays = [(report.snapshots[0][1], "array_initial.csv")]
+        if config.snapshot_every > 0:
+            arrays += [(matrix, f"snapshots/epoch_{epoch:04d}.csv") for epoch, matrix in report.snapshots]
+            stats_lines = [
+                json_text("stats.jsonl", {"epoch": epoch, **stats_to_dict(array_stats(matrix))})
+                for epoch, matrix in report.snapshots
+            ]
+            _write(stage / "snapshots" / "stats.jsonl", "".join(stats_lines))
+            _write(stage / "histograms.csv", histograms_csv(distribution_history(report)))
+            names += ["snapshots/stats.jsonl", "histograms.csv"]
+        # In epoch order, each array differs from the one before only where it
+        # was programmed, and only those cells are formatted anew.
+        arrays.append((report.final_resistance, "array_final.csv"))
+        save_resistance_csv((matrix, stage / name) for matrix, name in arrays)
+        names += [name for _, name in arrays]
+        # an earlier run's snapshot files go, so out holds what a fresh run would
+        snapdir = out / "snapshots"
+        for path in [*snapdir.glob("epoch_*.csv"), snapdir / "stats.jsonl", out / "histograms.csv"]:
+            path.unlink(missing_ok=True)
+        for name in names:
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (stage / name).replace(out / name)
     if report.epochs_to_recall is None:
         _say(args, f"recall not reached within {config.max_epochs} epochs")
     else:

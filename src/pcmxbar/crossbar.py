@@ -253,13 +253,28 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
     Rejects a file that is not UTF-8 text holding a square matrix of at
     least 2 x 2 numbers in [r_min, r_max]; every error names the file.
     numpy's C reader parses a well-formed file; the csv loop parses the rest,
-    so every file loads, or fails, as the csv loop alone would have it.
+    so every file loads, or fails, as the csv loop alone would have it. The
+    rows are checked here, once, whichever of the two read them.
     """
-    resistance = _parse_with_numpy(path)
-    if resistance is None or not _is_square_in_range(resistance, params):
-        # raises the documented error, or reads what only csv and float() take:
-        # quoted cells, underscores, non-ASCII digits
-        resistance = _parse_with_csv(path, params)
+    rows = _parse_with_numpy(path)
+    if rows is None:
+        # reads what only csv and float() take (quoted cells, underscores,
+        # non-ASCII digits), or raises the parse error naming the line
+        rows = _parse_with_csv(path)
+    n = len(rows)
+    if n < 2:
+        raise InvalidDimension(f"{path}: array dimension must be >= 2, got {n}")
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch(f"{path}: resistance CSV is not square")
+    resistance = np.asarray(rows, dtype=np.float64)
+    # written as a negation so that NaN counts as outside
+    outside = ~((resistance >= params.r_min) & (resistance <= params.r_max))
+    if outside.any():
+        bl, wl = np.argwhere(outside)[0]
+        raise CorruptArrayFile(
+            f"{path}: cell (bitline {bl}, wordline {wl}) holds {float(resistance[bl, wl])!r} ohm, "
+            f"outside [r_min, r_max] = [{params.r_min!r}, {params.r_max!r}]"
+        )
     return CrossbarArray(resistance, params)
 
 
@@ -282,20 +297,17 @@ def _lines_read_alike(fh: Iterable[str]) -> Iterator[str]:
 
 def _parse_with_numpy(path: str | Path) -> np.ndarray | None:
     """Matrix numpy's C reader parses from path, or None where it declines the file."""
-    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings(record=True) as caught:
-        # an empty file only warns; it declines like any other fault
-        warnings.simplefilter("always")
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        # an empty file only warns, and comes back as a (0, 1) matrix
+        warnings.simplefilter("ignore")
         try:
-            matrix = np.loadtxt(
-                _lines_read_alike(fh), delimiter=",", comments=None, dtype=np.float64, ndmin=2
-            )
+            return np.loadtxt(_lines_read_alike(fh), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
         except ValueError:  # UnicodeDecodeError included: the csv loop reports it
             return None
-    return None if caught else matrix
 
 
-def _parse_with_csv(path: str | Path, params: DeviceParams) -> np.ndarray:
-    """Matrix the csv module and float() parse from path; raises if it is no valid array."""
+def _parse_with_csv(path: str | Path) -> list[list[float]]:
+    """Rows the csv module and float() parse from path; raises where a line is no numbers."""
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -308,27 +320,4 @@ def _parse_with_csv(path: str | Path, params: DeviceParams) -> np.ndarray:
             raise CorruptArrayFile(f"{path} is not UTF-8 text: {exc}") from exc
         except (ValueError, csv.Error) as exc:
             raise CorruptArrayFile(f"{path}, line {reader.line_num}: {exc}") from exc
-    n = len(rows)
-    if n < 2:
-        raise InvalidDimension(f"{path}: array dimension must be >= 2, got {n}")
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch(f"{path}: resistance CSV is not square")
-    resistance = np.array(rows, dtype=np.float64)
-    outside = _outside_range(resistance, params)
-    if outside.any():
-        bl, wl = np.argwhere(outside)[0]
-        raise CorruptArrayFile(
-            f"{path}: cell (bitline {bl}, wordline {wl}) holds {float(resistance[bl, wl])!r} ohm, "
-            f"outside [r_min, r_max] = [{params.r_min!r}, {params.r_max!r}]"
-        )
-    return resistance
-
-
-def _outside_range(resistance: np.ndarray, params: DeviceParams) -> np.ndarray:
-    # written as a negation so that NaN counts as outside
-    return ~((resistance >= params.r_min) & (resistance <= params.r_max))
-
-
-def _is_square_in_range(resistance: np.ndarray, params: DeviceParams) -> bool:
-    n = len(resistance)
-    return n >= 2 and resistance.shape == (n, n) and not _outside_range(resistance, params).any()
+    return rows

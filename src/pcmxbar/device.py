@@ -101,7 +101,8 @@ def pulse_energy(
     a third of the flat-top power times its duration. The resistance seen
     by the pulse is frozen at its pre-pulse value for the whole pulse.
     Applies elementwise to an array of resistances; given out, a float64
-    array of their shape, writes the energies there and returns it.
+    array of their shape, writes the energies there and returns it. A
+    scalar resistance gives an np.float64.
     """
     # negated, so that NaN (which the minimum propagates) fails the check. The
     # positive initial lets an empty block pass and casts to any dtype, ints too.
@@ -110,9 +111,7 @@ def pulse_energy(
     # a product, which rounds correctly, where libm's pow may miss by an ulp
     v_squared = pulse.amplitude * pulse.amplitude
     seconds = pulse.t_rise / 3.0 + pulse.t_width + pulse.t_fall / 3.0
-    if out is None:
-        return v_squared / resistance_before * seconds  # flat-top watts times seconds
-    np.divide(v_squared, resistance_before, out=out)
+    out = np.divide(v_squared, resistance_before, out=out)  # flat-top watts
     out *= seconds
     return out
 

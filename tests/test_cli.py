@@ -17,6 +17,7 @@ import pytest
 import pcmxbar
 from pcmxbar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main, run_cli
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
+from pcmxbar.crossbar import save_resistance_csv
 
 
 def learn_into(tmp_path, *extra: str) -> int:
@@ -362,6 +363,47 @@ def test_target_without_off_neuron_is_config_error(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+def merged(base, edit):
+    """base with edit laid over it, nested objects merged key by key; a non-object edit replaces base."""
+    if not (isinstance(base, dict) and isinstance(edit, dict)):
+        return edit
+    return {**base, **{key: merged(base.get(key), value) for key, value in edit.items()}}
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("learn", {"n": 1}, "config file {path}: n must be >= 2"),
+        ("learn", {"patterns": []}, "config file {path}: need at least one training pattern"),
+        ("learn", {"max_epochs": 0}, "config file {path}: max_epochs must be >= 1"),
+        ("learn", {"snapshot_every": -1}, "config file {path}: snapshot_every must be >= 0"),
+        (
+            "learn",
+            {"device": {"r_reset_full_median": 2.0e7}},
+            "config file {path}: device: r_reset_full_median must lie in (r_min, r_max]",
+        ),
+        (
+            "learn",
+            {"protocol": {"reset_pulse": {"amplitude": 1.0}}},
+            "config file {path}: reset_pulse amplitude below v_reset_threshold",
+        ),
+        ("sweep", {"sweep": {"cvs": 0.3, "seeds_per_cv": 2}}, "config file {path}: sweep.cvs must be a JSON list, got 0.3"),
+        ("learn", [], "config file {path} must hold a JSON object"),
+    ],
+    ids=["n-1", "no-patterns", "max-epochs-0", "snapshot-every-negative", "full-reset-median-above-r_max",
+         "reset-amplitude-below-threshold", "cvs-not-a-list", "not-an-object"],
+)
+def test_config_breaking_a_rule_is_config_error_naming_the_file_and_rule(tmp_path, capsys, command, edit, message):
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(merged(spec, edit)))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out-dir", str(out_dir), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {message.format(path=path)}\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["learn", "device-curve"])
 @pytest.mark.parametrize(
     "flag, value", [("--epochs", "0"), ("--epochs", "-5"), ("--epochs", "two"), ("--seed", "-1"), ("--seed", "x")]
@@ -475,3 +517,29 @@ def test_learn_rerun_into_used_out_dir_leaves_what_a_fresh_dir_gets(tmp_path, sn
     assert main([*argv, str(used), "--config", str(config_path)]) == EXIT_OK
     assert main([*argv, str(fresh), "--config", str(config_path)]) == EXIT_OK
     assert output_tree(used) == output_tree(fresh)
+
+
+def test_learn_failing_while_it_writes_leaves_out_dir_as_it_found_it(tmp_path, capsys, monkeypatch):
+    parent = tmp_path / "runs"
+    used, fresh = parent / "used", parent / "fresh"
+    assert main(["learn", "--quiet", "--config", "paper10x10.json", "--out-dir", str(used)]) == EXIT_OK
+    # the second run never recalls, so each of its files would differ from the first run's
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    spec["protocol"]["threshold_factor"] = 1.0e4
+    slow_path = tmp_path / "slow.json"
+    slow_path.write_text(json.dumps(spec))
+    before, listing = output_tree(used), sorted(parent.iterdir())
+
+    def write_one_then_fail(files):
+        save_resistance_csv([next(iter(files))])
+        raise MemoryError("Unable to allocate 91.6 MiB for an array")
+
+    monkeypatch.setattr("pcmxbar.cli.save_resistance_csv", write_one_then_fail)
+    for out_dir in (used, fresh):
+        argv = ["learn", "--quiet", "--config", str(slow_path), "--out-dir", str(out_dir), "--epochs", "2"]
+        assert main(argv) == EXIT_SIMULATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"simulation error: out of memory with config {slow_path}: ") and "Traceback" not in err
+        assert output_tree(used) == before
+        assert sorted(parent.iterdir()) == listing
+    assert not fresh.exists()

@@ -293,6 +293,15 @@ def test_program_rejects_a_float_index_after_its_int_twin(quiet_device, rng, flo
             program_cells(arr, {1}, {float_index}, SET_PULSE, rng)
 
 
+def test_program_takes_numpy_int32_indices_as_python_ints(noisy_device):
+    arr = uniform_array(10, 1.0e6, noisy_device)
+    driven, gated = {np.int32(7), np.int32(1)}, {np.int32(9), np.int32(0)}
+    out, energy, count = program_cells(arr, driven, gated, SET_PULSE, make_rng(3))
+    ref, ref_energy, ref_count = program_cells(arr, {7, 1}, {9, 0}, SET_PULSE, make_rng(3))
+    assert out.resistance.tobytes() == ref.resistance.tobytes()
+    assert (energy, count) == (ref_energy, ref_count) and count == 4
+
+
 def test_program_without_noise_leaves_the_generator_alone(quiet_device):
     rng = make_rng(4)
     state = rng.bit_generator.state
@@ -441,3 +450,29 @@ def test_load_parses_a_written_array_without_the_csv_loop(quiet_device, tmp_path
     loaded = load_resistance_csv(path, quiet_device)
     assert loaded.resistance.tobytes() == resistance.tobytes()
     assert loaded.resistance.flags.c_contiguous and loaded.resistance.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "text, error, rule",
+    [
+        (
+            "1e6,1e6\n1e6,1e2\n",
+            CorruptArrayFile,
+            "cell (bitline 1, wordline 1) holds 100.0 ohm, outside [r_min, r_max] = [10000.0, 10000000.0]",
+        ),
+        ("1e6,1e6\n1e6,1e6\n1e6,1e6\n", DimensionMismatch, "resistance CSV is not square"),
+        ("1e6,1e6\n", InvalidDimension, "array dimension must be >= 2, got 1"),
+    ],
+    ids=["cell-below-r_min", "three-by-two", "one-row"],
+)
+def test_load_judges_a_well_formed_file_without_the_csv_loop(quiet_device, tmp_path, monkeypatch, text, error, rule):
+    # numpy's reader parses these files; the rules alone reject them
+    def no_csv_loop(path):
+        raise AssertionError("the csv loop ran on a well-formed file")
+
+    monkeypatch.setattr(crossbar, "_parse_with_csv", no_csv_loop)
+    path = tmp_path / "rule.csv"
+    path.write_text(text)
+    with pytest.raises(error) as excinfo:
+        load_resistance_csv(path, quiet_device)
+    assert str(excinfo.value) == f"{path}: {rule}"

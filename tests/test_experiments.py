@@ -213,6 +213,12 @@ def test_weight_contrast_untrained_is_unity(quiet_device):
     assert weight_contrast(arr, PATTERN_1) == 1.0
 
 
+def test_weight_contrast_rejects_pattern_of_other_length(quiet_device):
+    arr = uniform_array(10, 1.0e6, quiet_device)
+    with pytest.raises(DimensionMismatch, match=r"^pattern length 9 != array dimension 10$"):
+        weight_contrast(arr, on_pattern(9, {0, 1}))
+
+
 def test_weight_contrast_rejects_degenerate_patterns(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(DegeneratePattern):

@@ -271,6 +271,19 @@ def test_probe_rejects_threshold_length_mismatch(quiet_device, protocol):
         recall_probe(arr, STIMULUS, np.full(9, 8.0e-7), protocol)
 
 
+@pytest.mark.parametrize("kernel", ["compute_thresholds", "training_epoch", "recall_probe"])
+def test_kernels_reject_pattern_of_other_length(quiet_device, protocol, rng, kernel):
+    arr = uniform_array(10, 1.0e6, quiet_device)
+    short = on_pattern(9, {0, 1, 2, 3})
+    calls = {
+        "compute_thresholds": lambda: compute_thresholds(arr, short, protocol),
+        "training_epoch": lambda: training_epoch(arr, short, protocol, rng),
+        "recall_probe": lambda: recall_probe(arr, short, np.full(10, 8.0e-7), protocol),
+    }
+    with pytest.raises(DimensionMismatch, match=r"^pattern length 9 != array dimension 10$"):
+        calls[kernel]()
+
+
 # ---------------------------------------------------------------- success test
 
 
