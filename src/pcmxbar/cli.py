@@ -75,15 +75,14 @@ def _cmd_learn(args) -> int:
     # traces.jsonl holds only records the report holds too.
     report_text = report_json(report)
     out = Path(args.out_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # Every file is written into a scratch directory beside out and renamed
-    # into out once all are complete, so a run that fails while it writes
-    # leaves out as it found it.
-    with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as scratch:
+    # Files are written into a scratch directory on out's file system (in out, else in its
+    # nearest existing ancestor) and moved in once all are complete, so a run that fails
+    # before then leaves out, and whatever holds it, as it found them.
+    home = out if out.is_dir() else next(p for p in out.absolute().parents if p.is_dir())
+    with tempfile.TemporaryDirectory(prefix=".learn-", dir=home) as scratch:
         stage = Path(scratch)
         _write(stage / "report.json", report_text)
         _write(stage / "traces.jsonl", traces_jsonl(report))
-        names = ["report.json", "traces.jsonl"]
         arrays = [(report.snapshots[0][1], "array_initial.csv")]
         if config.snapshot_every > 0:
             arrays += [(matrix, f"snapshots/epoch_{epoch:04d}.csv") for epoch, matrix in report.snapshots]
@@ -93,19 +92,19 @@ def _cmd_learn(args) -> int:
             ]
             _write(stage / "snapshots" / "stats.jsonl", "".join(stats_lines))
             _write(stage / "histograms.csv", histograms_csv(distribution_history(report)))
-            names += ["snapshots/stats.jsonl", "histograms.csv"]
         # In epoch order, each array differs from the one before only where it
         # was programmed, and only those cells are formatted anew.
         arrays.append((report.final_resistance, "array_final.csv"))
         save_resistance_csv((matrix, stage / name) for matrix, name in arrays)
-        names += [name for _, name in arrays]
         # an earlier run's snapshot files go, so out holds what a fresh run would
         snapdir = out / "snapshots"
         for path in [*snapdir.glob("epoch_*.csv"), snapdir / "stats.jsonl", out / "histograms.csv"]:
             path.unlink(missing_ok=True)
-        for name in names:
-            (out / name).parent.mkdir(parents=True, exist_ok=True)
-            (stage / name).replace(out / name)
+        for src in sorted(stage.rglob("*")):
+            if src.is_file():
+                dst = out / src.relative_to(stage)
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                src.replace(dst)
     if report.epochs_to_recall is None:
         _say(args, f"recall not reached within {config.max_epochs} epochs")
     else:

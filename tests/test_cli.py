@@ -521,7 +521,7 @@ def test_learn_rerun_into_used_out_dir_leaves_what_a_fresh_dir_gets(tmp_path, sn
 
 def test_learn_failing_while_it_writes_leaves_out_dir_as_it_found_it(tmp_path, capsys, monkeypatch):
     parent = tmp_path / "runs"
-    used, fresh = parent / "used", parent / "fresh"
+    used, fresh = parent / "used", parent / "new" / "fresh"
     assert main(["learn", "--quiet", "--config", "paper10x10.json", "--out-dir", str(used)]) == EXIT_OK
     # the second run never recalls, so each of its files would differ from the first run's
     spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
@@ -542,4 +542,32 @@ def test_learn_failing_while_it_writes_leaves_out_dir_as_it_found_it(tmp_path, c
         assert err.startswith(f"simulation error: out of memory with config {slow_path}: ") and "Traceback" not in err
         assert output_tree(used) == before
         assert sorted(parent.iterdir()) == listing
-    assert not fresh.exists()
+    assert not fresh.parent.exists()
+
+
+def test_learn_into_existing_out_dir_writes_nothing_beside_it(tmp_path, monkeypatch):
+    # out is writable but its parent is not (a user's directory under a root-owned
+    # one), and a symlink elsewhere points at it
+    fresh, parent, link = tmp_path / "fresh", tmp_path / "srv", tmp_path / "link"
+    out = parent / "results"
+    out.mkdir(parents=True)
+    link.symlink_to(out, target_is_directory=True)
+    argv = ["learn", "--quiet", "--config", "paper10x10.json", "--out-dir"]
+    assert main([*argv, str(fresh)]) == EXIT_OK
+    beside = sorted(tmp_path.iterdir()) + [out]
+    listings = []
+
+    def look_beside_then_write(files):
+        listings.append(sorted(tmp_path.iterdir()) + sorted(parent.iterdir()))
+        save_resistance_csv(files)
+
+    monkeypatch.setattr("pcmxbar.cli.save_resistance_csv", look_beside_then_write)
+    parent.chmod(0o555)  # binds a user who is not root; the listings check every user
+    try:
+        for out_dir in (out, link):
+            assert main([*argv, str(out_dir)]) == EXIT_OK
+    finally:
+        parent.chmod(0o755)
+    assert listings == [beside, beside]
+    assert link.is_symlink()
+    assert output_tree(out) == output_tree(fresh)
