@@ -229,7 +229,7 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
     A row is the reprs of its values joined by commas with a CRLF line end
     (what csv.writer writes for them). A cell is formatted only where its
     float64 bits differ from the same cell of the matrix written just
-    before; elsewhere its text is reused, so an equal matrix costs no repr.
+    before; elsewhere its text is reused, so an equal matrix formats no cell.
     """
     bits = cells = None
     for matrix, path in files:
@@ -237,14 +237,129 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
         if cells is None or cells.shape != values.shape:
             # a float64 repr is at most 24 characters: sign, 17 digits, point, e-308
             cells = np.empty(values.shape, dtype="S24")
-            changed = np.ones(values.shape, dtype=bool)
+            changed = np.arange(values.size)
         else:
-            changed = values.view(np.uint64) != bits
+            changed = np.flatnonzero(values.view(np.uint64) != bits)
         bits = values.view(np.uint64)
+        flat_values, flat_cells = values.reshape(-1), cells.reshape(-1)
+        for start in range(0, changed.size, _CHUNK):
+            at = changed[start : start + _CHUNK]
+            _write_reprs(flat_cells, at, flat_values[at])
         with open(path, "wb") as fh:
-            for row, row_values, row_changed in zip(cells, values, changed):
-                row[row_changed] = list(map(repr, row_values[row_changed].tolist()))
+            for row in cells:
                 fh.write(b",".join(row.tolist()) + b"\r\n")
+
+
+# Cells formatted per call: few enough that no temporary grows with the
+# matrix, enough that numpy's per-call overhead stays small.
+_CHUNK = 4096
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _write_reprs(cells: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
+    """Set cells[at] to repr(v).encode() of each v in values.
+
+    Values 1 <= v < 2**53 are formatted here; repr writes the others, and the
+    exact midpoints, which it breaks by its own rule.
+    """
+    bits = values.view(np.int64)
+    fast = (bits >= 0x3FF0000000000000) & (bits < 0x4340000000000000)  # 1.0 <= v < 2.0**53
+    integer, digits, frac, j, tied = _shortest_decimals(bits[fast])
+    cells[at[fast]] = _point_texts(integer, digits, frac, j)
+    rest = np.concatenate([np.flatnonzero(~fast), np.flatnonzero(fast)[tied]])
+    cells[at[rest]] = list(map(repr, values[rest].tolist()))
+
+
+def _shortest_decimals(bits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The shortest decimal that reads back as each float64 1 <= v < 2**53, the nearest among those.
+
+    Takes the values' bits as int64. Returns the integer part, its digit
+    count, the fraction digits frac, their count j, and the indices of exact
+    midpoints, where two decimals qualify. It is exact in int64; Ryu (Adams,
+    PLDI 2018) solves the general case. Write v = integer + rem / 2**s with
+    s = 52 - exponent. At j fraction digits the nearest decimal is
+    frac / 10**j, frac = rem * 10**j // 2**s, or the one above when the rest
+    rem_j = rem * 10**j % 2**s is over half of 2**s. It reads back as v when
+    twice its distance, in units of 2**-s * 10**-j, is at most 10**j. How a
+    reader rounds a decimal exactly half an ulp away never matters: such a
+    decimal has s + 1 fraction digits, and v itself has s at most. The test
+    is monotone in j and passes at 17 significant digits, so a cell moves to
+    17 (three digits a step: rem < 2**52 keeps each product below 2**62),
+    then down one digit at a time while the test still passes. Integers take
+    j = 0 at once.
+    """
+    biased = bits >> 52
+    s = 1075 - biased
+    mantissa = (bits & (2**52 - 1)) | 2**52
+    full = 1 << s
+    mask = full - 1
+    integer, rem = mantissa >> s, mantissa & mask
+    log10 = ((biased - 1022) * 1233) >> 12  # digits of integer, or one fewer
+    digits = log10 + (integer >= _POW10.take(log10))
+    j = np.where(rem == 0, 0, 17 - digits)
+    frac = np.zeros_like(rem)
+    left = j
+    while left.any():
+        step = np.minimum(left, 3)
+        scale = _POW10.take(step)
+        rem = rem * scale
+        frac = frac * scale + (rem >> s)
+        rem &= mask
+        left = left - step
+    limit = _POW10.take(j)
+    down = np.flatnonzero(j > 0)
+    while down.size:
+        # one digit fewer: frac // 10, and the dropped digit goes back into rem
+        fewer = frac[down] // 10
+        fewer_rem = ((frac[down] - fewer * 10) << s[down] | rem[down]) // 10
+        fewer_limit = limit[down] // 10
+        twice = fewer_rem << 1
+        passes = (twice <= fewer_limit) | (twice >= 2 * full[down] - fewer_limit)
+        down = down[passes]
+        frac[down], rem[down], limit[down] = fewer[passes], fewer_rem[passes], fewer_limit[passes]
+        j[down] -= 1
+    frac += 2 * rem > full
+    return integer, digits, frac, j, np.flatnonzero(2 * rem == full)
+
+
+def _point_texts(integer, digits, frac, j) -> np.ndarray:
+    """The texts integer.frac as an S24 array, with "0" for j = 0 fraction digits.
+
+    Each cell gets a 40-byte row: 16 integer digits, the point, 16 fraction
+    digits (j <= 16, as integer has one at least) and NULs. The fraction
+    digits past j are NULs too, so a text is the S24 window that starts at
+    the cell's first integer digit.
+    """
+    parts = np.stack([integer, frac * _POW10.take(16 - j)]).view(np.uint64)  # fraction left-aligned
+    high = parts // np.uint64(10**8)
+    int_high, frac_high, int_low, frac_low = _ascii8(np.concatenate([high, parts - high * 10**8]))
+    bits_kept = np.maximum(j, 1) * 8
+    frac_high &= ~np.uint64(0) >> np.maximum(64 - bits_kept, 0).view(np.uint64)
+    frac_low &= ~np.uint64(0) >> np.minimum(128 - bits_kept, 64).view(np.uint64)
+    rows = np.empty((len(j), 5), dtype="<u8")
+    rows[:, 0], rows[:, 1], rows[:, 4] = int_high, int_low, frac_low >> np.uint64(56)
+    rows[:, 2] = frac_high << np.uint64(8) | np.uint64(ord("."))
+    rows[:, 3] = frac_high >> np.uint64(56) | frac_low << np.uint64(8)
+    row_bytes = rows.view(np.uint8).reshape(-1)
+    starts = max(row_bytes.size - 23, 0)  # every byte a window of 24 can start at
+    windows = np.ndarray((starts,), dtype="S24", buffer=row_bytes, strides=(1,))
+    return windows[np.arange(16, row_bytes.size, 40) - digits]
+
+
+def _ascii8(x: np.ndarray) -> np.ndarray:
+    """The 8 ASCII digits of each x < 10**8 in a uint64, first digit in the lowest byte.
+
+    Splits x into two 4-digit lanes, each lane into two 2-digit lanes and
+    those into digits, dividing by 100 and 10 as a multiply and a shift that
+    are exact at these sizes.
+    """
+    hi = x // np.uint64(10**4)
+    x = (x - hi * 10**4) << np.uint64(32) | hi
+    hi = x * np.uint64(5243) >> np.uint64(19) & np.uint64(0x0000007F0000007F)
+    x = (x - hi * 100) << np.uint64(16) | hi
+    hi = x * np.uint64(103) >> np.uint64(10) & np.uint64(0x000F000F000F000F)
+    x = (x - hi * 10) << np.uint64(8) | hi
+    return x | np.uint64(0x3030303030303030)
 
 
 def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray:

@@ -22,7 +22,11 @@ same bits, or raise the same error with the same message.
 
 save_resistance_csv writes a series of matrices and formats a cell only
 where its bits changed since the matrix before. The reference formats every
-cell of one matrix; each file of a series must equal it byte for byte.
+cell of one matrix; each file of a series must equal it byte for byte. The
+changed cells are formatted in chunks by pcmxbar's own shortest-digit
+writer, which hands the values outside [1, 2**53) to repr; CPython's repr is
+its reference, byte for byte, on any float64 bits, on fixed hard cases and
+across chunk boundaries.
 
 variation_sweep computes only each run's epochs and energy; learn_and_recall,
 which builds the full report, is its reference, run for run and bit for bit.
@@ -63,6 +67,7 @@ from pcmxbar.crossbar import (
     read_bitlines,
     save_resistance_csv,
 )
+from pcmxbar.crossbar import _CHUNK, _write_reprs
 from pcmxbar.device import apply_set_pulse, pulse_energy
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
 from pcmxbar.experiments import SweepRow, _sweep_run, scheme_for_cv, weight_contrast
@@ -485,6 +490,66 @@ def test_series_writer_tells_signed_zeros_apart(series_dir, before, after):
     assert paths[1].read_bytes().split(b"\r\n")[1].endswith(b"," + repr(after).encode())
 
 
+def formatted(values) -> list[bytes]:
+    """The writer's text of each value: the chunk formatter alone, without a file."""
+    values = np.array(values, dtype=np.float64)
+    cells = np.empty(values.size, dtype="S24")
+    _write_reprs(cells, np.arange(values.size), values)
+    return cells.tolist()
+
+
+def reprs(values) -> list[bytes]:
+    return [repr(v).encode() for v in np.array(values, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_formatter_gives_repr_of_any_float64_bits(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert formatted(values) == reprs(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(1.0, 2.0**53, exclude_max=True), min_size=1, max_size=64))
+def test_formatter_gives_repr_of_floats_it_formats_itself(values):
+    assert formatted(values) == reprs(values)
+
+
+POWERS = [2.0**k for k in range(-1074, 1024)] + [10.0**k for k in range(-323, 309)]
+FORMATTER_CELLS = (
+    *POWERS,
+    *(math.nextafter(p, math.inf) for p in POWERS),
+    *(math.nextafter(p, 0.0) for p in POWERS),
+    2.0**53 - 1, 2.0**53, 2.0**52 + 1, 10000.0, 1.0e7, 22000.0, 123456789.0, 1e16, 1e-05,  # integers and the edges
+    *(k + 0.5 for k in (0, 1, 9, 10, 99, 12345, 2**40, 2**52 - 1)),  # halves
+    *(k / 1000 for k in (1001, 1234, 9999, 10001, 22000123, 1234567891)),  # 3-decimal values
+    # exact midpoints: one fraction digit reads back, and two lie equally near
+    2.0**50 + 0.25, 2.0**50 + 0.75, 2.0**51 - 0.25,
+    *SPECIAL_CELLS, -1.5, -10000.0, 0.5, 0.1, 1.0 - 2.0**-53,  # repr's: signs, zeros, NaN, inf, subnormals, below 1
+)
+
+
+def test_formatter_gives_repr_of_hard_cases():
+    assert formatted(FORMATTER_CELLS) == reprs(FORMATTER_CELLS)
+
+
+def test_writer_formats_across_chunk_boundaries(series_dir):
+    rng = np.random.default_rng(7)
+    size = 3 * _CHUNK + 7
+    first = rng.integers(0x3FF0000000000000, 0x4340000000000000, size).view(np.float64)
+    # repr's values at every chunk edge and scattered between
+    edges = [i for chunk in range(1, 4) for i in (chunk * _CHUNK - 1, chunk * _CHUNK)]
+    scattered = rng.choice(size, 40, replace=False)
+    first[edges + list(scattered)] = rng.choice(np.array(SPECIAL_CELLS + (0.5, -3.0, 2.0**50 + 0.25)), 46)
+    second = first.copy()
+    changed = rng.random(size) < 0.6  # about 7,400 cells: a second series of chunks
+    second[changed] = rng.uniform(1e4, 1e7, changed.sum())
+    series = [first.reshape(5, size // 5), second.reshape(5, size // 5)]
+    paths = [series_dir / "first.csv", series_dir / "second.csv"]
+    save_resistance_csv(zip(series, paths))
+    assert_written_as_loop(series, paths, series_dir / "loop.csv")
+
+
 @pytest.mark.parametrize("epochs, kept", [(4, [0, 2, 4]), (3, [0, 2])], ids=["ends-on-snapshot", "ends-between"])
 def test_learn_writes_every_array_as_the_loop_formats_it(tmp_path, epochs, kept):
     spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
@@ -506,6 +571,34 @@ def test_learn_writes_every_array_as_the_loop_formats_it(tmp_path, epochs, kept)
     assert sorted(p.name for p in (out / "snapshots").glob("*.csv")) == [f"epoch_{e:04d}.csv" for e in kept]
     expected = {out / "array_initial.csv": kept_arrays[0][1], out / "array_final.csv": report.final_resistance}
     expected.update((out / "snapshots" / f"epoch_{epoch:04d}.csv", matrix) for epoch, matrix in kept_arrays)
+    assert_written_as_loop(expected.values(), expected.keys(), tmp_path / "loop.csv")
+
+
+def test_learn_at_n72_writes_every_array_as_the_loop_formats_it(tmp_path):
+    n = 72
+    assert n * n > _CHUNK  # every array takes more than one chunk
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    first_half = [1] * (n // 2) + [0] * (n // 2)
+    spec.update(
+        n=n,
+        max_epochs=4,
+        snapshot_every=1,
+        init={"variant": "uniform_partial_reset", "cv": 0.6, "median": spec["device"]["r_reset_partial_median"]},
+        patterns=[first_half, [1 - bit for bit in first_half]],
+        recall_stimulus=[1] * 28 + [0] * (n - 28),
+        recall_target=first_half,
+    )
+    spec["device"]["sigma_c2c"] = 0.05
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["learn", "--config", str(config_path), "--out-dir", str(out), "--quiet"]) == EXIT_OK
+
+    report = learn_and_recall(load_config(config_path))
+    kept = [epoch for epoch, _ in report.snapshots]
+    assert sorted(p.name for p in (out / "snapshots").glob("*.csv")) == [f"epoch_{e:04d}.csv" for e in kept]
+    expected = {out / "array_initial.csv": report.snapshots[0][1], out / "array_final.csv": report.final_resistance}
+    expected.update((out / "snapshots" / f"epoch_{epoch:04d}.csv", matrix) for epoch, matrix in report.snapshots)
     assert_written_as_loop(expected.values(), expected.keys(), tmp_path / "loop.csv")
 
 
