@@ -8,8 +8,11 @@ with every gated wordline.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import os
+import shutil
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -229,18 +232,25 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
     A row is the reprs of its values joined by commas with a CRLF line end
     (what csv.writer writes for them). A cell is formatted only where its
     float64 bits differ from the same cell of the matrix written just
-    before; elsewhere its text is reused, so an equal matrix formats no cell.
+    before; elsewhere its text is reused. A matrix equal to that one is a
+    copy of the file just written.
     """
-    bits = cells = None
+    bits = cells = last = None
     for matrix, path in files:
-        values = np.array(matrix, dtype=np.float64)  # a copy: the reference for the next matrix
+        values = np.asarray(matrix, dtype=np.float64)
         if cells is None or cells.shape != values.shape:
             # a float64 repr is at most 24 characters: sign, 17 digits, point, e-308
             cells = np.empty(values.shape, dtype="S24")
             changed = np.arange(values.size)
+            last = None
         else:
             changed = np.flatnonzero(values.view(np.uint64) != bits)
-        bits = values.view(np.uint64)
+        if last is not None and changed.size == 0:
+            with contextlib.suppress(shutil.SameFileError):  # that file holds these bytes already
+                shutil.copyfile(last, path)
+            continue
+        bits = values.view(np.uint64).copy()  # the reference for the next matrix
+        last = path
         flat_values, flat_cells = values.reshape(-1), cells.reshape(-1)
         for start in range(0, changed.size, _CHUNK):
             at = changed[start : start + _CHUNK]
@@ -367,11 +377,14 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
 
     Rejects a file that is not UTF-8 text holding a square matrix of at
     least 2 x 2 numbers in [r_min, r_max]; every error names the file.
-    numpy's C reader parses a well-formed file; the csv loop parses the rest,
-    so every file loads, or fails, as the csv loop alone would have it. The
-    rows are checked here, once, whichever of the two read them.
+    pcmxbar's exact reader reads the writer's own format, numpy's C reader
+    other well-formed files, and the csv loop the rest, so every file loads,
+    or fails, as the csv loop alone would have it. The rows are checked here,
+    once, whichever of the three read them.
     """
-    rows = _parse_with_numpy(path)
+    rows = _parse_own_format(path)
+    if rows is None:
+        rows = _parse_with_numpy(path)
     if rows is None:
         # reads what only csv and float() take (quoted cells, underscores,
         # non-ASCII digits), or raises the parse error naming the line
@@ -391,6 +404,102 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
             f"outside [r_min, r_max] = [{params.r_min!r}, {params.r_max!r}]"
         )
     return CrossbarArray(resistance, params)
+
+
+# Bytes read per block, plus the rest of the line the block ends in.
+_BLOCK = 65536
+
+
+def _parse_own_format(path: str | Path) -> np.ndarray | None:
+    """The matrix in path if it is exactly in the writer's format, else None.
+
+    That format is rows of fields [0-9]+ "." [0-9]+ joined by commas, each
+    row ending in CRLF, every row of one width. A file that breaks it, or
+    has more rows than columns, is declined whole. The file is read in
+    blocks of whole lines, each checked and converted in whole-array steps.
+    A field with integer part I < 10**8 and k <= 16 fraction digits F < 2**53
+    is c = I + F / 10**k: the quotient is rounded once, by at most 2**-54,
+    and Fast2Sum gives the addition's error e exactly, so c is float()'s
+    value when |e| is below half the smaller gap beside c less 2**-54
+    (after Clinger, PLDI 1990). Other fields go to float().
+    """
+    out = None
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        while block := fh.read(_BLOCK) + fh.readline():
+            parsed = _parse_block(block)
+            if parsed is None:
+                return None
+            values, width = parsed
+            if out is None:
+                # a square file fills width**2 cells; a field takes 4 bytes at
+                # least (digit, point, digit, comma), so no file holds more than size // 4
+                out, filled, cols = np.empty(min(width * width, size // 4)), 0, width
+            if width != cols or filled + values.size > out.size:
+                return None
+            out[filled : filled + values.size] = values
+            filled += values.size
+    return None if out is None else out[:filled].reshape(-1, cols)
+
+
+def _parse_block(block: bytes) -> tuple[np.ndarray, int] | None:
+    """The values of a block of whole rows and the row width, or None if a byte breaks the format."""
+    text = np.frombuffer(b"0" * 16 + block, dtype=np.uint8)  # every window below starts inside
+    if text[-1] != ord("\n") or (text > ord("9")).any():
+        return None
+    at = np.flatnonzero(text < ord("0"))
+    marks = text[at]
+    lf = marks == ord("\n")
+    if not np.array_equal(at[marks == ord("\r")] + 1, at[lf]):
+        return None
+    at, marks = at[~lf], marks[~lf]
+    dots, ends, row_end = at[0::2], at[1::2], marks[1::2] == ord("\r")
+    if dots.size != ends.size or (marks[0::2] != ord(".")).any() or ((marks[1::2] != ord(",")) & ~row_end).any():
+        return None
+    starts = np.concatenate([[16], ends[:-1] + 1 + row_end[:-1]])
+    integer_digits, fraction_digits = dots - starts, ends - dots - 1
+    row_ends = np.flatnonzero(row_end)
+    width = row_ends[0] + 1
+    if (
+        min(integer_digits.min(), fraction_digits.min()) < 1
+        or (ends - starts).max() > csv.field_size_limit()  # csv rejects such a field
+        or (np.diff(row_ends) != width).any()
+    ):
+        return None
+    integer = _read_digits(_windows(text, 8)[dots - 8].view("<u8"), integer_digits)
+    # the last 16 bytes of each field: fraction digits 9-16 from its end, then 1-8
+    lanes = _read_digits(_windows(text, 16)[ends - 16].view("<u8").reshape(-1, 2), fraction_digits[:, None] - [8, 0])
+    fraction = lanes[:, 0] * np.uint64(10**8) + lanes[:, 1]
+    quotient = fraction / _POW10.take(fraction_digits, mode="clip")  # as float64: both exact below 2**53
+    values = integer + quotient
+    error = quotient - (values - integer)
+    below = (values.view(np.int64) - 1).view(np.float64)  # the float below, for values > 0
+    bound = (values - below) / 2 - 2.0**-54
+    exact = (np.abs(error) < bound) & (integer_digits <= 8) & (fraction_digits <= 16) & (fraction < 2**53)
+    for i in np.flatnonzero(~exact).tolist():
+        values[i] = float(block[starts[i] - 16 : ends[i] - 16])
+    return values, int(width)
+
+
+def _windows(text: np.ndarray, size: int) -> np.ndarray:
+    """Every size-byte window of text, one starting at each byte, as a view."""
+    return np.ndarray((text.size - size + 1,), dtype=f"S{size}", buffer=text, strides=(1,))
+
+
+# _DIGIT_MASKS[keep] keeps the low 4 bits of the last keep bytes of a uint64.
+_DIGIT_MASKS = np.uint64(0x0F0F0F0F0F0F0F0F) << np.arange(64, -1, -8, dtype=np.uint64)
+
+
+def _read_digits(lanes: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The number the last keep (clipped to 0..8) ASCII digits of each uint64 lane spell.
+
+    The inverse of _ascii8: digit pairs, then 4-digit lanes, then the whole,
+    each a multiply and a shift (Lemire's eight-digit parse).
+    """
+    x = lanes & _DIGIT_MASKS.take(keep, mode="clip")
+    x = (x * np.uint64(10 << 8 | 1)) >> np.uint64(8)
+    x = ((x & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 << 16 | 1)) >> np.uint64(16)
+    return ((x & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 << 32 | 1)) >> np.uint64(32)
 
 
 # Characters numpy's reader strips around a number as spaces but float() rejects.

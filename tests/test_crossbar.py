@@ -452,6 +452,41 @@ def test_load_parses_a_written_array_without_the_csv_loop(quiet_device, tmp_path
     assert loaded.resistance.flags.c_contiguous and loaded.resistance.flags.writeable
 
 
+def test_load_reads_a_written_array_with_its_own_reader_alone(quiet_device, tmp_path, monkeypatch):
+    def no_other_parser(path):
+        raise AssertionError("a generic parser ran on a file in the writer's own format")
+
+    monkeypatch.setattr(crossbar, "_parse_with_numpy", no_other_parser)
+    monkeypatch.setattr(crossbar, "_parse_with_csv", no_other_parser)
+    resistance = make_rng(6).uniform(1e4, 1e7, size=(300, 300))
+    resistance[0, :3] = [1e4, 1e7, 12345.0]  # r_min, r_max and an integer
+    path = tmp_path / "array.csv"
+    save_resistance_csv([(resistance, path)])
+    assert path.stat().st_size > 4 * crossbar._BLOCK  # several blocks
+    loaded = load_resistance_csv(path, quiet_device)
+    assert loaded.resistance.tobytes() == resistance.tobytes()
+    assert loaded.resistance.flags.c_contiguous and loaded.resistance.flags.writeable
+
+
+@pytest.mark.parametrize("same_path", [False, True], ids=["two-paths", "one-path-twice"])
+def test_save_copies_the_file_of_an_equal_matrix(tmp_path, monkeypatch, same_path):
+    copies, formatted = [], []
+    copyfile, write_reprs = crossbar.shutil.copyfile, crossbar._write_reprs
+    monkeypatch.setattr(crossbar.shutil, "copyfile", lambda src, dst: copies.append(dst) or copyfile(src, dst))
+    monkeypatch.setattr(
+        crossbar, "_write_reprs", lambda cells, at, values: formatted.append(at.size) or write_reprs(cells, at, values)
+    )
+    resistance = make_rng(7).uniform(1e4, 1e7, size=(40, 40))
+    first = tmp_path / "first.csv"
+    second = first if same_path else tmp_path / "second.csv"
+    save_resistance_csv([(resistance, first), (resistance.copy(), second)])
+    assert copies == [second] and sum(formatted) == resistance.size  # the second file formats no cell
+    written = first.read_bytes()
+    assert second.read_bytes() == written
+    save_resistance_csv([(resistance, tmp_path / "alone.csv")])
+    assert written == (tmp_path / "alone.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "text, error, rule",
     [

@@ -16,9 +16,12 @@ and array_stats, whose median comes from np.partition, to np.mean, np.std,
 np.min, np.max and np.median. weight_contrast is held to a reference that
 builds its block mask from the sorted ON set.
 
-load_resistance_csv parses with numpy's C reader and falls back to a csv
-loop; the loop alone is the reference. For any text the two must load the
-same bits, or raise the same error with the same message.
+load_resistance_csv reads the writer's own format with pcmxbar's exact
+reader, other well-formed files with numpy's C reader, and falls back to a
+csv loop; the loop alone is the reference. For any text the two must load
+the same bits, or raise the same error with the same message. The exact
+reader is also held to float() of each field, bit for bit, on the texts it
+accepts; a text it declines is left whole to the others.
 
 save_resistance_csv writes a series of matrices and formats a cell only
 where its bits changed since the matrix before. The reference formats every
@@ -36,7 +39,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import replace
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal
 
 import numpy as np
 import pytest
@@ -67,7 +72,7 @@ from pcmxbar.crossbar import (
     read_bitlines,
     save_resistance_csv,
 )
-from pcmxbar.crossbar import _CHUNK, _write_reprs
+from pcmxbar.crossbar import _BLOCK, _CHUNK, _parse_own_format, _write_reprs
 from pcmxbar.device import apply_set_pulse, pulse_energy
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
 from pcmxbar.experiments import SweepRow, _sweep_run, scheme_for_cv, weight_contrast
@@ -430,6 +435,138 @@ def test_loader_rejects_what_the_csv_loop_rejects(csv_path, text):
     assert_loads_as_loop(csv_path, text)
     with pytest.raises(CorruptArrayFile, match="line 1"):
         load_resistance_csv(csv_path, DeviceParams())
+
+
+# ---------------------------------------------------------------- own-format reader
+
+
+def own_format(rows) -> str:
+    return "".join(",".join(row) + "\r\n" for row in rows)
+
+
+def read_own_format(path, text):
+    path.write_text(text, newline="")
+    return _parse_own_format(path)
+
+
+def assert_read_as_float(path, rows):
+    values = read_own_format(path, own_format(rows))
+    assert values is not None
+    assert values.tobytes() == np.array([[float(t) for t in row] for row in rows]).tobytes()
+
+
+def plain(decimal: Decimal) -> str:
+    text = format(decimal, "f")
+    return text if "." in text else text + ".0"
+
+
+def near_texts(value: float) -> list[str]:
+    """Decimals at and near value: trailing zeros, and the midpoint above, exact or cut or rounded to 17-20 digits."""
+    exact = Decimal(value)
+    midpoint = (exact + Decimal(math.nextafter(value, math.inf))) / 2
+    texts = [repr(value) + "0" * zeros for zeros in (1, 5)] + [plain(midpoint)]
+    for anchor in (exact, midpoint):
+        for digits in range(17, 21):
+            for rounding in (ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP):
+                texts.append(plain(Context(prec=digits, rounding=rounding).plus(anchor)))
+    return texts
+
+
+stored_values = st.floats(1.0, 1e7)
+
+
+@st.composite
+def square_reprs(draw) -> list[list[str]]:
+    n = draw(st.integers(1, 5))
+    return [[repr(v) for v in draw(st.lists(stored_values, min_size=n, max_size=n))] for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=square_reprs())
+def test_own_format_reader_gives_float_of_reprs(csv_path, rows):
+    assert_read_as_float(csv_path, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(stored_values, min_size=1, max_size=8))
+def test_own_format_reader_gives_float_or_declines_near_decimals(csv_path, values):
+    texts = [text for value in values for text in near_texts(value)]
+    read = read_own_format(csv_path, own_format([texts]))
+    assert read is None or read.tobytes() == np.array([[float(t) for t in texts]]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "10000.0",
+        "10000000.0",
+        "4503599627370496.5",  # a tie that rounds to even: float() reads it
+        "123456789.125",  # 9 integer digits
+        "1.0000000000000002",  # 16 fraction digits
+        "1.00000000000000011",  # 17 fraction digits
+        "262143.9999999999854481",  # 16 fraction digits, but >= 2**53 of them
+        "00012.5",
+        "0.0",
+        "0.5",
+    ],
+)
+def test_own_format_reader_gives_float_of_fixed_fields(csv_path, field):
+    assert_read_as_float(csv_path, [[field, "12345.678"], ["2.5", field]])
+
+
+def test_own_format_reader_reads_a_row_longer_than_a_block(csv_path):
+    row = [repr(v) for v in make_rng(8).uniform(1e4, 1e7, 4000).tolist()]
+    assert len(",".join(row)) > _BLOCK
+    assert_read_as_float(csv_path, [row, row[::-1]])
+
+
+@pytest.mark.parametrize(
+    "pair", [r"\d\d", "\r\n", r",\d", r"\n\d"], ids=["in-field", "in-crlf", "after-comma", "after-row"]
+)
+def test_own_format_reader_reads_across_a_block_cut(csv_path, pair):
+    rows = [[repr(v) for v in row] for row in make_rng(9).uniform(1e4, 1e7, (80, 80)).tolist()]
+    rows[0][0] = "12.5"
+    text = own_format(rows)
+    cut = _BLOCK - 1  # the last byte of the first block
+    while not re.fullmatch(pair, text[cut : cut + 2]):
+        cut -= 1
+    rows[0][0] += "0" * (_BLOCK - 1 - cut)  # moves that pair onto the block's edge
+    assert re.fullmatch(pair, own_format(rows)[_BLOCK - 1 : _BLOCK + 1])
+    assert_read_as_float(csv_path, rows)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "12.5,13.5\r\n14.5,15.5",  # no final CRLF
+        "12.5,13.5\n14.5,15.5\n",
+        "12.5,13.5\r14.5,15.5\r\n",
+        "12.5,13.5\r\n\r\n14.5,15.5\r\n",
+        "\r\n12.5,13.5\r\n14.5,15.5\r\n",
+        "+12.5,13.5\r\n14.5,15.5\r\n",
+        "12.5, 13.5\r\n14.5,15.5\r\n",
+        "1e6,13.5\r\n14.5,15.5\r\n",
+        "\ufeff12.5,13.5\r\n14.5,15.5\r\n",
+        "12.5,13.5\r\n14.5\r\n",
+        "12.5\r\n14.5,15.5\r\n",
+        "12.5,,13.5\r\n14.5,15.5\r\n",
+        "12,13.5\r\n14.5,15.5\r\n",
+        "12.,13.5\r\n14.5,15.5\r\n",
+        ".5,13.5\r\n14.5,15.5\r\n",
+        "12.5.5,13.5\r\n14.5,15.5\r\n",
+        "-12.5,13.5\r\n14.5,15.5\r\n",
+        "",
+        "1." + "0" * (csv.field_size_limit() + 1) + ",13.5\r\n14.5,15.5\r\n",  # csv rejects the field
+        "12.5,13.5\r\n14.5,15.5\r\n16.5,17.5\r\n",  # more rows than columns
+        ("12.5," * 299 + "12.5\r\n") * 299 + "12.5," * 299 + "1e6\r\n",  # the last of 7 blocks breaks the format
+    ],
+    ids=["no-final-crlf", "lf-only", "bare-cr", "blank-line", "leading-blank-line", "plus", "space", "exponent", "bom",
+         "ragged-short", "ragged-first", "empty-field", "no-point", "no-fraction", "no-integer", "two-points", "minus",
+         "empty-file", "field-over-csv-limit", "more-rows", "bad-last-block"],
+)
+def test_own_format_reader_declines_other_texts(csv_path, text):
+    assert read_own_format(csv_path, text) is None
+    assert_loads_as_loop(csv_path, text)
 
 
 # ---------------------------------------------------------------- CSV writer
