@@ -13,8 +13,7 @@ import csv
 import enum
 import os
 import shutil
-import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -377,17 +376,13 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
 
     Rejects a file that is not UTF-8 text holding a square matrix of at
     least 2 x 2 numbers in [r_min, r_max]; every error names the file.
-    pcmxbar's exact reader reads the writer's own format, numpy's C reader
-    other well-formed files, and the csv loop the rest, so every file loads,
-    or fails, as the csv loop alone would have it. The rows are checked here,
-    once, whichever of the three read them.
+    pcmxbar's exact reader reads the writer's own format and the csv loop
+    every other file, so every file loads, or fails, as the csv loop alone
+    would have it. The rows are checked here, once, whichever of the two
+    read them.
     """
     rows = _parse_own_format(path)
     if rows is None:
-        rows = _parse_with_numpy(path)
-    if rows is None:
-        # reads what only csv and float() take (quoted cells, underscores,
-        # non-ASCII digits), or raises the parse error naming the line
         rows = _parse_with_csv(path)
     n = len(rows)
     if n < 2:
@@ -502,43 +497,18 @@ def _read_digits(lanes: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return ((x & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 << 32 | 1)) >> np.uint64(32)
 
 
-# Characters numpy's reader strips around a number as spaces but float() rejects.
-_NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+def _parse_with_csv(path: str | Path) -> list[np.ndarray]:
+    """Rows the csv module and float() parse from path; raises where a line is no numbers.
 
-
-def _lines_read_alike(fh: Iterable[str]) -> Iterator[str]:
-    """Yield the lines, raising ValueError at one the csv loop may read differently.
-
-    Such a line holds a character of _NUMPY_ONLY_SPACES, or is longer than
-    the csv module's field size limit, past which csv raises and numpy reads on.
+    Each row is a float64 array: 8 bytes a cell, and numpy's message if memory runs out.
     """
-    limit = csv.field_size_limit()
-    for line in fh:
-        if len(line) > limit or any(c in line for c in _NUMPY_ONLY_SPACES):
-            raise ValueError("line left to the csv loop")
-        yield line
-
-
-def _parse_with_numpy(path: str | Path) -> np.ndarray | None:
-    """Matrix numpy's C reader parses from path, or None where it declines the file."""
-    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-        # an empty file only warns, and comes back as a (0, 1) matrix
-        warnings.simplefilter("ignore")
-        try:
-            return np.loadtxt(_lines_read_alike(fh), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:  # UnicodeDecodeError included: the csv loop reports it
-            return None
-
-
-def _parse_with_csv(path: str | Path) -> list[list[float]]:
-    """Rows the csv module and float() parse from path; raises where a line is no numbers."""
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             for record in reader:
                 if record:
-                    rows.append([float(v) for v in record])
+                    rows.append(np.fromiter(map(float, record), np.float64, len(record)))
         except UnicodeDecodeError as exc:
             # text decodes in chunks, so the reader's line count does not locate the byte
             raise CorruptArrayFile(f"{path} is not UTF-8 text: {exc}") from exc

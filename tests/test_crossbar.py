@@ -439,25 +439,11 @@ def test_load_rejects_short_file_without_warning(quiet_device, tmp_path, text, g
             load_resistance_csv(path, quiet_device)
 
 
-def test_load_parses_a_written_array_without_the_csv_loop(quiet_device, tmp_path, monkeypatch):
-    def no_csv_loop(path, params):
-        raise AssertionError("the csv loop ran on a well-formed file")
+def test_load_reads_a_written_array_with_its_own_reader_alone(quiet_device, tmp_path, monkeypatch):
+    def no_csv_loop(path):
+        raise AssertionError("the csv loop ran on a file in the writer's own format")
 
     monkeypatch.setattr(crossbar, "_parse_with_csv", no_csv_loop)
-    resistance = make_rng(5).uniform(1e4, 1e7, size=(64, 64))
-    path = tmp_path / "array.csv"
-    save_resistance_csv([(resistance, path)])
-    loaded = load_resistance_csv(path, quiet_device)
-    assert loaded.resistance.tobytes() == resistance.tobytes()
-    assert loaded.resistance.flags.c_contiguous and loaded.resistance.flags.writeable
-
-
-def test_load_reads_a_written_array_with_its_own_reader_alone(quiet_device, tmp_path, monkeypatch):
-    def no_other_parser(path):
-        raise AssertionError("a generic parser ran on a file in the writer's own format")
-
-    monkeypatch.setattr(crossbar, "_parse_with_numpy", no_other_parser)
-    monkeypatch.setattr(crossbar, "_parse_with_csv", no_other_parser)
     resistance = make_rng(6).uniform(1e4, 1e7, size=(300, 300))
     resistance[0, :3] = [1e4, 1e7, 12345.0]  # r_min, r_max and an integer
     path = tmp_path / "array.csv"
@@ -466,6 +452,19 @@ def test_load_reads_a_written_array_with_its_own_reader_alone(quiet_device, tmp_
     loaded = load_resistance_csv(path, quiet_device)
     assert loaded.resistance.tobytes() == resistance.tobytes()
     assert loaded.resistance.flags.c_contiguous and loaded.resistance.flags.writeable
+
+
+def test_load_converts_a_written_array_without_float(quiet_device, tmp_path, monkeypatch):
+    # the own reader's whole-array steps convert every cell of this array
+    # exactly; a cell handed to float() means its fast path was missed
+    texts = []
+    monkeypatch.setattr(crossbar, "float", lambda text: texts.append(text) or float(text), raising=False)
+    resistance = make_rng(0).uniform(1e4, 1e7, size=(256, 256))
+    path = tmp_path / "array.csv"
+    save_resistance_csv([(resistance, path)])
+    loaded = load_resistance_csv(path, quiet_device)
+    assert loaded.resistance.tobytes() == resistance.tobytes()
+    assert texts == []
 
 
 @pytest.mark.parametrize("same_path", [False, True], ids=["two-paths", "one-path-twice"])
@@ -491,23 +490,27 @@ def test_save_copies_the_file_of_an_equal_matrix(tmp_path, monkeypatch, same_pat
     "text, error, rule",
     [
         (
-            "1e6,1e6\n1e6,1e2\n",
+            "1000000.0,1000000.0\r\n1000000.0,100.0\r\n",
             CorruptArrayFile,
             "cell (bitline 1, wordline 1) holds 100.0 ohm, outside [r_min, r_max] = [10000.0, 10000000.0]",
         ),
-        ("1e6,1e6\n1e6,1e6\n1e6,1e6\n", DimensionMismatch, "resistance CSV is not square"),
-        ("1e6,1e6\n", InvalidDimension, "array dimension must be >= 2, got 1"),
+        (
+            "1000000.0,1000000.0,1000000.0\r\n1000000.0,1000000.0,1000000.0\r\n",
+            DimensionMismatch,
+            "resistance CSV is not square",
+        ),
+        ("1000000.0,1000000.0\r\n", InvalidDimension, "array dimension must be >= 2, got 1"),
     ],
-    ids=["cell-below-r_min", "three-by-two", "one-row"],
+    ids=["cell-below-r_min", "two-by-three", "one-row"],
 )
 def test_load_judges_a_well_formed_file_without_the_csv_loop(quiet_device, tmp_path, monkeypatch, text, error, rule):
-    # numpy's reader parses these files; the rules alone reject them
+    # in the writer's own format: its exact reader parses them, the rules alone reject them
     def no_csv_loop(path):
         raise AssertionError("the csv loop ran on a well-formed file")
 
     monkeypatch.setattr(crossbar, "_parse_with_csv", no_csv_loop)
     path = tmp_path / "rule.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     with pytest.raises(error) as excinfo:
         load_resistance_csv(path, quiet_device)
     assert str(excinfo.value) == f"{path}: {rule}"

@@ -17,11 +17,11 @@ np.min, np.max and np.median. weight_contrast is held to a reference that
 builds its block mask from the sorted ON set.
 
 load_resistance_csv reads the writer's own format with pcmxbar's exact
-reader, other well-formed files with numpy's C reader, and falls back to a
-csv loop; the loop alone is the reference. For any text the two must load
-the same bits, or raise the same error with the same message. The exact
-reader is also held to float() of each field, bit for bit, on the texts it
-accepts; a text it declines is left whole to the others.
+reader and every other file with a csv loop; that loop alone, written here,
+is the reference. For any text the two must load the same bits, or raise
+the same error with the same message. The exact reader is also held to
+float() of each field, bit for bit, on the texts it accepts; a text it
+declines is left whole to the csv loop.
 
 save_resistance_csv writes a series of matrices and formats a cell only
 where its bits changed since the matrix before. The reference formats every
@@ -346,8 +346,9 @@ CSV_TOKENS = (
     *"0123456789", ".", "e", "+", "-", ",", " ", "\t", "\r", "\n", '"', "_", "#", "nan", "inf", "\uff15"
 )
 
-# Cells as the writer spells them, and forms of a cell that numpy's reader
-# declines, that only the csv loop reads, or that neither reads.
+# Cells as the writer spells them or as other writers may (exponents,
+# integers), and forms of a cell that only csv and float() read (quotes,
+# underscores, padding, non-ASCII digits) or that the csv loop rejects.
 plain_cells = st.one_of(st.floats(min_value=1.0e-3, max_value=1.0e12).map(repr), st.integers(0, 10**6).map(str))
 odd_cells = st.one_of(
     st.sampled_from(['"2.5e4"', "1_0000.0", " 7e5\t", "\uff15e5", "", "nan", "-3", "\x1c4e4"]),
@@ -422,10 +423,10 @@ def test_loader_keeps_what_only_the_csv_loop_reads(csv_path, text, expected):
 @pytest.mark.parametrize(
     "text",
     [
-        # numpy's reader strips \x1c-\x1f around a number, float() does not
+        # \x1c-\x1f are spaces to str.isspace() but not to float(), so the csv loop rejects them
         "2e4\x1c,3e4\n4e4,5e4\n",
         "\x1f2e4,3e4\n4e4,5e4\n",
-        # csv rejects a field longer than its size limit, numpy reads on
+        # csv rejects a field longer than its size limit, though float() reads the number in it
         "0" * (csv.field_size_limit() + 1) + "2e4,3e4\n4e4,5e4\n",
         " " * (csv.field_size_limit() + 1) + "2e4,3e4\n4e4,5e4\n",
     ],
