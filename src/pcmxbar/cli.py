@@ -27,10 +27,10 @@ from .configio import (
     sweep_rows_csv,
     traces_jsonl,
 )
-from .crossbar import array_stats, load_resistance_csv, save_resistance_csv
+from .crossbar import ArrayStats, array_stats, load_resistance_csv, save_resistance_csv
 from .device import apply_set_pulse
 from .errors import ConfigParseError, DimensionMismatch, SimulationError
-from .experiments import distribution_history, learn_and_recall, variation_sweep
+from .experiments import RunReport, distribution_history, learn_and_recall, variation_sweep
 from .network import compute_thresholds, recall_probe, recall_success
 
 EXIT_OK = 0
@@ -68,6 +68,15 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _snapshot_stats(report: RunReport, epoch: int, matrix: np.ndarray) -> ArrayStats:
+    """Stats of one kept array; the report holds those of the initial array and of the final one."""
+    if epoch == 0:
+        return report.initial_stats
+    if matrix is report.final_resistance:
+        return report.final_stats
+    return array_stats(matrix)
+
+
 def _cmd_learn(args) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     report = learn_and_recall(config)
@@ -87,7 +96,7 @@ def _cmd_learn(args) -> int:
         if config.snapshot_every > 0:
             arrays += [(matrix, f"snapshots/epoch_{epoch:04d}.csv") for epoch, matrix in report.snapshots]
             stats_lines = [
-                json_text("stats.jsonl", {"epoch": epoch, **stats_to_dict(array_stats(matrix))})
+                json_text("stats.jsonl", {"epoch": epoch, **stats_to_dict(_snapshot_stats(report, epoch, matrix))})
                 for epoch, matrix in report.snapshots
             ]
             _write(stage / "snapshots" / "stats.jsonl", "".join(stats_lines))

@@ -232,14 +232,15 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
     (what csv.writer writes for them). A cell is formatted only where its
     float64 bits differ from the same cell of the matrix written just
     before; elsewhere its text is reused. A matrix equal to that one is a
-    copy of the file just written.
+    copy of the file just written. The texts live in a byte grid laid out
+    as the file (_file_grid), written a block of rows at a time without its
+    NUL padding.
     """
-    bits = cells = last = None
+    bits = grid = cells = last = None
     for matrix, path in files:
         values = np.asarray(matrix, dtype=np.float64)
         if cells is None or cells.shape != values.shape:
-            # a float64 repr is at most 24 characters: sign, 17 digits, point, e-308
-            cells = np.empty(values.shape, dtype="S24")
+            grid, cells = _file_grid(*values.shape)
             changed = np.arange(values.size)
             last = None
         else:
@@ -250,23 +251,43 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
             continue
         bits = values.view(np.uint64).copy()  # the reference for the next matrix
         last = path
-        flat_values, flat_cells = values.reshape(-1), cells.reshape(-1)
+        flat_values = values.reshape(-1)
         for start in range(0, changed.size, _CHUNK):
             at = changed[start : start + _CHUNK]
-            _write_reprs(flat_cells, at, flat_values[at])
+            _write_reprs(cells, at, flat_values[at])
+        rows = max(_WRITE_BYTES // grid.shape[1], 1)
         with open(path, "wb") as fh:
-            for row in cells:
-                fh.write(b",".join(row.tolist()) + b"\r\n")
+            for start in range(0, len(grid), rows):
+                block = grid[start : start + rows]
+                fh.write(block[block != 0])
 
 
 # Cells formatted per call: few enough that no temporary grows with the
 # matrix, enough that numpy's per-call overhead stays small.
 _CHUNK = 4096
+# Grid bytes compacted per write, in whole rows: as _CHUNK, a bound that
+# does not grow with the matrix.
+_WRITE_BYTES = 1 << 18
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
+def _file_grid(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """A uint8 grid laid out as a rows x cols file, and its text slots as an S24 view.
+
+    A grid row is each cell's 24-byte slot followed by a comma, a CR in
+    place of the last comma, then an LF; a row of no cells is CR LF alone.
+    A float64 repr is at most 24 characters (sign, 17 digits, point,
+    e-308), so NULs pad each text, and the file is the grid without them.
+    """
+    width = 25 * cols + 1 if cols else 2
+    grid = np.zeros((rows, width), dtype=np.uint8)
+    grid[:, 24::25] = ord(",")
+    grid[:, -2:] = ord("\r"), ord("\n")
+    return grid, np.ndarray((rows, cols), dtype="S24", buffer=grid, strides=(width, 25))
+
+
 def _write_reprs(cells: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
-    """Set cells[at] to repr(v).encode() of each v in values.
+    """Set the cells at flat (row-major) indices at to repr(v).encode() of each v in values.
 
     Values 1 <= v < 2**53 are formatted here; repr writes the others, and the
     exact midpoints, which it breaks by its own rule.
@@ -274,9 +295,9 @@ def _write_reprs(cells: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
     bits = values.view(np.int64)
     fast = (bits >= 0x3FF0000000000000) & (bits < 0x4340000000000000)  # 1.0 <= v < 2.0**53
     integer, digits, frac, j, tied = _shortest_decimals(bits[fast])
-    cells[at[fast]] = _point_texts(integer, digits, frac, j)
+    cells[np.unravel_index(at[fast], cells.shape)] = _point_texts(integer, digits, frac, j)
     rest = np.concatenate([np.flatnonzero(~fast), np.flatnonzero(fast)[tied]])
-    cells[at[rest]] = list(map(repr, values[rest].tolist()))
+    cells[np.unravel_index(at[rest], cells.shape)] = list(map(repr, values[rest].tolist()))
 
 
 def _shortest_decimals(bits: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -293,9 +314,15 @@ def _shortest_decimals(bits: np.ndarray) -> tuple[np.ndarray, ...]:
     reader rounds a decimal exactly half an ulp away never matters: such a
     decimal has s + 1 fraction digits, and v itself has s at most. The test
     is monotone in j and passes at 17 significant digits, so a cell moves to
-    17 (three digits a step: rem < 2**52 keeps each product below 2**62),
-    then down one digit at a time while the test still passes. Integers take
-    j = 0 at once.
+    17, then down one digit at a time while the test still passes. Integers
+    take j = 0 at once.
+
+    The 17 digits come in closed form: the float64 product rem * (10**j /
+    2**s) < 10**16 is rounded once, by at most 1, so its integer part is
+    frac or one off. rem_j taken from it in wrapping int64 is exact, as the
+    true value lies within 2**s of [0, 2**s), and its high bits mend frac.
+    The first step down runs on the whole array; only the cells it
+    shortened walk on, by index.
     """
     biased = bits >> 52
     s = 1075 - biased
@@ -306,29 +333,37 @@ def _shortest_decimals(bits: np.ndarray) -> tuple[np.ndarray, ...]:
     log10 = ((biased - 1022) * 1233) >> 12  # digits of integer, or one fewer
     digits = log10 + (integer >= _POW10.take(log10))
     j = np.where(rem == 0, 0, 17 - digits)
-    frac = np.zeros_like(rem)
-    left = j
-    while left.any():
-        step = np.minimum(left, 3)
-        scale = _POW10.take(step)
-        rem = rem * scale
-        frac = frac * scale + (rem >> s)
-        rem &= mask
-        left = left - step
     limit = _POW10.take(j)
-    down = np.flatnonzero(j > 0)
+    frac = (rem * (limit / full)).astype(np.int64)
+    rem = rem * limit - (frac << s)
+    frac += rem >> s
+    rem &= mask
+    fewer, fewer_rem, fewer_limit, passes = _one_digit_fewer(frac, rem, limit, s, full)
+    passes &= j > 0
+    for array, shorter in ((frac, fewer), (rem, fewer_rem), (limit, fewer_limit)):
+        np.copyto(array, shorter, where=passes)
+    j -= passes
+    down = np.flatnonzero(passes)
     while down.size:
-        # one digit fewer: frac // 10, and the dropped digit goes back into rem
-        fewer = frac[down] // 10
-        fewer_rem = ((frac[down] - fewer * 10) << s[down] | rem[down]) // 10
-        fewer_limit = limit[down] // 10
-        twice = fewer_rem << 1
-        passes = (twice <= fewer_limit) | (twice >= 2 * full[down] - fewer_limit)
+        cut = _one_digit_fewer(frac[down], rem[down], limit[down], s[down], full[down])
+        fewer, fewer_rem, fewer_limit, passes = cut
         down = down[passes]
         frac[down], rem[down], limit[down] = fewer[passes], fewer_rem[passes], fewer_limit[passes]
         j[down] -= 1
     frac += 2 * rem > full
     return integer, digits, frac, j, np.flatnonzero(2 * rem == full)
+
+
+def _one_digit_fewer(frac, rem, limit, s, full) -> tuple[np.ndarray, ...]:
+    """frac, rem_j and 10**j at one fraction digit fewer, and whether that decimal still reads back.
+
+    frac // 10 drops the last digit, which goes back into the rest.
+    """
+    fewer = frac // 10
+    fewer_rem = ((frac - fewer * 10) << s | rem) // 10
+    fewer_limit = limit // 10
+    twice = fewer_rem << 1
+    return fewer, fewer_rem, fewer_limit, (twice <= fewer_limit) | (twice >= 2 * full - fewer_limit)
 
 
 def _point_texts(integer, digits, frac, j) -> np.ndarray:
@@ -463,7 +498,9 @@ def _parse_block(block: bytes) -> tuple[np.ndarray, int] | None:
         return None
     integer = _read_digits(_windows(text, 8)[dots - 8].view("<u8"), integer_digits)
     # the last 16 bytes of each field: fraction digits 9-16 from its end, then 1-8
-    lanes = _read_digits(_windows(text, 16)[ends - 16].view("<u8").reshape(-1, 2), fraction_digits[:, None] - [8, 0])
+    keep = np.empty((ends.size, 2), dtype=np.intp)  # two column writes: a broadcast loops per row
+    keep[:, 0], keep[:, 1] = fraction_digits - 8, fraction_digits
+    lanes = _read_digits(_windows(text, 16)[ends - 16].view("<u8").reshape(-1, 2), keep)
     fraction = lanes[:, 0] * np.uint64(10**8) + lanes[:, 1]
     quotient = fraction / _POW10.take(fraction_digits, mode="clip")  # as float64: both exact below 2**53
     values = integer + quotient

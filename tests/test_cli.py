@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import pcmxbar
+from pcmxbar import cli
 from pcmxbar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main, run_cli
-from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
-from pcmxbar.crossbar import save_resistance_csv
+from pcmxbar.configio import bundled_config_path, config_to_dict, load_config, stats_to_dict
+from pcmxbar.crossbar import array_stats, load_resistance_csv, save_resistance_csv
 
 
 def learn_into(tmp_path, *extra: str) -> int:
@@ -47,6 +48,28 @@ def test_learn_writes_expected_artifacts(tmp_path):
     ]
     assert [s["epoch"] for s in stats] == [0, 1]
     assert stats[0]["cv"] == 0.0
+
+
+@pytest.mark.parametrize("epochs", [4, 3], ids=["ends-on-snapshot", "ends-between"])
+def test_learn_stats_lines_are_the_stats_of_the_stored_arrays(tmp_path, monkeypatch, epochs):
+    spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
+    spec["device"]["sigma_c2c"] = 0.05
+    spec["snapshot_every"] = 2
+    spec["recall_target"] = [1] * 9 + [0]  # out of reach: the run trains for every epoch it may
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(spec))
+    computed = []
+    monkeypatch.setattr(cli, "array_stats", lambda matrix: computed.append(matrix) or array_stats(matrix))
+    out = tmp_path / "out"
+    argv = ["learn", "--config", str(config_path), "--out-dir", str(out), "--epochs", str(epochs), "--quiet"]
+    assert main(argv) == EXIT_OK
+    lines = (out / "snapshots" / "stats.jsonl").read_text().splitlines()
+    params = load_config(config_path).device
+    for line, epoch in zip(lines, [0, 2, 4]):
+        stored = load_resistance_csv(out / "snapshots" / f"epoch_{epoch:04d}.csv", params).resistance
+        assert json.loads(line) == {"epoch": epoch, **stats_to_dict(array_stats(stored))}
+    assert len(lines) == (3 if epochs == 4 else 2)
+    assert len(computed) == 1  # epoch 2 alone: the report holds the initial and final arrays' stats
 
 
 def test_learn_array_csv_is_plain_ohm_matrix(tmp_path):

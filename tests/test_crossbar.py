@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -484,6 +485,32 @@ def test_save_copies_the_file_of_an_equal_matrix(tmp_path, monkeypatch, same_pat
     assert second.read_bytes() == written
     save_resistance_csv([(resistance, tmp_path / "alone.csv")])
     assert written == (tmp_path / "alone.csv").read_bytes()
+
+
+# tracemalloc peak of the writer over the series below when it kept its texts
+# in a standalone S24 table (numpy 2.4.6); the byte grid may add a little
+S24_TABLE_PEAK = 3_453_238
+
+
+def test_save_keeps_its_memory_near_one_grid(tmp_path):
+    # an initial array and two trained ones, each changed in a block of cells
+    # as a training epoch programs them; compacting a whole 256 x 256 grid at
+    # once, not a block of rows, adds about 1.9 MB
+    first = make_rng(3).uniform(1e4, 1e7, size=(256, 256))
+    second = first.copy()
+    second[:128, :128] *= 0.9
+    third = second.copy()
+    third[64:192, 64:192] *= 0.9
+    series = [(matrix, tmp_path / f"{i}.csv") for i, matrix in enumerate((first, second, third))]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_resistance_csv(series)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= S24_TABLE_PEAK + 0.25 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ from decimal import ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcmxbar import (
@@ -650,6 +650,24 @@ def test_formatter_gives_repr_of_any_float64_bits(patterns):
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(st.floats(1.0, 2.0**53, exclude_max=True), min_size=1, max_size=64))
 def test_formatter_gives_repr_of_floats_it_formats_itself(values):
+    assert formatted(values) == reprs(values)
+
+
+@st.composite
+def short_decimal(draw) -> float:
+    """A decimal of 1-15 significant digits in [1, 2**53): its repr is that decimal."""
+    digits = draw(st.integers(1, 15))
+    significand = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    point = draw(st.integers(digits - 16, digits - 1))  # fraction digits; below 0, trailing zeros
+    value = significand / 10**point if point > 0 else float(significand * 10**-point)
+    assume(value < 2.0**53)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(short_decimal(), min_size=1, max_size=64))
+def test_formatter_gives_repr_of_short_decimals(values):
+    # each such value drops digits past the first step down, one a step
     assert formatted(values) == reprs(values)
 
 
