@@ -165,8 +165,9 @@ def json_text(name: str, payload, indent: int | None = None) -> str:
         raise SimulationError(f"cannot write {name}: a result is not finite ({exc})") from exc
 
 
-def _json_float(value: float):
-    return None if math.isnan(value) else float(value)
+def _json_floats(values) -> list:
+    """values as a list of floats, with NaN as None (JSON null)."""
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
 
 def stats_to_dict(stats: ArrayStats) -> dict:
@@ -187,7 +188,7 @@ def trace_to_dict(trace: EpochTrace) -> dict:
         "epoch": trace.epoch,
         "phase": trace.phase,
         "firing_set": sorted(trace.firing_set),
-        "currents_A": [_json_float(float(c)) for c in trace.currents],
+        "currents_A": _json_floats(trace.currents),
         "program_energy_J": trace.program_energy,
         "read_energy_J": trace.read_energy,
         "converged": True,
@@ -203,7 +204,7 @@ def report_to_dict(report: RunReport) -> dict:
         "initial_cv": report.initial_stats.cv,
         "initial_stats": stats_to_dict(report.initial_stats),
         "final_stats": stats_to_dict(report.final_stats),
-        "thresholds_A": [float(t) for t in report.thresholds],
+        "thresholds_A": report.thresholds.tolist(),
         "contrast_history": list(report.contrast_history),
         "traces": [trace_to_dict(t) for t in report.traces],
     }
@@ -225,12 +226,12 @@ def recall_json(config: ExperimentConfig, probe: ProbeResult, thresholds, succes
         "success": success,
         "converged": True,
         "read_energy_J": probe.read_energy,
-        "thresholds_A": [float(t) for t in thresholds],
+        "thresholds_A": thresholds.tolist(),
         "steps": [
             {
                 "step": index,
                 "newly_fired": sorted(step.newly_fired),
-                "currents_A": [_json_float(c) for c in step.currents.tolist()],
+                "currents_A": _json_floats(step.currents),
             }
             for index, step in enumerate(probe.steps)
         ],

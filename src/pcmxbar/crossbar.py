@@ -176,28 +176,26 @@ def read_bitline(
 
 def program_cells(
     array: CrossbarArray,
-    driven_bls: frozenset[int] | set[int],
-    gated_wls: frozenset[int] | set[int],
+    driven_bls: np.ndarray,
+    gated_wls: np.ndarray,
     pulse: PulseSpec,
     rng: np.random.Generator,
 ) -> tuple[CrossbarArray, float, int]:
     """Apply one SET pulse to every (driven bitline, gated wordline) cell.
 
-    Cells are updated in row-major order (bitlines ascending, wordlines
-    ascending within a bitline) so the noise stream is reproducible. Returns
-    (new array, total programming energy in joules, number of cells pulsed).
-    Cells outside the block are byte-identical to the input array.
+    driven_bls and gated_wls are integer arrays under read_bitlines'
+    unchecked contract. Cells are updated in row-major order (bitlines
+    ascending, wordlines ascending within a bitline) so the noise stream is
+    reproducible. Returns (new array, total programming energy in joules,
+    number of cells pulsed). Cells outside the block are byte-identical to
+    the input array.
     """
-    n = len(array.resistance)
-    bls = ascending_indices(n, driven_bls)
-    # training_epoch drives and gates one set; sort it once
-    wls = bls if gated_wls is driven_bls else ascending_indices(n, gated_wls)
     out = array.copy()
-    count = bls.size * wls.size
+    count = driven_bls.size * gated_wls.size
     if count == 0:
         return out, 0.0, 0
-    before = array.resistance.take(bls, axis=0).take(wls, axis=1)
-    out.resistance[bls[:, None], wls] = apply_set_pulse(before, pulse, array.params, rng)
+    before = array.resistance.take(driven_bls, axis=0).take(gated_wls, axis=1)
+    out.resistance[driven_bls[:, None], gated_wls] = apply_set_pulse(before, pulse, array.params, rng)
     # Running sum in row-major order, as a per-cell loop adds it; the
     # energies overwrite the gathered block, which nothing reads after.
     energies = pulse_energy(pulse, before, out=before).ravel()

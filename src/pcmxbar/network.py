@@ -189,25 +189,24 @@ def training_epoch(
     input currents the recall threshold will be compared against.
     """
     _check_pattern(array, pattern)
-    firing = pattern.on_set()
+    on = pattern.on_idx
+    if pp.include_diagonal:
+        blocks = [(on, on)] if on.size else []
+    else:
+        # Cartesian programming cannot skip the diagonal in one shot;
+        # drive each bitline against the others' wordlines instead.
+        blocks = [(on[i : i + 1], np.delete(on, i)) for i in range(on.size)]
     program_energy = 0.0
     out = array
-    if firing:
-        for _ in range(pp.pulses_per_coactivation):
-            if pp.include_diagonal:
-                out, e, _ = program_cells(out, firing, firing, pp.program_pulse, rng)
-                program_energy += e
-            else:
-                # Cartesian programming cannot skip the diagonal in one shot;
-                # drive each bitline against the others' wordlines instead.
-                for bl in sorted(firing):
-                    out, e, _ = program_cells(out, {bl}, firing - {bl}, pp.program_pulse, rng)
-                    program_energy += e
-    currents, energies = _read_idle(out, pattern.on_idx, pattern.off_idx, pp)
+    for _ in range(pp.pulses_per_coactivation):
+        for bls, wls in blocks:
+            out, e, _ = program_cells(out, bls, wls, pp.program_pulse, rng)
+            program_energy += e
+    currents, energies = _read_idle(out, on, pattern.off_idx, pp)
     trace = EpochTrace(
         epoch=0,
         phase="train",
-        firing_set=firing,
+        firing_set=pattern.on_set(),
         currents=currents,
         program_energy=program_energy,
         read_energy=add_in_order(0.0, energies.tolist()),

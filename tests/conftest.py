@@ -27,6 +27,11 @@ def uniform_array(n: int, resistance: float, params: DeviceParams) -> CrossbarAr
     return CrossbarArray(np.full((n, n), resistance, dtype=np.float64), params)
 
 
+def index(*values: int) -> np.ndarray:
+    """values as the ascending np.intp array the crossbar kernels take."""
+    return np.array(sorted(values), dtype=np.intp)
+
+
 def on_pattern(n: int, on) -> Pattern:
     """Pattern of n neurons that is ON exactly at the indices in on."""
     return Pattern(tuple(i in on for i in range(n)))

@@ -7,6 +7,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,13 +24,15 @@ from pcmxbar.configio import (
     load_config,
     load_config_dict,
     load_sweep,
+    recall_json,
     report_json,
     report_to_dict,
     sweep_rows_csv,
     traces_jsonl,
 )
-from pcmxbar.errors import ConfigParseError
+from pcmxbar.errors import ConfigParseError, SimulationError
 from pcmxbar.experiments import HISTOGRAM_BINS, SweepRow, distribution_history
+from pcmxbar.network import ProbeResult, ProbeStep
 
 
 def test_bundled_default_config_loads():
@@ -279,6 +282,22 @@ def test_traces_jsonl_one_line_per_trace():
     assert first["currents_A"][0] is None
     assert first["firing_set"] == [0, 1, 2, 3, 5]
     assert "program_energy_J" in first and "read_energy_J" in first
+
+
+def test_a_threshold_that_is_not_finite_is_not_written_but_a_nan_current_is_null():
+    report = _small_report()
+    config = report.config
+    currents = np.array([math.nan, 1.5e-7])
+    probe = ProbeResult(frozenset({0}), [ProbeStep(currents, frozenset())], 0.0)
+    recall = json.loads(recall_json(config, probe, np.array([1.0e-7, 2.0e-7]), False))
+    assert recall["steps"][0]["currents_A"] == [None, 1.5e-7]
+    for threshold in (math.nan, math.inf):
+        thresholds = np.array([1.0e-7, threshold])
+        with pytest.raises(SimulationError, match="^cannot write recall.json: a result is not finite"):
+            recall_json(config, probe, thresholds, False)
+        report.thresholds = thresholds
+        with pytest.raises(SimulationError, match="^cannot write report.json: a result is not finite"):
+            report_json(report)
 
 
 def test_sweep_rows_csv_format():

@@ -14,6 +14,7 @@ from pcmxbar.crossbar import (
     ArrayStats,
     CrossbarArray,
     array_stats,
+    ascending_indices,
     init_array,
     load_resistance_csv,
     program_cells,
@@ -23,7 +24,7 @@ from pcmxbar.crossbar import (
 from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
 
-from conftest import make_rng, uniform_array
+from conftest import index, make_rng, uniform_array
 
 SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 
@@ -170,13 +171,58 @@ def test_read_rejects_bad_indices(quiet_device):
         read_bitline(arr, 0, {0, 10}, DEFAULT_READ_PULSE)
 
 
+# ---------------------------------------------------------------- indices
+
+
+def test_ascending_indices_rejects_indices_outside_the_array():
+    for bad in ({10}, {0, 10}, {-1}, {-1, 3}):
+        with pytest.raises(IndexOutOfRange, match=r"^index (10|-1) outside array of dimension 10$"):
+            ascending_indices(10, bad)
+    assert ascending_indices(10, {9, 0}).tolist() == [0, 9]
+
+
+@pytest.mark.parametrize("float_index", [5.0, np.float64(5)])
+def test_ascending_indices_rejects_a_float_index_after_its_int_twin(float_index):
+    # 5.0 == 5 and hashes alike, so an earlier {5} must not let {5.0} through
+    assert ascending_indices(8, {5}).tolist() == [5]
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            ascending_indices(8, {float_index})
+        with pytest.raises(TypeError):
+            ascending_indices(8, {1, float_index})
+
+
+def test_ascending_indices_takes_numpy_int32_indices_as_python_ints(noisy_device):
+    index32 = ascending_indices(10, {np.int32(7), np.int32(1)})
+    assert index32.dtype == np.intp and index32.tolist() == [1, 7]
+    arr = uniform_array(10, 1.0e6, noisy_device)
+    gated = ascending_indices(10, {9, 0})
+    out, energy, count = program_cells(arr, index32, gated, SET_PULSE, make_rng(3))
+    ref, ref_energy, ref_count = program_cells(arr, index(7, 1), gated, SET_PULSE, make_rng(3))
+    assert out.resistance.tobytes() == ref.resistance.tobytes()
+    assert (energy, count) == (ref_energy, ref_count) and count == 4
+
+
+def test_ascending_indices_takes_a_mutable_set_as_a_frozenset(noisy_device):
+    arr = uniform_array(10, 1.0e6, noisy_device)
+    driven, gated = {7, 1}, {9, 0}
+    for _ in range(2):  # the set grows between calls, and the block with it
+        bls, wls = ascending_indices(10, driven), ascending_indices(10, gated)
+        assert bls.tolist() == ascending_indices(10, frozenset(driven)).tolist() == sorted(driven)
+        out, _, count = program_cells(arr, bls, wls, SET_PULSE, make_rng(3))
+        changed = np.argwhere(out.resistance != arr.resistance).tolist()
+        assert changed == [[i, j] for i in sorted(driven) for j in sorted(gated)]
+        assert count == len(driven) * len(gated)
+        driven.add(4)
+
+
 # ---------------------------------------------------------------- program
 
 
 def test_program_single_cell_leaves_rest_untouched(quiet_device, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
     before = arr.resistance.copy()
-    out, energy, count = program_cells(arr, {0}, {0}, SET_PULSE, rng)
+    out, energy, count = program_cells(arr, index(0), index(0), SET_PULSE, rng)
     assert count == 1
     assert out.resistance[0, 0] == pytest.approx(406000.0, rel=1e-13)
     # other 99 cells bit-identical
@@ -191,7 +237,7 @@ def test_program_single_cell_leaves_rest_untouched(quiet_device, rng):
 def test_program_block_touches_cartesian_product_only(quiet_device, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
     on = {0, 1, 2, 3, 5}
-    out, _, count = program_cells(arr, on, on, SET_PULSE, rng)
+    out, _, count = program_cells(arr, index(*on), index(*on), SET_PULSE, rng)
     assert count == 25
     changed = out.resistance != arr.resistance
     expected = np.zeros((10, 10), dtype=bool)
@@ -203,7 +249,7 @@ def test_program_block_touches_cartesian_product_only(quiet_device, rng):
 
 def test_program_empty_selection_is_a_no_op(quiet_device, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    out, energy, count = program_cells(arr, set(), {0, 1}, SET_PULSE, rng)
+    out, energy, count = program_cells(arr, index(), index(0, 1), SET_PULSE, rng)
     assert count == 0
     assert energy == 0.0
     assert np.array_equal(out.resistance, arr.resistance)
@@ -211,8 +257,8 @@ def test_program_empty_selection_is_a_no_op(quiet_device, rng):
 
 def test_program_is_deterministic_per_seed(noisy_device):
     arr = uniform_array(10, 1.0e6, noisy_device)
-    out1, e1, _ = program_cells(arr, {1, 2}, {3, 4}, SET_PULSE, make_rng(9))
-    out2, e2, _ = program_cells(arr, {1, 2}, {3, 4}, SET_PULSE, make_rng(9))
+    out1, e1, _ = program_cells(arr, index(1, 2), index(3, 4), SET_PULSE, make_rng(9))
+    out2, e2, _ = program_cells(arr, index(1, 2), index(3, 4), SET_PULSE, make_rng(9))
     assert np.array_equal(out1.resistance, out2.resistance)
     assert e1 == e2
 
@@ -220,7 +266,7 @@ def test_program_is_deterministic_per_seed(noisy_device):
 def test_program_consumes_rng_row_major(noisy_device):
     # same master seed, one big call vs the documented row-major order
     arr = uniform_array(4, 1.0e6, noisy_device)
-    out, _, _ = program_cells(arr, {0, 2}, {1, 3}, SET_PULSE, make_rng(13))
+    out, _, _ = program_cells(arr, index(0, 2), index(1, 3), SET_PULSE, make_rng(13))
     rng = make_rng(13)
     expected = arr.resistance.copy()
     for i in (0, 2):
@@ -236,77 +282,25 @@ def test_program_consumes_rng_row_major(noisy_device):
 def test_program_rejects_pulse_of_wrong_role(quiet_device, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(ValueError, match="^expected a pulse with role SET, got role RESET$"):
-        program_cells(arr, {0}, {0}, DEFAULT_RESET_PULSE, rng)
+        program_cells(arr, index(0), index(0), DEFAULT_RESET_PULSE, rng)
     with pytest.raises(ValueError, match="^expected a pulse with role SET, got role READ$"):
-        program_cells(arr, {0}, {0}, DEFAULT_READ_PULSE, rng)
-
-
-def test_program_rejects_bad_indices(quiet_device, rng):
-    arr = uniform_array(10, 1.0e6, quiet_device)
-    with pytest.raises(IndexOutOfRange):
-        program_cells(arr, {10}, {0}, SET_PULSE, rng)
-    with pytest.raises(IndexOutOfRange):
-        program_cells(arr, {0}, {-1}, SET_PULSE, rng)
-
-
-def test_program_checks_each_block_against_its_own_array(quiet_device, rng):
-    # the block {0, 5} x {1, 5} is valid on an 8-wide array, not on a 4-wide one
-    program_cells(uniform_array(8, 1.0e6, quiet_device), {0, 5}, {1, 5}, SET_PULSE, rng)
-    narrow = uniform_array(4, 1.0e6, quiet_device)
-    for _ in range(2):
-        with pytest.raises(IndexOutOfRange, match=r"^index 5 outside array of dimension 4$"):
-            program_cells(narrow, {0, 5}, {1, 5}, SET_PULSE, rng)
-
-
-def test_program_takes_a_mutable_set_as_a_frozenset(noisy_device):
-    arr = uniform_array(10, 1.0e6, noisy_device)
-    driven, gated = {7, 1}, {9, 0}
-    for _ in range(2):  # the set grows between calls, and the block with it
-        out, energy, count = program_cells(arr, driven, gated, SET_PULSE, make_rng(3))
-        ref, ref_energy, ref_count = program_cells(arr, frozenset(driven), frozenset(gated), SET_PULSE, make_rng(3))
-        assert np.array_equal(out.resistance, ref.resistance)
-        assert (energy, count) == (ref_energy, ref_count)
-        changed = np.argwhere(out.resistance != arr.resistance).tolist()
-        assert changed == [[i, j] for i in sorted(driven) for j in sorted(gated)]
-        driven.add(4)
+        program_cells(arr, index(0), index(0), DEFAULT_READ_PULSE, rng)
 
 
 def test_program_with_one_set_for_both_sides_equals_two_copies(noisy_device):
+    # training_epoch passes one ON array as both the bitlines and the wordlines
     arr = uniform_array(10, 1.0e6, noisy_device)
-    firing = frozenset({8, 2, 5})
+    firing = ascending_indices(10, {8, 2, 5})
     out, energy, count = program_cells(arr, firing, firing, SET_PULSE, make_rng(5))
-    ref, ref_energy, ref_count = program_cells(arr, set(firing), set(firing), SET_PULSE, make_rng(5))
+    ref, ref_energy, ref_count = program_cells(arr, firing.copy(), firing.copy(), SET_PULSE, make_rng(5))
     assert np.array_equal(out.resistance, ref.resistance)
     assert (energy, count) == (ref_energy, ref_count) and count == 9
-    with pytest.raises(IndexOutOfRange, match=r"^index 10 outside array of dimension 10$"):
-        program_cells(arr, firing | {10}, firing | {10}, SET_PULSE, make_rng(5))
-
-
-@pytest.mark.parametrize("float_index", [5.0, np.float64(5)])
-def test_program_rejects_a_float_index_after_its_int_twin(quiet_device, rng, float_index):
-    # 5.0 == 5 and hashes alike, so an earlier {5} must not let {5.0} through
-    arr = uniform_array(8, 1.0e6, quiet_device)
-    program_cells(arr, {5}, {1}, SET_PULSE, rng)
-    for _ in range(2):
-        with pytest.raises(TypeError):
-            program_cells(arr, {float_index}, {1}, SET_PULSE, rng)
-        with pytest.raises(TypeError):
-            program_cells(arr, {1}, {float_index}, SET_PULSE, rng)
-
-
-def test_program_takes_numpy_int32_indices_as_python_ints(noisy_device):
-    arr = uniform_array(10, 1.0e6, noisy_device)
-    driven, gated = {np.int32(7), np.int32(1)}, {np.int32(9), np.int32(0)}
-    out, energy, count = program_cells(arr, driven, gated, SET_PULSE, make_rng(3))
-    ref, ref_energy, ref_count = program_cells(arr, {7, 1}, {9, 0}, SET_PULSE, make_rng(3))
-    assert out.resistance.tobytes() == ref.resistance.tobytes()
-    assert (energy, count) == (ref_energy, ref_count) and count == 4
 
 
 def test_program_without_noise_leaves_the_generator_alone(quiet_device):
     rng = make_rng(4)
     state = rng.bit_generator.state
-    out, _, count = program_cells(uniform_array(10, 1.0e6, quiet_device), {0, 1}, {2, 3}, SET_PULSE, rng)
+    out, _, count = program_cells(uniform_array(10, 1.0e6, quiet_device), index(0, 1), index(2, 3), SET_PULSE, rng)
     assert count == 4 and (out.resistance[[0, 1]][:, [2, 3]] < 1.0e6).all()
     assert rng.bit_generator.state == state
 
@@ -341,7 +335,7 @@ def test_array_stats_cv_consistency(quiet_device):
 
 def test_training_pulls_min_below_initial_min(quiet_device, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    out, _, _ = program_cells(arr, {0, 1}, {0, 1}, SET_PULSE, rng)
+    out, _, _ = program_cells(arr, index(0, 1), index(0, 1), SET_PULSE, rng)
     assert array_stats(out.resistance).min < array_stats(arr.resistance).min
 
 
@@ -372,7 +366,7 @@ def test_normalized_weights_identity(quiet_device):
 
 def test_normalized_weights_single_set_ratio(quiet_device, rng):
     baseline = uniform_array(10, 1.0e6, quiet_device)
-    out, _, _ = program_cells(baseline, {4}, {7}, SET_PULSE, rng)
+    out, _, _ = program_cells(baseline, index(4), index(7), SET_PULSE, rng)
     ratios = out.resistance / baseline.resistance
     assert ratios[4, 7] == pytest.approx(0.406, rel=1e-12)
     mask = np.ones((10, 10), dtype=bool)
@@ -385,7 +379,7 @@ def test_normalized_weights_decrease_with_epochs(quiet_device, rng):
     arr = baseline
     last = 1.0
     for _ in range(5):
-        arr, _, _ = program_cells(arr, {2}, {3}, SET_PULSE, rng)
+        arr, _, _ = program_cells(arr, index(2), index(3), SET_PULSE, rng)
         ratio = arr.resistance[2, 3] / baseline.resistance[2, 3]
         assert ratio < last
         last = ratio

@@ -21,7 +21,7 @@ from pcmxbar.device import apply_reset_pulse, apply_set_pulse, pulse_energy
 from pcmxbar.errors import AmplitudeBelowThreshold
 from pcmxbar.network import DEFAULT_READ_PULSE
 
-from conftest import make_rng, uniform_array
+from conftest import index, make_rng, uniform_array
 
 SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 RESET_PULSE = PulseSpec(1.5, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
@@ -53,7 +53,7 @@ def test_set_trajectory_matches_geometric_form(rng):
     params = DeviceParams(alpha_set=0.3, sigma_c2c=0.0)
     array = uniform_array(2, 1.0e6, params)
     for k in range(1, 21):
-        array, _, _ = program_cells(array, {0}, {0}, SET_PULSE, rng)
+        array, _, _ = program_cells(array, index(0), index(0), SET_PULSE, rng)
         expected = params.r_min + (1.0e6 - params.r_min) * 0.7**k
         assert array.resistance[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -104,7 +104,7 @@ def test_set_rejects_non_set_role(quiet_device, rng):
 
 def test_set_energy_uses_pre_pulse_resistance(quiet_device, rng):
     array = uniform_array(2, 1.0e6, quiet_device)
-    _, energy, _ = program_cells(array, {0}, {0}, SET_PULSE, rng)
+    _, energy, _ = program_cells(array, index(0), index(0), SET_PULSE, rng)
     assert energy == pulse_energy(SET_PULSE, 1.0e6)
 
 
@@ -246,7 +246,7 @@ def test_pulse_energy_additive_over_sequence(quiet_device, rng):
     array = uniform_array(2, 1.0e6, quiet_device)
     energies = []
     for _ in range(5):
-        array, e, _ = program_cells(array, {0}, {0}, SET_PULSE, rng)
+        array, e, _ = program_cells(array, index(0), index(0), SET_PULSE, rng)
         energies.append(e)
     assert sum(energies) == pytest.approx(
         sum(pulse_energy(SET_PULSE, r) for r in _trajectory(quiet_device)), rel=1e-13
@@ -292,7 +292,7 @@ def test_pulse_energy_rejects_nan_resistance(quiet_device, rng):
     with pytest.raises(ValueError, match="resistance must be positive"):
         pulse_energy(SET_PULSE, np.array([[1.0e6, math.nan], [1.0e6, 1.0e6]]))
     with pytest.raises(ValueError, match="resistance must be positive"):
-        program_cells(uniform_array(2, math.nan, quiet_device), {0}, {0}, SET_PULSE, rng)
+        program_cells(uniform_array(2, math.nan, quiet_device), index(0), index(0), SET_PULSE, rng)
 
 
 # (resistance, whether pulse_energy takes it): cells inside otherwise valid

@@ -1,7 +1,7 @@
 """The whole-array crossbar paths against per-cell loop references.
 
-program_cells, the bitline reads and init_array work on blocks of cells at
-once. The loops below do the same work one cell at a time, in the documented
+program_cells, the bitline reads, init_array and training_epoch work on
+blocks of cells at once. The loops below do the same work one cell at a time, in the documented
 order, through scalar SET and RESET laws and Ohm's law written here from the
 README's Model formulas, so the package is not tested against itself. Since
 the arithmetic per cell is the same, the two must agree exactly: the
@@ -65,6 +65,7 @@ from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
 from pcmxbar.crossbar import (
     CrossbarArray,
     array_stats,
+    ascending_indices,
     init_array,
     load_resistance_csv,
     program_cells,
@@ -76,7 +77,7 @@ from pcmxbar.crossbar import _BLOCK, _CHUNK, _parse_own_format, _write_reprs
 from pcmxbar.device import apply_set_pulse, pulse_energy
 from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
 from pcmxbar.experiments import SweepRow, _sweep_run, scheme_for_cv, weight_contrast
-from pcmxbar.network import DEFAULT_RESET_PULSE, add_in_order
+from pcmxbar.network import DEFAULT_RESET_PULSE, add_in_order, training_epoch
 
 from conftest import make_rng, on_pattern, sweep_rng
 
@@ -124,6 +125,32 @@ def loop_read_bitline(array, bl, gated_wls, read_pulse):
         current += read_pulse.amplitude / r
         energy += pulse_energy(read_pulse, r)
     return current, energy
+
+
+def loop_training_epoch(array, pattern, pp, rng):
+    """One presentation cell by cell: (array, currents, program energy, read energy).
+
+    Each pulse programs the ON block, or without the diagonal each ON
+    bitline against the other ON wordlines; each block's energy is its own
+    sum. Then every OFF bitline reads the ON wordlines, in ascending order.
+    """
+    on = sorted(pattern.on_set())
+    out, program_energy = array, 0.0
+    for _ in range(pp.pulses_per_coactivation):
+        if pp.include_diagonal:
+            blocks = [(on, on)]
+        else:
+            blocks = [([bl], [wl for wl in on if wl != bl]) for bl in on]
+        for bls, wls in blocks:
+            out, energy, _ = loop_program_cells(out, bls, wls, pp.program_pulse, rng)
+            program_energy += energy
+    currents = np.full(array.n, math.nan)
+    read_energy = 0.0
+    for bl in range(array.n):
+        if bl not in pattern.on_set():
+            currents[bl], energy = loop_read_bitline(out, bl, on, pp.read_pulse)
+            read_energy += energy
+    return out, currents, program_energy, read_energy
 
 
 def loop_init_array(n, scheme, params, rng):
@@ -203,12 +230,36 @@ def test_program_cells_equals_cell_loop(kind, seed, n, sigma, data):
     driven = data.draw(index_sets(n, kind))
     gated = data.draw(index_sets(n, data.draw(st.sampled_from(INDEX_KINDS))))
     rng_block, rng_loop = make_rng(seed + 1), make_rng(seed + 1)
-    out, energy, count = program_cells(array, driven, gated, SET_PULSE, rng_block)
+    bls, wls = ascending_indices(n, driven), ascending_indices(n, gated)
+    out, energy, count = program_cells(array, bls, wls, SET_PULSE, rng_block)
     ref, ref_energy, ref_count = loop_program_cells(array, driven, gated, SET_PULSE, rng_loop)
     assert np.array_equal(out.resistance, ref.resistance)
     # the loop adds pulse_energy of each cell's pre-pulse resistance, in order
     assert energy == ref_energy and type(energy) is float
     assert count == ref_count
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+    assert np.array_equal(array.resistance, before)
+
+
+@pytest.mark.parametrize("include_diagonal", [True, False])
+@pytest.mark.parametrize("kind", ("empty", "single", "any"))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 32), sigma=sigmas, pulses=st.integers(1, 3), data=st.data())
+def test_training_epoch_equals_cell_loop(include_diagonal, kind, seed, n, sigma, pulses, data):
+    # a single ON neuron without the diagonal programs an empty block
+    array = random_array(seed, n, DeviceParams(sigma_c2c=sigma))
+    before = array.resistance.copy()
+    pattern = on_pattern(n, data.draw(index_sets(n, kind)))
+    pp = ProtocolParams(include_diagonal=include_diagonal, pulses_per_coactivation=pulses)
+    rng_block, rng_loop = make_rng(seed + 1), make_rng(seed + 1)
+    out, trace = training_epoch(array, pattern, pp, rng_block)
+    ref, ref_currents, ref_program, ref_read = loop_training_epoch(array, pattern, pp, rng_loop)
+    assert out.resistance.tobytes() == ref.resistance.tobytes()
+    assert trace.program_energy.hex() == ref_program.hex()
+    assert trace.read_energy.hex() == ref_read.hex()
+    assert np.array_equal(np.isnan(trace.currents), np.isnan(ref_currents))
+    assert np.array_equal(trace.currents, ref_currents, equal_nan=True)
+    assert trace.firing_set == pattern.on_set()
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
     assert np.array_equal(array.resistance, before)
 

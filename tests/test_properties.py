@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmxbar import DeviceParams, PulseRole, PulseSpec
-from pcmxbar.crossbar import CrossbarArray, program_cells, read_bitline
+from pcmxbar.crossbar import CrossbarArray, ascending_indices, program_cells, read_bitline
 from pcmxbar.device import apply_set_pulse, pulse_energy
 
 from pcmxbar.network import DEFAULT_READ_PULSE
@@ -109,7 +109,8 @@ def test_programming_touches_selected_block_only(seed, n, data):
     arr = CrossbarArray(rng.uniform(1e5, 1e7, size=(n, n)), DeviceParams())
     driven = data.draw(st.sets(st.integers(0, n - 1)))
     gated = data.draw(st.sets(st.integers(0, n - 1)))
-    out, _, count = program_cells(arr, driven, gated, SET_PULSE, make_rng(seed + 1))
+    bls, wls = ascending_indices(n, driven), ascending_indices(n, gated)
+    out, _, count = program_cells(arr, bls, wls, SET_PULSE, make_rng(seed + 1))
     assert count == len(driven) * len(gated)
     for i in range(n):
         for j in range(n):
