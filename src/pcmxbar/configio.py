@@ -258,7 +258,7 @@ def histograms_csv(histograms) -> str:
     """Flatten SnapshotHistogram records into epoch,bin_low_ohm,bin_high_ohm,count."""
     lines = [HISTOGRAM_CSV_HEADER]
     for h in histograms:
-        for k in range(len(h.counts)):
-            lo, hi = float(h.bin_edges[k]), float(h.bin_edges[k + 1])
-            lines.append(f"{h.epoch},{lo!r},{hi!r},{int(h.counts[k])}")
+        edges = h.bin_edges.tolist()
+        for lo, hi, count in zip(edges, edges[1:], h.counts.tolist()):
+            lines.append(f"{h.epoch},{lo!r},{hi!r},{count}")
     return "\n".join(lines) + "\n"

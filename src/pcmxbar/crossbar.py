@@ -154,23 +154,17 @@ def read_bitlines(
 def read_bitline(
     array: CrossbarArray,
     bl: int,
-    gated_wls: frozenset[int] | set[int],
+    gated_wls: list[int] | np.ndarray,
     read_pulse: PulseSpec,
 ) -> tuple[float, float]:
-    """Sum of ohmic currents on one bitline over the gated wordlines.
+    """read_bitlines(array, [bl], gated_wls, read_pulse) as (amperes, joules) floats.
 
-    Returns (current in amperes, read energy in joules). Ungated cells
-    contribute nothing: their selection transistors are ideal. The gated set
-    is traversed in sorted order so the float sum is reproducible. The read
-    voltage is read_pulse.amplitude.
-
-    No run calls it: runs read through read_bitlines. It stays as the
-    benchmark tracer's crossbar.read_bitline hook and as a one-bitline test
-    helper, until the tracer hooks read_bitlines (ROADMAP item 2).
+    gated_wls is taken unchecked, as read_bitlines takes it. No run calls
+    this: it stays only as the name of the benchmark tracer's
+    crossbar.read_bitline hook, until the tracer hooks read_bitlines
+    (ROADMAP item 11).
     """
-    bls = ascending_indices(array.n, (bl,))
-    wls = ascending_indices(array.n, gated_wls)
-    currents, energies = read_bitlines(array, bls, wls, read_pulse)
+    currents, energies = read_bitlines(array, [bl], gated_wls, read_pulse)
     return float(currents[0]), float(energies[0])
 
 

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .crossbar import CrossbarArray, ascending_indices, program_cells, read_bitlines
+from .crossbar import CrossbarArray, program_cells, read_bitlines
 from .device import DeviceParams, PulseRole, PulseSpec, check_read_voltage
 from .errors import DimensionMismatch, EmptyStimulus
 
@@ -39,12 +39,11 @@ class Pattern:
 
     def __post_init__(self) -> None:
         # the ON set and both index arrays are read on every epoch and probe; build them once
-        on = frozenset(i for i, b in enumerate(self.bits) if b)
-        object.__setattr__(self, "_on", on)
-        for name, members in (("on_idx", on), ("off_idx", set(range(self.n)) - on)):
-            index = ascending_indices(self.n, members)
+        bits = np.array(self.bits, dtype=bool)
+        for name, index in (("on_idx", np.flatnonzero(bits)), ("off_idx", np.flatnonzero(~bits))):
             index.flags.writeable = False  # shared by every caller
             object.__setattr__(self, name, index)
+        object.__setattr__(self, "_on", frozenset(self.on_idx.tolist()))
 
     @property
     def n(self) -> int:
@@ -167,8 +166,7 @@ def compute_thresholds(array: CrossbarArray, stimulus: Pattern, pp: ProtocolPara
     keeps an untrained array quiescent under any stimulus.
     """
     _check_pattern(array, stimulus)
-    on = stimulus.on_set()
-    if not on:
+    if not stimulus.on_idx.size:
         raise EmptyStimulus("stimulus has no ON bits")
     currents, _ = read_bitlines(array, np.arange(array.n), stimulus.on_idx, pp.read_pulse)
     return pp.threshold_factor * currents

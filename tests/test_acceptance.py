@@ -19,7 +19,7 @@ import pytest
 from pcmxbar import DeviceParams, PulseRole, PulseSpec, learn_and_recall
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, load_config
-from pcmxbar.crossbar import CrossbarArray, array_stats, ascending_indices, init_array, program_cells, read_bitline
+from pcmxbar.crossbar import CrossbarArray, array_stats, ascending_indices, init_array, program_cells, read_bitlines
 from pcmxbar.device import apply_set_pulse
 from pcmxbar.experiments import class_reports, scheme_for_cv
 from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, compute_thresholds, recall_probe
@@ -141,7 +141,10 @@ def test_criterion_5_locality_and_purity_randomized():
         before = arr.resistance.copy()
         gated = {int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
         bl = int(rng.integers(0, n))
-        current, energy = read_bitline(arr, bl, gated, DEFAULT_READ_PULSE)
+        currents, energies = read_bitlines(
+            arr, ascending_indices(n, {bl}), ascending_indices(n, gated), DEFAULT_READ_PULSE
+        )
+        current, energy = currents.item(), energies.item()
         mask = np.zeros(n)
         for j in gated:
             mask[j] = 1.0

@@ -9,6 +9,7 @@ them against the package.
 """
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -39,6 +40,15 @@ def load_module(name: str, path: Path):
 @pytest.fixture(scope="module")
 def tracer():
     return load_module("perfbench_tracer", TRACER_PATH)
+
+
+def digests(out_dir: Path) -> dict[str, str]:
+    """sha256 of every file under out_dir, keyed by its relative path, as perfbench/worker.py keys them."""
+    return {
+        p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.rglob("*"))
+        if p.is_file()
+    }
 
 
 def hooked(module_name: str, fn_name: str):
@@ -109,8 +119,9 @@ def test_traced_learn_times_the_device_laws(tracer, tmp_path):
 
 def test_traced_256_workloads_recount_the_pinned_events(tracer, tmp_path):
     # The benchmark's counting warm-up recounts sim.* through SIM_HOOKS and
-    # reports correct: false unless the totals equal the pins. The bundled
-    # sweep's totals are held by test_bundled_sweep_event_contract.
+    # reports correct: false unless the totals equal the pins, and so does a
+    # run whose output files differ from the pinned digests by a byte. The
+    # bundled sweep's totals are held by test_bundled_sweep_event_contract.
     workloads = load_module("perfbench_workloads", PERFBENCH / "workloads.py")
     pins = json.loads((PERFBENCH / "pins.json").read_text())
     seed = workloads.DEFAULT_SEED
@@ -125,4 +136,5 @@ def test_traced_256_workloads_recount_the_pinned_events(tracer, tmp_path):
         with tracer.Tracer().install(only=tracer.SIM_HOOKS) as counter:
             assert main(workloads.cli_argv(workload, config_path, out_dir)) == EXIT_OK
         assert {k: counter.counts[k] for k in tracer.SIM_COUNTS} == pins[name][str(seed)]["sim"], name
+        assert digests(out_dir) == pins[name][str(seed)]["files"], name
         learn_dir = out_dir

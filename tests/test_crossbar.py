@@ -19,6 +19,7 @@ from pcmxbar.crossbar import (
     load_resistance_csv,
     program_cells,
     read_bitline,
+    read_bitlines,
     save_resistance_csv,
 )
 from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
@@ -94,15 +95,15 @@ def test_init_scheme_rejects_nan_median():
 
 def test_read_empty_gate_set_is_dark(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    current, energy = read_bitline(arr, 0, set(), DEFAULT_READ_PULSE)
-    assert current == 0.0
-    assert energy == 0.0
+    currents, energies = read_bitlines(arr, index(0), index(), DEFAULT_READ_PULSE)
+    assert currents.tolist() == [0.0]
+    assert energies.tolist() == [0.0]
 
 
 def test_read_four_gated_uniform_cells(quiet_device):
     # 4 x 0.1 V / 1 MOhm = 400 nA
     arr = uniform_array(10, 1.0e6, quiet_device)
-    current, energy = read_bitline(arr, 2, {0, 1, 2, 3}, DEFAULT_READ_PULSE)
+    (current,), (energy,) = read_bitlines(arr, index(2), index(0, 1, 2, 3), DEFAULT_READ_PULSE)
     assert current == pytest.approx(4.0e-7, rel=1e-13)
     # rectangular 100 us read on each of the 4 cells
     assert energy == pytest.approx(4.0e-12, rel=1e-13)
@@ -116,7 +117,7 @@ def test_read_matches_masked_sum_oracle(quiet_device):
         arr = CrossbarArray(resistance, quiet_device)
         gated = {int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
         bl = int(rng.integers(0, n))
-        current, _ = read_bitline(arr, bl, gated, DEFAULT_READ_PULSE)
+        (current,), _ = read_bitlines(arr, index(bl), ascending_indices(n, gated), DEFAULT_READ_PULSE)
         mask = np.array([j in gated for j in range(n)], dtype=float)
         oracle = float(np.sum(mask * 0.1 / resistance[bl]))
         assert current == pytest.approx(oracle, rel=1e-12, abs=1e-30)
@@ -127,10 +128,11 @@ def test_read_is_linear_over_disjoint_gates(quiet_device):
     resistance = rng.uniform(1e4, 1e7, size=(10, 10))
     arr = CrossbarArray(resistance, quiet_device)
     a, b = {0, 3, 7}, {1, 4}
-    ca, _ = read_bitline(arr, 5, a, DEFAULT_READ_PULSE)
-    cb, _ = read_bitline(arr, 5, b, DEFAULT_READ_PULSE)
-    cab, _ = read_bitline(arr, 5, a | b, DEFAULT_READ_PULSE)
-    assert cab == pytest.approx(ca + cb, rel=1e-12)
+
+    def current(gated):
+        return read_bitlines(arr, index(5), ascending_indices(10, gated), DEFAULT_READ_PULSE)[0].item()
+
+    assert current(a | b) == pytest.approx(current(a) + current(b), rel=1e-12)
 
 
 def test_read_leaves_array_bit_identical(quiet_device):
@@ -139,36 +141,38 @@ def test_read_leaves_array_bit_identical(quiet_device):
     arr = CrossbarArray(resistance, quiet_device)
     before = arr.resistance.copy()
     for bl in range(10):
-        read_bitline(arr, bl, set(range(10)), DEFAULT_READ_PULSE)
+        read_bitlines(arr, index(bl), index(*range(10)), DEFAULT_READ_PULSE)
     assert np.array_equal(arr.resistance, before)
 
 
 def test_read_rejects_disturb_level_voltage(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(ValueError):
-        read_bitline(arr, 0, {0}, replace(DEFAULT_READ_PULSE, amplitude=quiet_device.v_set_threshold))
+        read_bitlines(arr, index(0), index(0), replace(DEFAULT_READ_PULSE, amplitude=quiet_device.v_set_threshold))
 
 
 def test_read_rejects_nan_voltage(quiet_device):
     # NaN passed both comparisons and the read returned a NaN current
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(ValueError, match="amplitude"):
-        read_bitline(arr, 0, {0, 1}, replace(DEFAULT_READ_PULSE, amplitude=math.nan))
+        read_bitlines(arr, index(0), index(0, 1), replace(DEFAULT_READ_PULSE, amplitude=math.nan))
 
 
 def test_read_with_no_gated_wordline_rejects_negative_voltage(quiet_device):
     # an empty gate set returned (0.0, 0.0) before the voltage was checked
     arr = uniform_array(10, 1.0e6, quiet_device)
     with pytest.raises(ValueError, match="amplitude"):
-        read_bitline(arr, 0, set(), replace(DEFAULT_READ_PULSE, amplitude=-1.0))
+        read_bitlines(arr, index(0), index(), replace(DEFAULT_READ_PULSE, amplitude=-1.0))
 
 
-def test_read_rejects_bad_indices(quiet_device):
-    arr = uniform_array(10, 1.0e6, quiet_device)
-    with pytest.raises(IndexOutOfRange):
-        read_bitline(arr, 10, {0}, DEFAULT_READ_PULSE)
-    with pytest.raises(IndexOutOfRange):
-        read_bitline(arr, 0, {0, 10}, DEFAULT_READ_PULSE)
+def test_read_bitline_is_read_bitlines_of_one_bitline(quiet_device):
+    # read_bitline stays only as the name the benchmark tracer hooks
+    arr = CrossbarArray(make_rng(9).uniform(1e4, 1e7, size=(10, 10)), quiet_device)
+    for bl, gated in ((0, index()), (5, index(0, 3, 7)), (9, index(*range(10)))):
+        currents, energies = read_bitlines(arr, index(bl), gated, DEFAULT_READ_PULSE)
+        current, energy = read_bitline(arr, bl, gated, DEFAULT_READ_PULSE)
+        assert type(current) is float and type(energy) is float
+        assert (current, energy) == (currents.item(), energies.item())
 
 
 # ---------------------------------------------------------------- indices

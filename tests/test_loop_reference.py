@@ -53,7 +53,6 @@ from pcmxbar import (
     ExperimentConfig,
     InitScheme,
     InitVariant,
-    Pattern,
     ProtocolParams,
     PulseRole,
     PulseSpec,
@@ -69,7 +68,6 @@ from pcmxbar.crossbar import (
     init_array,
     load_resistance_csv,
     program_cells,
-    read_bitline,
     read_bitlines,
     save_resistance_csv,
 )
@@ -303,7 +301,8 @@ def test_reads_equal_cell_loop(kind, seed, n, data):
     # the current and the energy both come from the pulse's one amplitude
     v_read = data.draw(st.floats(0.0, array.params.v_set_threshold, exclude_max=True))
     pulse = replace(READ_PULSE, amplitude=v_read)
-    assert read_bitline(array, bl, gated, pulse) == loop_read_bitline(array, bl, gated, pulse)
+    currents, energies = read_bitlines(array, ascending_indices(n, {bl}), ascending_indices(n, gated), pulse)
+    assert (currents.item(), energies.item()) == loop_read_bitline(array, bl, gated, pulse)
     # several bitlines in one call give each bitline's loop sums
     bls = sorted(data.draw(index_sets(n, data.draw(st.sampled_from(INDEX_KINDS)))))
     currents, energies = read_bitlines(array, bls, sorted(gated), pulse)
@@ -313,18 +312,6 @@ def test_reads_equal_cell_loop(kind, seed, n, data):
     as_arrays = (np.array(bls, dtype=np.intp), np.array(sorted(gated), dtype=np.intp))
     currents, energies = read_bitlines(array, *as_arrays, pulse)
     assert list(zip(currents.tolist(), energies.tolist())) == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(bits=st.lists(st.booleans(), min_size=1, max_size=40))
-def test_pattern_index_arrays_are_its_sorted_sets(bits):
-    pattern = Pattern(tuple(bits))
-    on = sorted(pattern.on_set())
-    off = sorted(set(range(len(bits))) - pattern.on_set())
-    for index, expected in ((pattern.on_idx, on), (pattern.off_idx, off)):
-        assert index.dtype == np.intp and index.tolist() == expected
-        with pytest.raises(ValueError, match="read-only"):
-            index[:] = 0
 
 
 @settings(max_examples=60, deadline=None)

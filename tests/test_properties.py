@@ -1,21 +1,23 @@
 """Property-based invariants over randomized valid inputs.
 
 Device laws (bounds, monotonicity, geometric form, energy), read linearity,
-and programming locality under hypothesis-generated parameters.
+programming locality and a Pattern's index arrays under hypothesis-generated
+parameters.
 """
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmxbar import DeviceParams, PulseRole, PulseSpec
-from pcmxbar.crossbar import CrossbarArray, ascending_indices, program_cells, read_bitline
+from pcmxbar import DeviceParams, Pattern, PulseRole, PulseSpec
+from pcmxbar.crossbar import CrossbarArray, ascending_indices, program_cells, read_bitlines
 from pcmxbar.device import apply_set_pulse, pulse_energy
 
 from pcmxbar.network import DEFAULT_READ_PULSE
 
-from conftest import make_rng
+from conftest import index, make_rng
 
 alphas = st.floats(min_value=0.05, max_value=0.95)
 resistances = st.floats(min_value=1.0e4, max_value=1.0e7)
@@ -90,9 +92,11 @@ def test_read_matches_masked_sum_and_is_linear(seed, n, data):
     gate_a = data.draw(st.sets(st.integers(0, n - 1)))
     gate_b = data.draw(st.sets(st.integers(0, n - 1))) - gate_a
     bl = data.draw(st.integers(0, n - 1))
-    ca, _ = read_bitline(arr, bl, gate_a, DEFAULT_READ_PULSE)
-    cb, _ = read_bitline(arr, bl, gate_b, DEFAULT_READ_PULSE)
-    cab, _ = read_bitline(arr, bl, gate_a | gate_b, DEFAULT_READ_PULSE)
+
+    def current(gated):
+        return read_bitlines(arr, index(bl), ascending_indices(n, gated), DEFAULT_READ_PULSE)[0].item()
+
+    ca, cb, cab = current(gate_a), current(gate_b), current(gate_a | gate_b)
     oracle = sum(0.1 / arr.resistance[bl, j] for j in sorted(gate_a))
     assert abs(ca - oracle) <= 1e-12 * max(oracle, 1e-300)
     assert abs(cab - (ca + cb)) <= 1e-12 * max(cab, 1e-300)
@@ -118,3 +122,29 @@ def test_programming_touches_selected_block_only(seed, n, data):
                 assert out.resistance[i, j] != arr.resistance[i, j]
             else:
                 assert out.resistance[i, j] == arr.resistance[i, j]
+
+
+# up to 64 neurons, and the 256 of the benchmark's learn and recall runs
+pattern_bits = st.one_of(
+    st.lists(st.booleans(), max_size=64), st.lists(st.booleans(), min_size=256, max_size=256)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=pattern_bits)
+def test_pattern_index_arrays_split_its_neurons(bits):
+    pattern = Pattern(tuple(bits))
+    n = len(bits)
+    on_bits = {i for i, b in enumerate(bits) if b}
+    on, off = pattern.on_idx, pattern.off_idx
+    for idx in (on, off):
+        assert idx.dtype == np.intp
+        assert np.all(idx[:-1] < idx[1:])  # ascending, so no repeats
+        with pytest.raises(ValueError, match="read-only"):
+            idx[:] = 0
+    assert not set(on.tolist()) & set(off.tolist())
+    assert sorted(on.tolist() + off.tolist()) == list(range(n))
+    # the arrays a caller's checked indices would give
+    for idx, members in ((on, on_bits), (off, set(range(n)) - on_bits)):
+        assert idx.tolist() == ascending_indices(n, members).tolist()
+    assert pattern.on_set() == on_bits
