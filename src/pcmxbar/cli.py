@@ -27,10 +27,10 @@ from .configio import (
     sweep_rows_csv,
     traces_jsonl,
 )
-from .crossbar import ArrayStats, array_stats, load_resistance_csv, save_resistance_csv
+from .crossbar import load_resistance_csv, save_resistance_csv
 from .device import apply_set_pulse
 from .errors import ConfigParseError, DimensionMismatch, SimulationError
-from .experiments import RunReport, distribution_history, learn_and_recall, variation_sweep
+from .experiments import distribution_history, learn_and_recall, variation_sweep
 from .network import compute_thresholds, recall_probe, recall_success
 
 EXIT_OK = 0
@@ -68,21 +68,21 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _snapshot_stats(report: RunReport, epoch: int, matrix: np.ndarray) -> ArrayStats:
-    """Stats of one kept array; the report holds those of the initial array and of the final one."""
-    if epoch == 0:
-        return report.initial_stats
-    if matrix is report.final_resistance:
-        return report.final_stats
-    return array_stats(matrix)
+def _array_files(arrays, stage: Path, snapshots: bool):
+    """(ohms, path) of each array learn stores, from a run's (epoch, ohms) stream in epoch order."""
+    for epoch, matrix in arrays:
+        if epoch is None:
+            yield matrix, stage / "array_final.csv"
+            continue
+        if epoch == 0:
+            yield matrix, stage / "array_initial.csv"
+        if snapshots:
+            yield matrix, stage / "snapshots" / f"epoch_{epoch:04d}.csv"
 
 
 def _cmd_learn(args) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
-    report = learn_and_recall(config)
-    # Serialized before any file changes, so a non-finite result writes nothing;
-    # traces.jsonl holds only records the report holds too.
-    report_text = report_json(report)
+    snapshots = config.snapshot_every > 0
     out = Path(args.out_dir)
     # Files are written into a scratch directory on out's file system (in out, else in its
     # nearest existing ancestor) and moved in once all are complete, so a run that fails
@@ -90,21 +90,22 @@ def _cmd_learn(args) -> int:
     home = out if out.is_dir() else next(p for p in out.absolute().parents if p.is_dir())
     with tempfile.TemporaryDirectory(prefix=".learn-", dir=home) as scratch:
         stage = Path(scratch)
-        _write(stage / "report.json", report_text)
+        if snapshots:
+            (stage / "snapshots").mkdir()
+        # Each array is written while its epoch is current, in epoch order, so
+        # it differs from the one before only where it was programmed, and
+        # only those cells are formatted anew.
+        report = learn_and_recall(
+            config, store=lambda arrays: save_resistance_csv(_array_files(arrays, stage, snapshots))
+        )
+        # Serialized before any file moves into out, so a non-finite result
+        # leaves out as it was; traces.jsonl holds only records the report holds too.
+        _write(stage / "report.json", report_json(report))
         _write(stage / "traces.jsonl", traces_jsonl(report))
-        arrays = [(report.snapshots[0][1], "array_initial.csv")]
-        if config.snapshot_every > 0:
-            arrays += [(matrix, f"snapshots/epoch_{epoch:04d}.csv") for epoch, matrix in report.snapshots]
-            stats_lines = [
-                json_text("stats.jsonl", {"epoch": epoch, **stats_to_dict(_snapshot_stats(report, epoch, matrix))})
-                for epoch, matrix in report.snapshots
-            ]
-            _write(stage / "snapshots" / "stats.jsonl", "".join(stats_lines))
+        if snapshots:
+            stats = [{"epoch": s.epoch, **stats_to_dict(s.stats)} for s in report.snapshots]
+            _write(stage / "snapshots" / "stats.jsonl", "".join(json_text("stats.jsonl", line) for line in stats))
             _write(stage / "histograms.csv", histograms_csv(distribution_history(report)))
-        # In epoch order, each array differs from the one before only where it
-        # was programmed, and only those cells are formatted anew.
-        arrays.append((report.final_resistance, "array_final.csv"))
-        save_resistance_csv((matrix, stage / name) for matrix, name in arrays)
         # an earlier run's snapshot files go, so out holds what a fresh run would
         snapdir = out / "snapshots"
         for path in [*snapdir.glob("epoch_*.csv"), snapdir / "stats.jsonl", out / "histograms.csv"]:

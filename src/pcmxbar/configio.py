@@ -255,10 +255,17 @@ def sweep_rows_csv(rows: list[SweepRow]) -> str:
 
 
 def histograms_csv(histograms) -> str:
-    """Flatten SnapshotHistogram records into epoch,bin_low_ohm,bin_high_ohm,count."""
+    """Flatten Snapshot histograms into epoch,bin_low_ohm,bin_high_ohm,count.
+
+    The snapshots of a run share one edges array, and a run of histograms
+    on the same array formats its edges once.
+    """
     lines = [HISTOGRAM_CSV_HEADER]
+    edges = None
     for h in histograms:
-        edges = h.bin_edges.tolist()
-        for lo, hi, count in zip(edges, edges[1:], h.counts.tolist()):
-            lines.append(f"{h.epoch},{lo!r},{hi!r},{count}")
+        if h.bin_edges is not edges:
+            edges = h.bin_edges
+            texts = list(map(repr, edges.tolist()))
+            bins = [f"{lo},{hi}" for lo, hi in zip(texts, texts[1:])]
+        lines += [f"{h.epoch},{low_high},{count}" for low_high, count in zip(bins, h.counts.tolist())]
     return "\n".join(lines) + "\n"

@@ -237,21 +237,28 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
             last = None
         else:
             changed = np.flatnonzero(values.view(np.uint64) != bits)
-        if last is not None and changed.size == 0:
+        if last is None or changed.size:
+            bits = values.view(np.uint64).copy()  # the reference for the next matrix
+            last = path
+            _write_grid(grid, cells, values.reshape(-1), changed, path)
+        else:
             with contextlib.suppress(shutil.SameFileError):  # that file holds these bytes already
                 shutil.copyfile(last, path)
-            continue
-        bits = values.view(np.uint64).copy()  # the reference for the next matrix
-        last = path
-        flat_values = values.reshape(-1)
-        for start in range(0, changed.size, _CHUNK):
-            at = changed[start : start + _CHUNK]
-            _write_reprs(cells, at, flat_values[at])
-        rows = max(_WRITE_BYTES // grid.shape[1], 1)
-        with open(path, "wb") as fh:
-            for start in range(0, len(grid), rows):
-                block = grid[start : start + rows]
-                fh.write(block[block != 0])
+        # files may make its next matrix while the loop waits for it (learn
+        # runs the next epoch then), so only the bits and the grid stay alive
+        del matrix, values, changed
+
+
+def _write_grid(grid: np.ndarray, cells: np.ndarray, values: np.ndarray, changed: np.ndarray, path) -> None:
+    """Format the cells at flat indices changed from the flat values, then write the grid to path without its NULs."""
+    for start in range(0, changed.size, _CHUNK):
+        at = changed[start : start + _CHUNK]
+        _write_reprs(cells, at, values[at])
+    rows = max(_WRITE_BYTES // grid.shape[1], 1)
+    with open(path, "wb") as fh:
+        for start in range(0, len(grid), rows):
+            block = grid[start : start + rows]
+            fh.write(block[block != 0])
 
 
 # Cells formatted per call: few enough that no temporary grows with the

@@ -189,10 +189,20 @@ def apply_reset_pulse(
         z = rng.standard_normal(shape)
         z *= math.sqrt(math.log1p(rel_spread * rel_spread))  # lognormal shape of this CV
         # The exponential stays math.exp: np.exp differs from it in the last bit
-        # for some inputs, and streaming keeps no list of floats alive.
-        resistance = np.fromiter(map(math.exp, z.ravel()), dtype=np.float64, count=z.size).reshape(z.shape)
+        # for some inputs. It maps over Python floats, which it takes faster
+        # than numpy scalars, a chunk at a time, so no list grows with the
+        # array, and writes back into the draw's own buffer.
+        flat = z.reshape(-1)
+        for start in range(0, flat.size, _EXP_CHUNK):
+            chunk = flat[start : start + _EXP_CHUNK]
+            chunk[:] = np.fromiter(map(math.exp, chunk.tolist()), dtype=np.float64, count=chunk.size)
+        resistance = z
         resistance *= target_median
     return _clamp(resistance, params)
+
+
+# Cells per math.exp chunk in apply_reset_pulse.
+_EXP_CHUNK = 4096
 
 
 def _clamp(resistance: np.ndarray, params: DeviceParams) -> np.ndarray:

@@ -8,7 +8,8 @@ resistance variation class and reduces each class to one summary row.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,6 +82,16 @@ class ExperimentConfig:
         self.protocol.validate_against(self.device)
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """What a run keeps of one kept array: its statistics and log-spaced resistance histogram."""
+
+    epoch: int
+    stats: ArrayStats
+    bin_edges: np.ndarray  # ohms, length HISTOGRAM_BINS + 1, shared by every snapshot of a run
+    counts: np.ndarray
+
+
 @dataclass
 class RunReport:
     """Everything observable about one run."""
@@ -93,9 +104,9 @@ class RunReport:
     thresholds: np.ndarray  # amperes, per neuron
     traces: list[EpochTrace]
     contrast_history: list[float]  # weight contrast after each epoch
-    # (epoch, ohms) of the initial array (epoch 0) and of each epoch the
-    # snapshot_every cadence keeps, in epoch order
-    snapshots: list[tuple[int, np.ndarray]]
+    # the initial array (epoch 0) and each epoch the snapshot_every cadence
+    # keeps, in epoch order; none when snapshot_every is 0
+    snapshots: list[Snapshot]
     final_resistance: np.ndarray  # ohms, state when the run stopped
     config: ExperimentConfig
 
@@ -132,15 +143,6 @@ class SweepRow:
     median_epochs: float  # inf when more than half the seeds never recalled
     mean_energy: float  # joules, averaged over all seeds of the class
     success_rate: float
-
-
-@dataclass(frozen=True)
-class SnapshotHistogram:
-    """Log-spaced resistance histogram of one kept snapshot."""
-
-    epoch: int
-    bin_edges: np.ndarray  # ohms, length HISTOGRAM_BINS + 1
-    counts: np.ndarray
 
 
 def weight_contrast(array: CrossbarArray, pattern: Pattern) -> float:
@@ -184,39 +186,72 @@ def _protocol(config: ExperimentConfig, rng: np.random.Generator) -> Iterator[tu
             return
 
 
-def learn_and_recall(config: ExperimentConfig, rng: np.random.Generator | None = None) -> RunReport:
-    """Run the full protocol for one seed and report everything observable about it."""
+def learn_and_recall(
+    config: ExperimentConfig,
+    rng: np.random.Generator | None = None,
+    store: Callable[[Iterator[tuple[int | None, np.ndarray]]], object] | None = None,
+) -> RunReport:
+    """Run the full protocol for one seed and report everything observable about it.
+
+    The report keeps the final array, and of every other array only what a
+    Snapshot holds. store, if given, is called once with an iterator over the
+    arrays as the run produces them, in epoch order: (0, ohms) of the initial
+    array, (epoch, ohms) of each epoch the snapshot_every cadence keeps, then
+    (None, ohms) of the final array. The run advances only as store pulls, so
+    no array need outlive its epoch; what store leaves unpulled runs after it
+    returns.
+    """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    run = _protocol(config, rng)
-    array, thresholds = next(run)
-    initial_stats = array_stats(array.resistance)
-    snapshots = [(0, array.resistance)]
-    traces: list[EpochTrace] = []
-    contrast_history: list[float] = []
-    epochs_to_recall: int | None = None
-    for epoch, array, epoch_traces, recalled in run:
-        traces += epoch_traces
-        if config.snapshot_every > 0 and epoch % config.snapshot_every == 0:
-            snapshots.append((epoch, array.resistance))
-        contrast_history.append(weight_contrast(array, config.recall_target))
-        if recalled:
-            epochs_to_recall = epoch
+    report: RunReport | None = None
 
-    breakdown, total_energy = _energy_ledger(traces)
-    return RunReport(
-        epochs_to_recall=epochs_to_recall,
-        total_energy=total_energy,
-        energy_breakdown=breakdown,
-        initial_stats=initial_stats,
-        final_stats=array_stats(array.resistance),
-        thresholds=thresholds,
-        traces=traces,
-        contrast_history=contrast_history,
-        snapshots=snapshots,
-        final_resistance=array.resistance,
-        config=config,
-    )
+    def arrays() -> Iterator[tuple[int | None, np.ndarray]]:
+        nonlocal report
+        run = _protocol(config, rng)
+        array, thresholds = next(run)
+        every = config.snapshot_every
+        edges = _histogram_edges(config.device) if every else None
+        snapshots: list[Snapshot] = []
+        initial_stats = array_stats(array.resistance)
+        kept_epoch, kept_stats = 0, initial_stats  # of the last array kept
+        if every:
+            snapshots.append(Snapshot(0, initial_stats, edges, _histogram(array.resistance, edges)))
+        yield 0, array.resistance
+        traces: list[EpochTrace] = []
+        contrast_history: list[float] = []
+        epochs_to_recall: int | None = None
+        for epoch, array, epoch_traces, recalled in run:
+            traces += epoch_traces
+            if every and epoch % every == 0:
+                kept_epoch, kept_stats = epoch, array_stats(array.resistance)
+                snapshots.append(Snapshot(epoch, kept_stats, edges, _histogram(array.resistance, edges)))
+                yield epoch, array.resistance
+            contrast_history.append(weight_contrast(array, config.recall_target))
+            if recalled:
+                epochs_to_recall = epoch
+
+        breakdown, total_energy = _energy_ledger(traces)
+        report = RunReport(
+            epochs_to_recall=epochs_to_recall,
+            total_energy=total_energy,
+            energy_breakdown=breakdown,
+            initial_stats=initial_stats,
+            # the final array's stats are those of its snapshot when its epoch was kept
+            final_stats=kept_stats if kept_epoch == epoch else array_stats(array.resistance),
+            thresholds=thresholds,
+            traces=traces,
+            contrast_history=contrast_history,
+            snapshots=snapshots,
+            final_resistance=array.resistance,
+            config=config,
+        )
+        yield None, array.resistance
+
+    stream = arrays()
+    if store is not None:
+        store(stream)
+    deque(stream, maxlen=0)
+    return report
 
 
 def scheme_for_cv(device: DeviceParams, cv: float, tuned_cv_max: float) -> InitScheme:
@@ -303,20 +338,26 @@ def variation_sweep(base: ExperimentConfig, spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def distribution_history(report: RunReport) -> list[SnapshotHistogram]:
-    """Log-spaced resistance histograms for every kept snapshot.
+def distribution_history(report: RunReport) -> list[Snapshot]:
+    """The kept snapshots, each with its log-spaced resistance histogram, in epoch order.
 
     The initial array is epoch 0; later entries are the epochs the run kept
     under its snapshot cadence.
     """
-    device = report.config.device
     if report.config.snapshot_every == 0:
         raise NoSnapshots("run kept no snapshots; set snapshot_every > 0")
+    return list(report.snapshots)
+
+
+def _histogram_edges(device: DeviceParams) -> np.ndarray:
+    """HISTOGRAM_BINS + 1 log-spaced edges from exactly r_min to exactly r_max."""
     edges = np.logspace(np.log10(device.r_min), np.log10(device.r_max), HISTOGRAM_BINS + 1)
     # logspace can round an outer edge inward, and np.histogram would then
     # drop every cell clamped to that limit
     edges[0], edges[-1] = device.r_min, device.r_max
-    return [
-        SnapshotHistogram(epoch, edges, np.histogram(matrix.ravel(), bins=edges)[0])
-        for epoch, matrix in report.snapshots
-    ]
+    return edges
+
+
+def _histogram(resistance: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Cell counts of a resistance matrix per bin of edges."""
+    return np.histogram(resistance.ravel(), bins=edges)[0]

@@ -10,12 +10,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import pcmxbar
-from pcmxbar import cli
+from pcmxbar import experiments
 from pcmxbar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main, run_cli
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config, stats_to_dict
 from pcmxbar.crossbar import array_stats, load_resistance_csv, save_resistance_csv
@@ -59,7 +60,7 @@ def test_learn_stats_lines_are_the_stats_of_the_stored_arrays(tmp_path, monkeypa
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(spec))
     computed = []
-    monkeypatch.setattr(cli, "array_stats", lambda matrix: computed.append(matrix) or array_stats(matrix))
+    monkeypatch.setattr(experiments, "array_stats", lambda matrix: computed.append(matrix) or array_stats(matrix))
     out = tmp_path / "out"
     argv = ["learn", "--config", str(config_path), "--out-dir", str(out), "--epochs", str(epochs), "--quiet"]
     assert main(argv) == EXIT_OK
@@ -69,7 +70,9 @@ def test_learn_stats_lines_are_the_stats_of_the_stored_arrays(tmp_path, monkeypa
         stored = load_resistance_csv(out / "snapshots" / f"epoch_{epoch:04d}.csv", params).resistance
         assert json.loads(line) == {"epoch": epoch, **stats_to_dict(array_stats(stored))}
     assert len(lines) == (3 if epochs == 4 else 2)
-    assert len(computed) == 1  # epoch 2 alone: the report holds the initial and final arrays' stats
+    # once per distinct array: the initial one, epoch 2 and the final one, which
+    # is epoch 4's snapshot when the run ends on it
+    assert len(computed) == 3
 
 
 def test_learn_array_csv_is_plain_ohm_matrix(tmp_path):
@@ -475,6 +478,34 @@ def config_of_size(tmp_path, n: int):
     path = tmp_path / f"n{n}.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+def traced_learn_peak(config, out_dir, epochs: int) -> int:
+    """tracemalloc's peak, in bytes, over one learn of the given epochs."""
+    argv = ["learn", "--config", str(config), "--out-dir", str(out_dir), "--epochs", str(epochs), "--quiet"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_learn_peak_memory_does_not_grow_with_the_kept_snapshots(tmp_path):
+    n = 128
+    spec = json.loads(config_of_size(tmp_path, n).read_text())
+    # out of reach, so every epoch runs, and every epoch is kept
+    spec.update(snapshot_every=1, recall_target=[1] * (n - 1) + [0])
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps(spec))
+    traced_learn_peak(config, tmp_path / "warm", 1)  # one-time allocations fall outside both peaks
+    short, long = (traced_learn_peak(config, tmp_path / f"out{epochs}", epochs) for epochs in (4, 16))
+    for epochs in (4, 16):
+        out = tmp_path / f"out{epochs}"
+        assert json.loads((out / "report.json").read_text())["epochs_to_recall"] is None
+        assert len(list((out / "snapshots").glob("epoch_*.csv"))) == epochs + 1
+    # twelve more kept epochs may cost at most two n x n float64 matrices
+    assert long - short <= 2 * n * n * 8, (short, long)
 
 
 def test_learn_out_of_memory_is_simulation_error_naming_the_config(tmp_path):

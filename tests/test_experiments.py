@@ -194,9 +194,13 @@ def test_identical_config_reproduces_byte_identical_report():
 
 
 def test_final_state_is_reported():
-    report = learn_and_recall(canonical_config())
-    assert [epoch for epoch, _ in report.snapshots] == [0]
-    initial = report.snapshots[0][1]
+    stored = []
+    report = learn_and_recall(canonical_config(), store=stored.extend)
+    # snapshot_every 0: the initial array and the final one, and no snapshot
+    assert [epoch for epoch, _ in stored] == [0, None]
+    assert report.snapshots == []
+    initial = stored[0][1]
+    assert stored[-1][1] is report.final_resistance
     assert initial.shape == (10, 10)
     assert np.all(initial == 1.0e6)
     on = sorted(PATTERN_1.on_set())
@@ -288,9 +292,11 @@ def test_class_reports_are_seed_stable_and_seed_distinct():
     spec = SweepSpec((0.05, 0.09, 0.30), seeds_per_cv=3)
     runs_a = class_reports(base, spec, cv_index=2)
     runs_b = class_reports(base, spec, cv_index=2)
+    # a report keeps no initial array, so the draws compare by their stats
     for a, b in zip(runs_a, runs_b):
-        assert np.array_equal(a.snapshots[0][1], b.snapshots[0][1])
-    assert not np.array_equal(runs_a[0].snapshots[0][1], runs_a[1].snapshots[0][1])
+        assert a.initial_stats == b.initial_stats
+        assert np.array_equal(a.final_resistance, b.final_resistance)
+    assert runs_a[0].initial_stats != runs_a[1].initial_stats
 
 
 def test_energy_grows_with_epochs_within_a_class():
@@ -424,7 +430,8 @@ def test_bundled_sweep_unreachable_runs_never_recall(bundled_class_reports):
 
 def test_distribution_history_tracks_training():
     config = canonical_config(snapshot_every=1)
-    report = learn_and_recall(config)
+    stored = []
+    report = learn_and_recall(config, store=stored.extend)
     history = distribution_history(report)
     assert [h.epoch for h in history] == [0, 1]
     initial, final = history
@@ -436,7 +443,8 @@ def test_distribution_history_tracks_training():
     # untouched cells keep their initial resistance exactly
     off = sorted(set(range(10)) - PATTERN_1.on_set() - PATTERN_2.on_set())
     assert off == []  # complementary patterns cover every neuron
-    (_, initial_matrix), (_, final_matrix) = report.snapshots
+    assert [epoch for epoch, _ in stored] == [0, 1, None]
+    (_, initial_matrix), (_, final_matrix), _ = stored
     outside_block = np.ix_(sorted(PATTERN_1.on_set()), sorted(PATTERN_2.on_set()))
     assert np.array_equal(final_matrix[outside_block], initial_matrix[outside_block])
 
@@ -452,8 +460,10 @@ def test_distribution_history_tracks_training():
 )
 def test_distribution_history_counts_cells_at_the_device_limits(device_overrides, init):
     device = dataclasses.replace(CANONICAL_DEVICE, **device_overrides)
-    report = learn_and_recall(canonical_config(device=device, init=init, max_epochs=2, snapshot_every=1))
-    initial = report.snapshots[0][1]
+    config = canonical_config(device=device, init=init, max_epochs=2, snapshot_every=1)
+    stored = []
+    report = learn_and_recall(config, store=stored.extend)
+    initial = stored[0][1]
     assert np.isin(initial, (device.r_min, device.r_max)).any()
     for histogram in distribution_history(report):
         assert histogram.counts.sum() == 100
