@@ -27,7 +27,7 @@ from .device import (
     check_read_voltage,
     pulse_energy,
 )
-from .errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
+from .errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
 
 
 class InitVariant(enum.Enum):
@@ -80,21 +80,6 @@ class CrossbarArray:
         return CrossbarArray(self.resistance.copy(), self.params)
 
 
-def ascending_indices(n: int, indices) -> np.ndarray:
-    """Indices into range(n) as an ascending np.intp array; raises if one lies outside or is no integer."""
-    ordered = sorted(indices)
-    if ordered and not (0 <= ordered[0] and ordered[-1] < n):
-        idx = ordered[0] if not 0 <= ordered[0] < n else ordered[-1]
-        raise IndexOutOfRange(f"index {idx} outside array of dimension {n}")
-    index = np.array(ordered, dtype=None if ordered else np.intp)
-    if index.dtype != np.intp:
-        # a float or bool would pass as an index once cast to np.intp
-        if index.dtype.kind not in "iu":
-            raise TypeError(f"indices must be integers, got {index.dtype} values")
-        index = index.astype(np.intp)
-    return index
-
-
 def init_array(
     n: int,
     scheme: InitScheme,
@@ -124,10 +109,10 @@ def read_bitlines(
 
     bls and gated_wls are lists or integer arrays, ascending, without repeats
     and inside the array. They are not checked: a negative index reads from
-    the end, and a repeated wordline adds twice. ascending_indices(n, indices)
-    or a Pattern's on_idx and off_idx give checked arrays. The read voltage
-    is read_pulse.amplitude, below the SET threshold so a read never disturbs
-    state. Returns per bitline (current in amperes, read energy in joules).
+    the end, and a repeated wordline adds twice. A Pattern's on_idx and
+    off_idx are the checked arrays. The read voltage is read_pulse.amplitude,
+    below the SET threshold so a read never disturbs state. Returns per
+    bitline (current in amperes, read energy in joules).
     Every bitline adds its cells in ascending wordline order, so each sum
     has the bits of a cell-by-cell loop.
     """
@@ -178,9 +163,9 @@ def program_cells(
     """Apply one SET pulse to every (driven bitline, gated wordline) cell.
 
     driven_bls and gated_wls are integer arrays under read_bitlines'
-    unchecked contract. Cells are updated in row-major order (bitlines
-    ascending, wordlines ascending within a bitline) so the noise stream is
-    reproducible. Returns (new array, total programming energy in joules,
+    unchecked contract, such as a Pattern's on_idx. Cells are updated in
+    row-major order (bitlines ascending, wordlines ascending within a
+    bitline) so the noise stream is reproducible. Returns (new array, total programming energy in joules,
     number of cells pulsed). Cells outside the block are byte-identical to
     the input array.
     """
@@ -384,9 +369,7 @@ def _point_texts(integer, digits, frac, j) -> np.ndarray:
     rows[:, 2] = frac_high << np.uint64(8) | np.uint64(ord("."))
     rows[:, 3] = frac_high >> np.uint64(56) | frac_low << np.uint64(8)
     row_bytes = rows.view(np.uint8).reshape(-1)
-    starts = max(row_bytes.size - 23, 0)  # every byte a window of 24 can start at
-    windows = np.ndarray((starts,), dtype="S24", buffer=row_bytes, strides=(1,))
-    return windows[np.arange(16, row_bytes.size, 40) - digits]
+    return _windows(row_bytes, 24)[np.arange(16, row_bytes.size, 40) - digits]
 
 
 def _ascii8(x: np.ndarray) -> np.ndarray:
@@ -513,8 +496,8 @@ def _parse_block(block: bytes) -> tuple[np.ndarray, int] | None:
 
 
 def _windows(text: np.ndarray, size: int) -> np.ndarray:
-    """Every size-byte window of text, one starting at each byte, as a view."""
-    return np.ndarray((text.size - size + 1,), dtype=f"S{size}", buffer=text, strides=(1,))
+    """Every size-byte window of text, one starting at each byte, as a view (none if text is shorter)."""
+    return np.ndarray((max(text.size - size + 1, 0),), dtype=f"S{size}", buffer=text, strides=(1,))
 
 
 # _DIGIT_MASKS[keep] keeps the low 4 bits of the last keep bytes of a uint64.

@@ -13,10 +13,6 @@ class InvalidDimension(SimulationError):
     """Requested array dimension is not supported."""
 
 
-class IndexOutOfRange(SimulationError):
-    """Bitline or wordline index outside the array."""
-
-
 class DimensionMismatch(SimulationError):
     """Pattern or vector length does not match the array dimension."""
 

@@ -57,7 +57,7 @@ class Pattern:
 class ProtocolParams:
     """Knobs of the learning and recall protocol."""
 
-    v_read: float = 0.1
+    v_read: float = DEFAULT_READ_PULSE.amplitude
     read_pulse: PulseSpec = DEFAULT_READ_PULSE
     program_pulse: PulseSpec = DEFAULT_PROGRAM_PULSE
     reset_pulse: PulseSpec = DEFAULT_RESET_PULSE

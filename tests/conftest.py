@@ -1,7 +1,10 @@
 """Shared fixtures and builders for the test suite."""
 from __future__ import annotations
 
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from pcmxbar.configio import bundled_config_path, load_config, load_sweep
 from pcmxbar.crossbar import CrossbarArray
 
 SEEDS_PER_CV = 200
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:
@@ -35,6 +39,21 @@ def index(*values: int) -> np.ndarray:
 def on_pattern(n: int, on) -> Pattern:
     """Pattern of n neurons that is ON exactly at the indices in on."""
     return Pattern(tuple(i in on for i in range(n)))
+
+
+def load_module(name: str, path: Path):
+    """Execute the Python file at path as module name, leaving the file as it is."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    """The benchmark tracer, loaded from perfbench/tracer.py."""
+    return load_module("perfbench_tracer", PERFBENCH / "tracer.py")
 
 
 @pytest.fixture

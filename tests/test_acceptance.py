@@ -19,12 +19,12 @@ import pytest
 from pcmxbar import DeviceParams, PulseRole, PulseSpec, learn_and_recall
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, load_config
-from pcmxbar.crossbar import CrossbarArray, array_stats, ascending_indices, init_array, program_cells, read_bitlines
+from pcmxbar.crossbar import CrossbarArray, array_stats, init_array, program_cells, read_bitlines
 from pcmxbar.device import apply_set_pulse
 from pcmxbar.experiments import class_reports, scheme_for_cv
 from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, compute_thresholds, recall_probe
 
-from conftest import make_rng, on_pattern
+from conftest import index, make_rng, on_pattern
 
 
 def test_criterion_1_epochs_vs_variation_ordering(ensemble):
@@ -121,7 +121,7 @@ def test_criterion_5_locality_and_purity_randomized():
         arr = CrossbarArray(rng.uniform(1e5, 1e7, size=(n, n)), device)
         driven = {int(i) for i in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
         gated = {int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
-        out, _, count = program_cells(arr, ascending_indices(n, driven), ascending_indices(n, gated), pulse, rng)
+        out, _, count = program_cells(arr, index(*driven), index(*gated), pulse, rng)
         assert count == len(driven) * len(gated)
         touched = np.zeros((n, n), dtype=bool)
         if driven and gated:
@@ -141,9 +141,7 @@ def test_criterion_5_locality_and_purity_randomized():
         before = arr.resistance.copy()
         gated = {int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
         bl = int(rng.integers(0, n))
-        currents, energies = read_bitlines(
-            arr, ascending_indices(n, {bl}), ascending_indices(n, gated), DEFAULT_READ_PULSE
-        )
+        currents, energies = read_bitlines(arr, index(bl), index(*gated), DEFAULT_READ_PULSE)
         current, energy = currents.item(), energies.item()
         mask = np.zeros(n)
         for j in gated:

@@ -1,7 +1,9 @@
 """The package namespace: the config model and the run entry points, nothing more."""
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pcmxbar
 
@@ -29,6 +31,7 @@ KEPT_IN_MODULES = {
         "array_stats",
         "init_array",
         "program_cells",
+        "read_bitlines",
         "read_bitline",
         "load_resistance_csv",
         "save_resistance_csv",
@@ -49,3 +52,30 @@ def test_package_exports_the_config_model_and_entry_points_only():
         for name in names:
             assert not hasattr(pcmxbar, name), f"pcmxbar.{name} is still bound in the package"
             assert getattr(module, name, None) is not None, f"pcmxbar.{module_name}.{name}"
+
+
+def test_src_defines_nothing_it_never_reaches(tracer):
+    # every top-level def and class is loaded by name elsewhere in src/,
+    # exported, or patched by the benchmark tracer
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(Path(pcmxbar.__file__).parent.glob("*.py"))}
+    hooks = {(module, name) for module, name, _, _ in tracer.HOOKS}
+    loads = []  # (top-level statement, the names it loads)
+    for tree in trees.values():
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+            loads.append((stmt, names))
+    unreached = [
+        f"{module}.{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name not in pcmxbar.__all__
+        and (module, stmt.name) not in hooks
+        and not any(stmt.name in names for top, names in loads if top is not stmt)
+    ]
+    assert unreached == []

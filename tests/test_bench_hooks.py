@@ -11,35 +11,18 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import importlib.util
 import inspect
 import json
 import re
 import sys
 from pathlib import Path
 
-import pytest
-
 from pcmxbar.cli import EXIT_OK, main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACER_PATH = PERFBENCH / "tracer.py"
+from conftest import PERFBENCH, load_module
 
 # How a counter reads an argument of the hooked call: _arg(args, kwargs, index, "name").
 ARG_READ = re.compile(r'_arg\(args, kwargs, (\d+), "(\w+)"\)')
-
-
-def load_module(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # a dataclass looks its module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def tracer():
-    return load_module("perfbench_tracer", TRACER_PATH)
 
 
 def digests(out_dir: Path) -> dict[str, str]:

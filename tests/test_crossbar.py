@@ -14,7 +14,6 @@ from pcmxbar.crossbar import (
     ArrayStats,
     CrossbarArray,
     array_stats,
-    ascending_indices,
     init_array,
     load_resistance_csv,
     program_cells,
@@ -23,7 +22,7 @@ from pcmxbar.crossbar import (
     save_resistance_csv,
 )
 from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
-from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, IndexOutOfRange, InvalidDimension
+from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
 
 from conftest import index, make_rng, uniform_array
 
@@ -117,7 +116,7 @@ def test_read_matches_masked_sum_oracle(quiet_device):
         arr = CrossbarArray(resistance, quiet_device)
         gated = {int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
         bl = int(rng.integers(0, n))
-        (current,), _ = read_bitlines(arr, index(bl), ascending_indices(n, gated), DEFAULT_READ_PULSE)
+        (current,), _ = read_bitlines(arr, index(bl), index(*gated), DEFAULT_READ_PULSE)
         mask = np.array([j in gated for j in range(n)], dtype=float)
         oracle = float(np.sum(mask * 0.1 / resistance[bl]))
         assert current == pytest.approx(oracle, rel=1e-12, abs=1e-30)
@@ -130,7 +129,7 @@ def test_read_is_linear_over_disjoint_gates(quiet_device):
     a, b = {0, 3, 7}, {1, 4}
 
     def current(gated):
-        return read_bitlines(arr, index(5), ascending_indices(10, gated), DEFAULT_READ_PULSE)[0].item()
+        return read_bitlines(arr, index(5), index(*gated), DEFAULT_READ_PULSE)[0].item()
 
     assert current(a | b) == pytest.approx(current(a) + current(b), rel=1e-12)
 
@@ -175,51 +174,6 @@ def test_read_bitline_is_read_bitlines_of_one_bitline(quiet_device):
         assert (current, energy) == (currents.item(), energies.item())
 
 
-# ---------------------------------------------------------------- indices
-
-
-def test_ascending_indices_rejects_indices_outside_the_array():
-    for bad in ({10}, {0, 10}, {-1}, {-1, 3}):
-        with pytest.raises(IndexOutOfRange, match=r"^index (10|-1) outside array of dimension 10$"):
-            ascending_indices(10, bad)
-    assert ascending_indices(10, {9, 0}).tolist() == [0, 9]
-
-
-@pytest.mark.parametrize("float_index", [5.0, np.float64(5)])
-def test_ascending_indices_rejects_a_float_index_after_its_int_twin(float_index):
-    # 5.0 == 5 and hashes alike, so an earlier {5} must not let {5.0} through
-    assert ascending_indices(8, {5}).tolist() == [5]
-    for _ in range(2):
-        with pytest.raises(TypeError):
-            ascending_indices(8, {float_index})
-        with pytest.raises(TypeError):
-            ascending_indices(8, {1, float_index})
-
-
-def test_ascending_indices_takes_numpy_int32_indices_as_python_ints(noisy_device):
-    index32 = ascending_indices(10, {np.int32(7), np.int32(1)})
-    assert index32.dtype == np.intp and index32.tolist() == [1, 7]
-    arr = uniform_array(10, 1.0e6, noisy_device)
-    gated = ascending_indices(10, {9, 0})
-    out, energy, count = program_cells(arr, index32, gated, SET_PULSE, make_rng(3))
-    ref, ref_energy, ref_count = program_cells(arr, index(7, 1), gated, SET_PULSE, make_rng(3))
-    assert out.resistance.tobytes() == ref.resistance.tobytes()
-    assert (energy, count) == (ref_energy, ref_count) and count == 4
-
-
-def test_ascending_indices_takes_a_mutable_set_as_a_frozenset(noisy_device):
-    arr = uniform_array(10, 1.0e6, noisy_device)
-    driven, gated = {7, 1}, {9, 0}
-    for _ in range(2):  # the set grows between calls, and the block with it
-        bls, wls = ascending_indices(10, driven), ascending_indices(10, gated)
-        assert bls.tolist() == ascending_indices(10, frozenset(driven)).tolist() == sorted(driven)
-        out, _, count = program_cells(arr, bls, wls, SET_PULSE, make_rng(3))
-        changed = np.argwhere(out.resistance != arr.resistance).tolist()
-        assert changed == [[i, j] for i in sorted(driven) for j in sorted(gated)]
-        assert count == len(driven) * len(gated)
-        driven.add(4)
-
-
 # ---------------------------------------------------------------- program
 
 
@@ -249,6 +203,17 @@ def test_program_block_touches_cartesian_product_only(quiet_device, rng):
         for j in on:
             expected[i, j] = True
     assert np.array_equal(changed, expected)
+
+
+def test_ascending_indices_takes_numpy_int32_indices_as_python_ints(noisy_device):
+    # the kernels take any ascending integer index array: int32 programs as intp does
+    index32 = np.array([1, 7], dtype=np.int32)
+    arr = uniform_array(10, 1.0e6, noisy_device)
+    gated = index(9, 0)
+    out, energy, count = program_cells(arr, index32, gated, SET_PULSE, make_rng(3))
+    ref, ref_energy, ref_count = program_cells(arr, index(7, 1), gated, SET_PULSE, make_rng(3))
+    assert out.resistance.tobytes() == ref.resistance.tobytes()
+    assert (energy, count) == (ref_energy, ref_count) and count == 4
 
 
 def test_program_empty_selection_is_a_no_op(quiet_device, rng):
@@ -294,7 +259,7 @@ def test_program_rejects_pulse_of_wrong_role(quiet_device, rng):
 def test_program_with_one_set_for_both_sides_equals_two_copies(noisy_device):
     # training_epoch passes one ON array as both the bitlines and the wordlines
     arr = uniform_array(10, 1.0e6, noisy_device)
-    firing = ascending_indices(10, {8, 2, 5})
+    firing = index(8, 2, 5)
     out, energy, count = program_cells(arr, firing, firing, SET_PULSE, make_rng(5))
     ref, ref_energy, ref_count = program_cells(arr, firing.copy(), firing.copy(), SET_PULSE, make_rng(5))
     assert np.array_equal(out.resistance, ref.resistance)

@@ -64,7 +64,6 @@ from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
 from pcmxbar.crossbar import (
     CrossbarArray,
     array_stats,
-    ascending_indices,
     init_array,
     load_resistance_csv,
     program_cells,
@@ -77,7 +76,7 @@ from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
 from pcmxbar.experiments import SweepRow, _sweep_run, scheme_for_cv, weight_contrast
 from pcmxbar.network import DEFAULT_RESET_PULSE, add_in_order, training_epoch
 
-from conftest import make_rng, on_pattern, sweep_rng
+from conftest import index, make_rng, on_pattern, sweep_rng
 
 SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
@@ -228,7 +227,7 @@ def test_program_cells_equals_cell_loop(kind, seed, n, sigma, data):
     driven = data.draw(index_sets(n, kind))
     gated = data.draw(index_sets(n, data.draw(st.sampled_from(INDEX_KINDS))))
     rng_block, rng_loop = make_rng(seed + 1), make_rng(seed + 1)
-    bls, wls = ascending_indices(n, driven), ascending_indices(n, gated)
+    bls, wls = index(*driven), index(*gated)
     out, energy, count = program_cells(array, bls, wls, SET_PULSE, rng_block)
     ref, ref_energy, ref_count = loop_program_cells(array, driven, gated, SET_PULSE, rng_loop)
     assert np.array_equal(out.resistance, ref.resistance)
@@ -301,7 +300,7 @@ def test_reads_equal_cell_loop(kind, seed, n, data):
     # the current and the energy both come from the pulse's one amplitude
     v_read = data.draw(st.floats(0.0, array.params.v_set_threshold, exclude_max=True))
     pulse = replace(READ_PULSE, amplitude=v_read)
-    currents, energies = read_bitlines(array, ascending_indices(n, {bl}), ascending_indices(n, gated), pulse)
+    currents, energies = read_bitlines(array, index(bl), index(*gated), pulse)
     assert (currents.item(), energies.item()) == loop_read_bitline(array, bl, gated, pulse)
     # several bitlines in one call give each bitline's loop sums
     bls = sorted(data.draw(index_sets(n, data.draw(st.sampled_from(INDEX_KINDS)))))

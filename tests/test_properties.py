@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmxbar import DeviceParams, Pattern, PulseRole, PulseSpec
-from pcmxbar.crossbar import CrossbarArray, ascending_indices, program_cells, read_bitlines
+from pcmxbar.crossbar import CrossbarArray, program_cells, read_bitlines
 from pcmxbar.device import apply_set_pulse, pulse_energy
 
 from pcmxbar.network import DEFAULT_READ_PULSE
@@ -94,7 +94,7 @@ def test_read_matches_masked_sum_and_is_linear(seed, n, data):
     bl = data.draw(st.integers(0, n - 1))
 
     def current(gated):
-        return read_bitlines(arr, index(bl), ascending_indices(n, gated), DEFAULT_READ_PULSE)[0].item()
+        return read_bitlines(arr, index(bl), index(*gated), DEFAULT_READ_PULSE)[0].item()
 
     ca, cb, cab = current(gate_a), current(gate_b), current(gate_a | gate_b)
     oracle = sum(0.1 / arr.resistance[bl, j] for j in sorted(gate_a))
@@ -113,7 +113,7 @@ def test_programming_touches_selected_block_only(seed, n, data):
     arr = CrossbarArray(rng.uniform(1e5, 1e7, size=(n, n)), DeviceParams())
     driven = data.draw(st.sets(st.integers(0, n - 1)))
     gated = data.draw(st.sets(st.integers(0, n - 1)))
-    bls, wls = ascending_indices(n, driven), ascending_indices(n, gated)
+    bls, wls = index(*driven), index(*gated)
     out, _, count = program_cells(arr, bls, wls, SET_PULSE, make_rng(seed + 1))
     assert count == len(driven) * len(gated)
     for i in range(n):
@@ -144,7 +144,6 @@ def test_pattern_index_arrays_split_its_neurons(bits):
             idx[:] = 0
     assert not set(on.tolist()) & set(off.tolist())
     assert sorted(on.tolist() + off.tolist()) == list(range(n))
-    # the arrays a caller's checked indices would give
     for idx, members in ((on, on_bits), (off, set(range(n)) - on_bits)):
-        assert idx.tolist() == ascending_indices(n, members).tolist()
+        assert idx.tolist() == sorted(members)
     assert pattern.on_set() == on_bits
