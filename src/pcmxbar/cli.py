@@ -106,10 +106,12 @@ def _cmd_learn(args) -> int:
             stats = [{"epoch": s.epoch, **stats_to_dict(s.stats)} for s in report.snapshots]
             _write(stage / "snapshots" / "stats.jsonl", "".join(json_text("stats.jsonl", line) for line in stats))
             _write(stage / "histograms.csv", histograms_csv(distribution_history(report)))
-        # an earlier run's snapshot files go, so out holds what a fresh run would
+        # an earlier run's snapshot files (and a directory they leave empty) go, so out holds what a fresh run would
         snapdir = out / "snapshots"
         for path in [*snapdir.glob("epoch_*.csv"), snapdir / "stats.jsonl", out / "histograms.csv"]:
             path.unlink(missing_ok=True)
+        if not snapshots and snapdir.is_dir() and not any(snapdir.iterdir()):
+            snapdir.rmdir()
         for src in sorted(stage.rglob("*")):
             if src.is_file():
                 dst = out / src.relative_to(stage)

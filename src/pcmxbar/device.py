@@ -46,10 +46,6 @@ class PulseSpec:
         if not all(t >= 0 for t in (self.t_rise, self.t_width, self.t_fall)):
             raise ValueError("pulse timing segments must be >= 0")
 
-    @property
-    def duration(self) -> float:
-        return self.t_rise + self.t_width + self.t_fall
-
 
 @dataclass(frozen=True)
 class DeviceParams:

@@ -1,6 +1,7 @@
 """Shared fixtures and builders for the test suite."""
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcmxbar import DeviceParams, Pattern, ProtocolParams, class_reports, variation_sweep
+from pcmxbar import DeviceParams, Pattern, ProtocolParams, PulseSpec, class_reports, variation_sweep
 from pcmxbar.configio import bundled_config_path, load_config, load_sweep
 from pcmxbar.crossbar import CrossbarArray
 
@@ -39,6 +40,35 @@ def index(*values: int) -> np.ndarray:
 def on_pattern(n: int, on) -> Pattern:
     """Pattern of n neurons that is ON exactly at the indices in on."""
     return Pattern(tuple(i in on for i in range(n)))
+
+
+def trapezoid_energy(pulse: PulseSpec, r: float, epsrel: float) -> float:
+    """Adaptive quadrature of v(t)^2 / r over the pulse's trapezoid, one segment at a time."""
+    from scipy.integrate import quad
+
+    def v(t: float) -> float:
+        if pulse.t_rise and t < pulse.t_rise:
+            return pulse.amplitude * t / pulse.t_rise
+        if t < pulse.t_rise + pulse.t_width:
+            return pulse.amplitude
+        tail = t - pulse.t_rise - pulse.t_width
+        return pulse.amplitude * (1.0 - tail / pulse.t_fall) if pulse.t_fall else 0.0
+
+    oracle = 0.0
+    edges = [0.0, pulse.t_rise, pulse.t_rise + pulse.t_width, pulse.t_rise + pulse.t_width + pulse.t_fall]
+    for lo, hi in zip(edges, edges[1:]):
+        if hi > lo:
+            oracle += quad(lambda t: v(t) ** 2 / r, lo, hi, epsrel=epsrel)[0]
+    return oracle
+
+
+def digests(out_dir: Path) -> dict[str, str]:
+    """sha256 of every file under out_dir, keyed by its relative path, as perfbench/worker.py keys them."""
+    return {
+        p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.rglob("*"))
+        if p.is_file()
+    }
 
 
 def load_module(name: str, path: Path):

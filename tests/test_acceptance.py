@@ -24,7 +24,7 @@ from pcmxbar.device import apply_set_pulse
 from pcmxbar.experiments import class_reports, scheme_for_cv
 from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE, compute_thresholds, recall_probe
 
-from conftest import index, make_rng, on_pattern
+from conftest import index, make_rng, on_pattern, trapezoid_energy
 
 
 def test_criterion_1_epochs_vs_variation_ordering(ensemble):
@@ -198,8 +198,6 @@ def test_criterion_5_locality_and_purity_randomized():
 
 def test_criterion_6_device_law_oracles():
     """Geometric SET form, quadrature energy check, lognormal CV calibration."""
-    from scipy.integrate import quad
-
     # geometric trajectory over 50 pulses, 1e-12 relative
     params = DeviceParams(alpha_set=0.6, sigma_c2c=0.0)
     rng = make_rng(0)
@@ -227,20 +225,7 @@ def test_criterion_6_device_law_oracles():
             PulseRole.SET,
         )
         r = float(rng.uniform(1e4, 1e7))
-
-        def v(t: float) -> float:
-            if pulse.t_rise and t < pulse.t_rise:
-                return pulse.amplitude * t / pulse.t_rise
-            if t < pulse.t_rise + pulse.t_width:
-                return pulse.amplitude
-            tail = t - pulse.t_rise - pulse.t_width
-            return pulse.amplitude * (1.0 - tail / pulse.t_fall) if pulse.t_fall else 0.0
-
-        oracle = 0.0
-        edges = [0.0, pulse.t_rise, pulse.t_rise + pulse.t_width, pulse.duration]
-        for lo, hi in zip(edges, edges[1:]):
-            if hi > lo:
-                oracle += quad(lambda t: v(t) ** 2 / r, lo, hi, epsrel=1e-13)[0]
+        oracle = trapezoid_energy(pulse, r, epsrel=1e-13)
         worst_e = max(worst_e, abs(pulse_energy(pulse, r) - oracle) / oracle)
     assert worst_e <= 1e-9
 

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pcmxbar
+
+from conftest import PERFBENCH
 
 EXPORTED = {
     "DeviceParams",
@@ -54,9 +57,18 @@ def test_package_exports_the_config_model_and_entry_points_only():
             assert getattr(module, name, None) is not None, f"pcmxbar.{module_name}.{name}"
 
 
+def attribute_loads(tree: ast.AST) -> Counter:
+    """How many times tree loads each attribute name."""
+    return Counter(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
 def test_src_defines_nothing_it_never_reaches(tracer):
     # every top-level def and class is loaded by name elsewhere in src/,
-    # exported, or patched by the benchmark tracer
+    # exported, or patched by the benchmark tracer; every method and property
+    # but a dunder is loaded as an attribute outside its own body in src/, or
+    # in the tracer (dataclass fields are read through dataclasses.fields)
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(Path(pcmxbar.__file__).parent.glob("*.py"))}
     hooks = {(module, name) for module, name, _, _ in tracer.HOOKS}
     loads = []  # (top-level statement, the names it loads)
@@ -77,5 +89,19 @@ def test_src_defines_nothing_it_never_reaches(tracer):
         and stmt.name not in pcmxbar.__all__
         and (module, stmt.name) not in hooks
         and not any(stmt.name in names for top, names in loads if top is not stmt)
+    ]
+    src_loads = sum(map(attribute_loads, trees.values()), Counter())
+    # parsed, not run: only the tracer's attribute loads count, not its local names
+    tracer_loads = attribute_loads(ast.parse((PERFBENCH / "tracer.py").read_text()))
+    unreached += [
+        f"{module}.{cls.name}.{member.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and src_loads[member.name] == attribute_loads(member)[member.name]
+        and member.name not in tracer_loads
     ]
     assert unreached == []

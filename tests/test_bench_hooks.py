@@ -9,29 +9,18 @@ them against the package.
 """
 from __future__ import annotations
 
-import hashlib
 import importlib
 import inspect
 import json
 import re
 import sys
-from pathlib import Path
 
 from pcmxbar.cli import EXIT_OK, main
 
-from conftest import PERFBENCH, load_module
+from conftest import PERFBENCH, digests, load_module
 
 # How a counter reads an argument of the hooked call: _arg(args, kwargs, index, "name").
 ARG_READ = re.compile(r'_arg\(args, kwargs, (\d+), "(\w+)"\)')
-
-
-def digests(out_dir: Path) -> dict[str, str]:
-    """sha256 of every file under out_dir, keyed by its relative path, as perfbench/worker.py keys them."""
-    return {
-        p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out_dir.rglob("*"))
-        if p.is_file()
-    }
 
 
 def hooked(module_name: str, fn_name: str):

@@ -413,11 +413,22 @@ def merged(base, edit):
             {"protocol": {"reset_pulse": {"amplitude": 1.0}}},
             "config file {path}: reset_pulse amplitude below v_reset_threshold",
         ),
+        (
+            "learn",
+            {"protocol": {"pulses_per_coactivation": 0}},
+            "config file {path}: protocol: pulses_per_coactivation must be >= 1",
+        ),
+        (
+            "learn",
+            {"protocol": {"reset_pulse": {"role": "set"}}},
+            "config file {path}: protocol: reset_pulse must have role RESET",
+        ),
         ("sweep", {"sweep": {"cvs": 0.3, "seeds_per_cv": 2}}, "config file {path}: sweep.cvs must be a JSON list, got 0.3"),
         ("learn", [], "config file {path} must hold a JSON object"),
     ],
     ids=["n-1", "no-patterns", "max-epochs-0", "snapshot-every-negative", "full-reset-median-above-r_max",
-         "reset-amplitude-below-threshold", "cvs-not-a-list", "not-an-object"],
+         "reset-amplitude-below-threshold", "pulses-per-coactivation-0", "reset-pulse-role-set", "cvs-not-a-list",
+         "not-an-object"],
 )
 def test_config_breaking_a_rule_is_config_error_naming_the_file_and_rule(tmp_path, capsys, command, edit, message):
     spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
@@ -551,7 +562,8 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def output_tree(root):
-    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    """Every file's bytes and every directory (as None) under root, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
 
 
 @pytest.mark.parametrize("snapshot_every", [1, 0])
@@ -571,6 +583,11 @@ def test_learn_rerun_into_used_out_dir_leaves_what_a_fresh_dir_gets(tmp_path, sn
     assert main([*argv, str(used), "--config", str(config_path)]) == EXIT_OK
     assert main([*argv, str(fresh), "--config", str(config_path)]) == EXIT_OK
     assert output_tree(used) == output_tree(fresh)
+    # a file the run did not write stays, and so does the directory holding it
+    (used / "snapshots").mkdir(exist_ok=True)
+    (used / "snapshots" / "notes.txt").write_text("mine")
+    assert main([*argv, str(used), "--config", str(config_path)]) == EXIT_OK
+    assert output_tree(used) == {**output_tree(fresh), "snapshots": None, "snapshots/notes.txt": b"mine"}
 
 
 def test_learn_failing_while_it_writes_leaves_out_dir_as_it_found_it(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,7 @@ from pcmxbar.device import apply_reset_pulse, apply_set_pulse, pulse_energy
 from pcmxbar.errors import AmplitudeBelowThreshold
 from pcmxbar.network import DEFAULT_READ_PULSE
 
-from conftest import index, make_rng, uniform_array
+from conftest import index, make_rng, trapezoid_energy, uniform_array
 
 SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 RESET_PULSE = PulseSpec(1.5, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
@@ -215,9 +215,6 @@ def test_pulse_energy_zero_duration():
 
 
 def test_pulse_energy_matches_quadrature():
-    # adaptive quadrature of v(t)^2 / R over the trapezoid profile
-    from scipy.integrate import quad
-
     cases = [
         (SET_PULSE, 1.0e4),
         (RESET_PULSE, 3.3e5),
@@ -225,21 +222,7 @@ def test_pulse_energy_matches_quadrature():
         (PulseSpec(2.5, 7e-9, 0.0, 9e-7, PulseRole.SET), 5.7e4),
     ]
     for pulse, r in cases:
-
-        def v(t: float) -> float:
-            if t < pulse.t_rise:
-                return pulse.amplitude * t / pulse.t_rise
-            if t < pulse.t_rise + pulse.t_width:
-                return pulse.amplitude
-            tail = t - pulse.t_rise - pulse.t_width
-            return pulse.amplitude * (1.0 - tail / pulse.t_fall)
-
-        oracle = 0.0
-        edges = [0.0, pulse.t_rise, pulse.t_rise + pulse.t_width, pulse.duration]
-        for lo, hi in zip(edges, edges[1:]):
-            if hi > lo:
-                oracle += quad(lambda t: v(t) ** 2 / r, lo, hi, epsrel=1e-12)[0]
-        assert pulse_energy(pulse, r) == pytest.approx(oracle, rel=1e-9)
+        assert pulse_energy(pulse, r) == pytest.approx(trapezoid_energy(pulse, r, epsrel=1e-12), rel=1e-9)
 
 
 def test_pulse_energy_additive_over_sequence(quiet_device, rng):

@@ -17,6 +17,8 @@ import json
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config, sweep_rows_csv
 
+from conftest import digests
+
 PAPER10X10 = {
     "array_final.csv": "e6f85929d5bf5e818b8797980a09715e12bd3582a58e0af05b3a6521b279c1ad",
     "array_initial.csv": "3aa27a43ec900f6a2311078b14de0a8be4594bfa9283ddb5c1345a92da1c49b2",
@@ -89,14 +91,6 @@ def write_noisy32_config(tmp_path):
     config = tmp_path / "noisy32.json"
     config.write_text(json.dumps(noisy32_config()))
     return config
-
-
-def digests(out_dir) -> dict[str, str]:
-    return {
-        p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out_dir.rglob("*"))
-        if p.is_file()
-    }
 
 
 def learn_and_recall_digests(config: str, out_dir) -> dict[str, str]:

@@ -64,9 +64,14 @@ def test_protocol_rejects_read_pulse_amplitude_mismatch():
         )
 
 
-def test_protocol_rejects_wrong_pulse_roles():
-    with pytest.raises(ValueError):
-        ProtocolParams(program_pulse=PulseSpec(1.0, 0, 1e-7, 0, PulseRole.READ))
+@pytest.mark.parametrize(
+    "field, role, wrong",
+    [("read_pulse", "READ", PulseRole.SET), ("program_pulse", "SET", PulseRole.READ), ("reset_pulse", "RESET", PulseRole.SET)],
+    ids=["read_pulse", "program_pulse", "reset_pulse"],
+)
+def test_protocol_rejects_wrong_pulse_roles(field, role, wrong):
+    with pytest.raises(ValueError, match=f"^{field} must have role {role}$"):
+        ProtocolParams(**{field: PulseSpec(0.1, 0, 1e-7, 0, wrong)})
 
 
 def test_protocol_validate_against_device(quiet_device):
