@@ -80,10 +80,9 @@ def _array_files(arrays, stage: Path, snapshots: bool):
             yield matrix, stage / "snapshots" / f"epoch_{epoch:04d}.csv"
 
 
-def _cmd_learn(args) -> int:
+def _cmd_learn(args, out: Path) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     snapshots = config.snapshot_every > 0
-    out = Path(args.out_dir)
     # Files are written into a scratch directory on out's file system (in out, else in its
     # nearest existing ancestor) and moved in once all are complete, so a run that fails
     # before then leaves out, and whatever holds it, as it found them.
@@ -134,9 +133,8 @@ def _load_stored(path: Path, params):
         raise MemoryError(f"reading {path}: {exc}") from None
 
 
-def _cmd_recall(args) -> int:
+def _cmd_recall(args, out: Path) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
-    out = Path(args.out_dir)
     trained_path = out / "array_final.csv"
     baseline_path = out / "array_initial.csv"
     for path in (trained_path, baseline_path):
@@ -155,11 +153,10 @@ def _cmd_recall(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, out: Path) -> int:
     base, spec = load_sweep(_resolve_config(args.config))
     base = _apply_overrides(base, args)
     rows = variation_sweep(base, spec)
-    out = Path(args.out_dir)
     _write(out / "sweep.csv", sweep_rows_csv(rows))
     for row in rows:
         _say(
@@ -171,7 +168,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_device_curve(args) -> int:
+def _cmd_device_curve(args, out: Path) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     pulses = args.epochs if args.epochs is not None else 50
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -180,7 +177,6 @@ def _cmd_device_curve(args) -> int:
     for k in range(1, pulses + 1):
         resistance = apply_set_pulse(resistance, config.protocol.program_pulse, config.device, rng)
         lines.append(f"{k},{float(resistance[0])!r}")
-    out = Path(args.out_dir)
     _write(out / "device_curve.csv", "\n".join(lines) + "\n")
     _say(args, f"wrote {out / 'device_curve.csv'} ({pulses} pulses)")
     return EXIT_OK
@@ -229,7 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = Path(args.out_dir)
+        nearest = next(p for p in (out, *out.absolute().parents) if p.exists())
+        if not nearest.is_dir():
+            raise NotADirectoryError(f"--out-dir {args.out_dir}: {nearest} is not a directory")
+        return args.func(args, out)
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -119,6 +119,15 @@ def check_read_voltage(v_read: float, params: DeviceParams) -> None:
         raise ValueError(f"read voltage {v_read!r} V outside [0, v_set_threshold = {params.v_set_threshold!r} V)")
 
 
+def _check_pulse(pulse: PulseSpec, role: PulseRole, threshold: float) -> None:
+    """Raise unless pulse has the given role and an amplitude of at least threshold volts."""
+    if pulse.role is not role:
+        raise ValueError(f"expected a pulse with role {role.name}, got role {pulse.role.name}")
+    if pulse.amplitude < threshold:
+        message = f"{role.name} amplitude {pulse.amplitude} V below threshold {threshold} V; no state change"
+        raise AmplitudeBelowThreshold(message)
+
+
 def apply_set_pulse(
     resistance: np.ndarray,
     pulse: PulseSpec,
@@ -133,13 +142,7 @@ def apply_set_pulse(
     draw per cell in that order. resistance is a float64 array of one or
     more dimensions and is left unchanged; returns the new resistances.
     """
-    if pulse.role is not PulseRole.SET:
-        raise ValueError(f"expected a pulse with role SET, got role {pulse.role.name}")
-    if pulse.amplitude < params.v_set_threshold:
-        raise AmplitudeBelowThreshold(
-            f"SET amplitude {pulse.amplitude} V below threshold "
-            f"{params.v_set_threshold} V; no state change"
-        )
+    _check_pulse(pulse, PulseRole.SET, params.v_set_threshold)
     # r_min + (R - r_min)(1 - alpha_set)(1 + noise), in that order, in one
     # scratch array. Addition commutes exactly and x * 1.0 == x, so a
     # noise-free pulse skips the factor and keeps the bits.
@@ -167,13 +170,7 @@ def apply_reset_pulse(
     the median and draws nothing. Otherwise the normals are one row-major
     batch, the same stream as one draw per cell in that order.
     """
-    if pulse.role is not PulseRole.RESET:
-        raise ValueError(f"expected a pulse with role RESET, got role {pulse.role.name}")
-    if pulse.amplitude < params.v_reset_threshold:
-        raise AmplitudeBelowThreshold(
-            f"RESET amplitude {pulse.amplitude} V below threshold "
-            f"{params.v_reset_threshold} V; no state change"
-        )
+    _check_pulse(pulse, PulseRole.RESET, params.v_reset_threshold)
     # negated, so that NaN fails the checks
     if not target_median > 0:
         raise ValueError("target_median must be positive")

@@ -164,24 +164,30 @@ def _protocol(config: ExperimentConfig, rng: np.random.Generator) -> Iterator[tu
     Forms the array and freezes the thresholds, then yields (array,
     thresholds). Each epoch then presents every training pattern once
     (programming plus a diagnostic read) and fires the recall stimulus into
-    a read-only probe, and yields (epoch, array, traces, recalled): the
-    training traces, then the probe's. The run stops at the first probe that
-    matches the recall target exactly.
+    a read-only probe, and yields (epoch, array, traces, recalled, energy):
+    the training traces, then the probe's, and the joules per phase spent so
+    far. Each phase of energy is a running sum from 0.0 in run order, the
+    bits add_in_order gives, and the one dict is updated in place. The run
+    stops at the first probe that matches the recall target exactly.
     """
     pp = config.protocol
     array = init_array(config.n, config.init, config.device, rng, pp.reset_pulse)
     thresholds = compute_thresholds(array, config.recall_stimulus, pp)
     yield array, thresholds
+    energy = dict.fromkeys(("training_program", "training_read", "probe_read"), 0.0)
     for epoch in range(1, config.max_epochs + 1):
         traces = []
         for pattern in config.patterns:
             array, trace = training_epoch(array, pattern, pp, rng)
             trace.epoch = epoch
+            energy["training_program"] += trace.program_energy
+            energy["training_read"] += trace.read_energy
             traces.append(trace)
         probe = recall_probe(array, config.recall_stimulus, thresholds, pp)
+        energy["probe_read"] += probe.read_energy
         traces.append(EpochTrace(epoch, "probe", probe.final_firing, probe.steps[0].currents, 0.0, probe.read_energy))
         recalled = recall_success(probe.final_firing, config.recall_target)
-        yield epoch, array, traces, recalled
+        yield epoch, array, traces, recalled, energy
         if recalled:
             return
 
@@ -219,22 +225,18 @@ def learn_and_recall(
         yield 0, array.resistance
         traces: list[EpochTrace] = []
         contrast_history: list[float] = []
-        epochs_to_recall: int | None = None
-        for epoch, array, epoch_traces, recalled in run:
+        for epoch, array, epoch_traces, recalled, energy in run:
             traces += epoch_traces
             if every and epoch % every == 0:
                 kept_epoch, kept_stats = epoch, array_stats(array.resistance)
                 snapshots.append(Snapshot(epoch, kept_stats, edges, _histogram(array.resistance, edges)))
                 yield epoch, array.resistance
             contrast_history.append(weight_contrast(array, config.recall_target))
-            if recalled:
-                epochs_to_recall = epoch
 
-        breakdown, total_energy = _energy_ledger(traces)
         report = RunReport(
-            epochs_to_recall=epochs_to_recall,
-            total_energy=total_energy,
-            energy_breakdown=breakdown,
+            epochs_to_recall=epoch if recalled else None,
+            total_energy=add_in_order(0.0, energy.values()),
+            energy_breakdown=dict(energy),
             initial_stats=initial_stats,
             # the final array's stats are those of its snapshot when its epoch was kept
             final_stats=kept_stats if kept_epoch == epoch else array_stats(array.resistance),
@@ -266,37 +268,17 @@ def scheme_for_cv(device: DeviceParams, cv: float, tuned_cv_max: float) -> InitS
     return InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, cv, device.r_reset_partial_median)
 
 
-def _energy_ledger(traces: list[EpochTrace]) -> tuple[dict[str, float], float]:
-    """Joules per phase and their total, from a run's traces in run order.
-
-    Each phase and then the total is a running sum (add_in_order), so the
-    bits do not depend on numpy's or Python's summation algorithm.
-    """
-    train = [t for t in traces if t.phase == "train"]
-    breakdown = {
-        "training_program": add_in_order(0.0, (t.program_energy for t in train)),
-        "training_read": add_in_order(0.0, (t.read_energy for t in train)),
-        "probe_read": add_in_order(0.0, (t.read_energy for t in traces if t.phase == "probe")),
-    }
-    return breakdown, add_in_order(0.0, breakdown.values())
-
-
 def _sweep_run(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int | None, float]:
     """(epochs_to_recall, total_energy) of learn_and_recall(config, rng), and nothing else.
 
     The run consumes the same _protocol, so the generator draws, the events
-    and both results have the same bits. It builds no report, contrast or
-    statistics.
+    and both results have the same bits. It reads only the last epoch's
+    yield, and builds no report, trace list, contrast or statistics.
     """
     run = _protocol(config, rng)
     next(run)
-    traces: list[EpochTrace] = []
-    epochs_to_recall: int | None = None
-    for epoch, _, epoch_traces, recalled in run:
-        traces += epoch_traces
-        if recalled:
-            epochs_to_recall = epoch
-    return epochs_to_recall, _energy_ledger(traces)[1]
+    ((epoch, _, _, recalled, energy),) = deque(run, maxlen=1)
+    return (epoch if recalled else None), add_in_order(0.0, energy.values())
 
 
 def _class_runs(base: ExperimentConfig, spec: SweepSpec, cv_index: int, run) -> list:

@@ -454,6 +454,26 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, command, flag,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["learn", "recall", "sweep", "device-curve"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_dir_that_is_or_lies_under_a_file_exits_3_before_any_run(tmp_path, capsys, monkeypatch, command, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"mine")
+
+    def load_nothing(*_):
+        raise AssertionError("a config was loaded")
+
+    monkeypatch.setattr("pcmxbar.cli.load_config", load_nothing)
+    monkeypatch.setattr("pcmxbar.cli.load_sweep", load_nothing)
+    out_dir = blocker / "out" if under else blocker
+    config = "sweep10x10.json" if command == "sweep" else "paper10x10.json"
+    assert main([command, "--config", config, "--out-dir", str(out_dir)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "--out-dir" in err and "Traceback" not in err
+    assert blocker.read_bytes() == b"mine"
+    assert sorted(tmp_path.iterdir()) == [blocker]  # no .learn-* directory left behind
+
+
 # A child interpreter lowers its own address-space limit to the size it has
 # after importing the CLI plus a headroom, then runs main. The limit binds that
 # child only: the test process keeps its own.

@@ -205,7 +205,7 @@ def test_program_block_touches_cartesian_product_only(quiet_device, rng):
     assert np.array_equal(changed, expected)
 
 
-def test_ascending_indices_takes_numpy_int32_indices_as_python_ints(noisy_device):
+def test_program_cells_takes_int32_indices_as_intp_ones(noisy_device):
     # the kernels take any ascending integer index array: int32 programs as intp does
     index32 = np.array([1, 7], dtype=np.int32)
     arr = uniform_array(10, 1.0e6, noisy_device)
@@ -328,12 +328,7 @@ def test_array_is_its_matrix_and_params(quiet_device):
 # ---------------------------------------------------------------- weights
 
 
-def test_normalized_weights_identity(quiet_device):
-    arr = uniform_array(10, 1.0e6, quiet_device)
-    assert np.all(arr.resistance / arr.resistance == 1.0)
-
-
-def test_normalized_weights_single_set_ratio(quiet_device, rng):
+def test_program_one_cell_scales_only_that_cell_by_the_set_ratio(quiet_device, rng):
     baseline = uniform_array(10, 1.0e6, quiet_device)
     out, _, _ = program_cells(baseline, index(4), index(7), SET_PULSE, rng)
     ratios = out.resistance / baseline.resistance
@@ -343,7 +338,7 @@ def test_normalized_weights_single_set_ratio(quiet_device, rng):
     assert np.all(ratios[mask] == 1.0)
 
 
-def test_normalized_weights_decrease_with_epochs(quiet_device, rng):
+def test_program_repeated_pulses_lower_the_cell_resistance_each_time(quiet_device, rng):
     baseline = uniform_array(10, 1.0e6, quiet_device)
     arr = baseline
     last = 1.0

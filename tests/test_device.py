@@ -93,12 +93,12 @@ def test_set_resistance_clamped_to_bounds(rng):
 
 def test_set_below_threshold_amplitude_rejected(quiet_device, rng):
     weak = PulseSpec(0.4, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
-    with pytest.raises(AmplitudeBelowThreshold):
+    with pytest.raises(AmplitudeBelowThreshold, match=r"^SET amplitude 0\.4 V below threshold 0\.5 V; no state change$"):
         apply_set_pulse(one_cell(1.0e6), weak, quiet_device, rng)
 
 
 def test_set_rejects_non_set_role(quiet_device, rng):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a pulse with role SET, got role RESET$"):
         apply_set_pulse(one_cell(1.0e6), RESET_PULSE, quiet_device, rng)
 
 
@@ -141,12 +141,12 @@ def test_reset_sample_median_matches_target(quiet_device):
 
 def test_reset_below_threshold_amplitude_rejected(quiet_device, rng):
     weak = PulseSpec(1.0, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
-    with pytest.raises(AmplitudeBelowThreshold):
+    with pytest.raises(AmplitudeBelowThreshold, match=r"^RESET amplitude 1\.0 V below threshold 1\.2 V; no state change$"):
         apply_reset_pulse((1,), weak, quiet_device, 1.0e6, 0.0, rng)
 
 
 def test_reset_rejects_non_reset_role(quiet_device, rng):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a pulse with role RESET, got role SET$"):
         apply_reset_pulse((1,), SET_PULSE, quiet_device, 1.0e6, 0.0, rng)
 
 

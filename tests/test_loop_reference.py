@@ -879,6 +879,15 @@ def test_sweep_run_equals_learn_and_recall(case, seed, data):
     epochs, energy = _sweep_run(config, rng)
     assert (epochs, energy.hex()) == (report.epochs_to_recall, report.total_energy.hex())
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+    # the run keeps its ledger as it goes; each phase is the in-order sum of its traces
+    train = [t for t in report.traces if t.phase == "train"]
+    sums = {
+        "training_program": add_in_order(0.0, [t.program_energy for t in train]),
+        "training_read": add_in_order(0.0, [t.read_energy for t in train]),
+        "probe_read": add_in_order(0.0, [t.read_energy for t in report.traces if t.phase == "probe"]),
+    }
+    assert {k: v.hex() for k, v in report.energy_breakdown.items()} == {k: v.hex() for k, v in sums.items()}
+    assert report.total_energy.hex() == add_in_order(0.0, sums.values()).hex()
     if case == "out-of-reach":
         assert epochs is None
         assert len(report.contrast_history) == config.max_epochs
