@@ -80,14 +80,13 @@ def _array_files(arrays, stage: Path, snapshots: bool):
             yield matrix, stage / "snapshots" / f"epoch_{epoch:04d}.csv"
 
 
-def _cmd_learn(args, out: Path) -> int:
+def _cmd_learn(args, out: Path, nearest: Path) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     snapshots = config.snapshot_every > 0
     # Files are written into a scratch directory on out's file system (in out, else in its
     # nearest existing ancestor) and moved in once all are complete, so a run that fails
     # before then leaves out, and whatever holds it, as it found them.
-    home = out if out.is_dir() else next(p for p in out.absolute().parents if p.is_dir())
-    with tempfile.TemporaryDirectory(prefix=".learn-", dir=home) as scratch:
+    with tempfile.TemporaryDirectory(prefix=".learn-", dir=nearest) as scratch:
         stage = Path(scratch)
         if snapshots:
             (stage / "snapshots").mkdir()
@@ -133,7 +132,7 @@ def _load_stored(path: Path, params):
         raise MemoryError(f"reading {path}: {exc}") from None
 
 
-def _cmd_recall(args, out: Path) -> int:
+def _cmd_recall(args, out: Path, nearest: Path) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     trained_path = out / "array_final.csv"
     baseline_path = out / "array_initial.csv"
@@ -153,7 +152,7 @@ def _cmd_recall(args, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, out: Path) -> int:
+def _cmd_sweep(args, out: Path, nearest: Path) -> int:
     base, spec = load_sweep(_resolve_config(args.config))
     base = _apply_overrides(base, args)
     rows = variation_sweep(base, spec)
@@ -168,7 +167,7 @@ def _cmd_sweep(args, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_device_curve(args, out: Path) -> int:
+def _cmd_device_curve(args, out: Path, nearest: Path) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
     pulses = args.epochs if args.epochs is not None else 50
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -203,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase-change synaptic crossbar simulator: Hebbian learning and pattern recall.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each takes the args, --out-dir as a Path, and its nearest existing path (a directory)
     commands = {
         "learn": (_cmd_learn, "run learn-and-recall, write report, traces, and array snapshots"),
         "recall": (_cmd_recall, "probe a stored array in --out-dir with the configured stimulus"),
@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         nearest = next(p for p in (out, *out.absolute().parents) if p.exists())
         if not nearest.is_dir():
             raise NotADirectoryError(f"--out-dir {args.out_dir}: {nearest} is not a directory")
-        return args.func(args, out)
+        return args.func(args, out, nearest)
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -157,12 +157,38 @@ def bundled_config_path(name: str) -> Path:
 def json_text(name: str, payload, indent: int | None = None) -> str:
     """Text of the JSON output file name: payload with sorted keys, then a newline.
 
-    JSON (RFC 8259) has no Infinity or NaN; a payload holding one raises SimulationError.
+    The text is json.dumps(payload, sort_keys=True, indent=indent) with str
+    keys. JSON (RFC 8259) has no Infinity or NaN; a payload holding one
+    raises SimulationError.
     """
     try:
-        return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False) + "\n"
+        if indent is None:
+            return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        return _indented(payload, "\n", " " * indent) + "\n"
     except ValueError as exc:
         raise SimulationError(f"cannot write {name}: a result is not finite ({exc})") from exc
+
+
+def _indented(value, newline: str, step: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=len(step), allow_nan=False), its lines after the first led by newline.
+
+    json.dumps runs its pure-Python encoder whenever indent is set. Here
+    json's C encoder writes each dict or list of scalars in one call, the
+    line break and indent riding in its item separator, so a float's text
+    is still float.__repr__'s; a dict or list that holds containers recurses.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value, allow_nan=False)
+    inner = newline + step
+    items = value.values() if isinstance(value, dict) else value
+    # the item types, not the items, are tested: a list of 256 floats has one
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, items))):
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "), allow_nan=False)
+        return f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}"
+    if isinstance(value, dict):
+        items = [f"{json.dumps(key)}: {_indented(item, inner, step)}" for key, item in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    return f"[{inner}{(',' + inner).join(_indented(item, inner, step) for item in value)}{newline}]"
 
 
 def _json_floats(values) -> list:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmxbar import ExperimentConfig, InitVariant, PulseRole, learn_and_recall
@@ -21,6 +21,7 @@ from pcmxbar.configio import (
     config_from_dict,
     config_to_dict,
     histograms_csv,
+    json_text,
     load_config,
     load_config_dict,
     load_sweep,
@@ -298,6 +299,55 @@ def test_a_threshold_that_is_not_finite_is_not_written_but_a_nan_current_is_null
         report.thresholds = thresholds
         with pytest.raises(SimulationError, match="^cannot write report.json: a result is not finite"):
             report_json(report)
+
+
+# floats whose text is easy to get wrong, and currents as a probe reads them
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, 1e16, 1e-7]),
+    st.floats(9e-8, 1.1e-7),
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40), finite_floats, st.text(max_size=6)
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5), st.dictionaries(st.text(max_size=6), children, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=json_payloads)
+@example(payload={"z": [{"a": [[1e-7, None], []], "b": {}}, 2], "": {"\u00e9\n\"": [-0.0, 5e-324, 1e308, 10**30]}})
+@example(payload=[[[[]]], {"k": [{"m": True}]}, "\ud800\t"])
+def test_indented_json_text_is_json_dumps_text(payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert json_text("out.json", payload, indent=2) == expected
+
+
+@st.composite
+def payloads_holding_a_non_finite_float(draw):
+    """A non-finite float, wrapped 0-4 times in a list or dict beside finite scalars."""
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    for _ in range(draw(st.integers(0, 4))):
+        items = draw(st.permutations(draw(st.lists(json_scalars, max_size=3)) + [value]))
+        if draw(st.booleans()):
+            value = items
+        else:
+            keys = draw(st.lists(st.text(max_size=6), min_size=len(items), max_size=len(items), unique=True))
+            value = dict(zip(keys, items))
+    return value
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+@settings(max_examples=100, deadline=None)
+@given(payload=payloads_holding_a_non_finite_float())
+def test_json_text_of_a_non_finite_float_at_any_depth_is_simulation_error(indent, payload):
+    with pytest.raises(SimulationError, match=r"^cannot write out\.json: a result is not finite"):
+        json_text("out.json", payload, indent=indent)
 
 
 def test_sweep_rows_csv_format():

@@ -471,6 +471,24 @@ def test_save_keeps_its_memory_near_one_grid(tmp_path):
     assert peak <= S24_TABLE_PEAK + 0.25 * 2**20
 
 
+def test_load_keeps_its_memory_near_one_block(quiet_device, tmp_path):
+    # tracemalloc peaks of one load (numpy 2.4.6): 1.2 MB with 64 KiB
+    # blocks, 1.9 MB with 128 KiB, 3.2 MB with 256 KiB; the whole file at
+    # once measured 11.5 MB
+    resistance = make_rng(3).uniform(1e4, 1e7, size=(256, 256))
+    path = tmp_path / "array.csv"
+    save_resistance_csv([(resistance, path)])
+    load_resistance_csv(path, quiet_device)  # one-time allocations fall outside the peak
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        load_resistance_csv(path, quiet_device)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25e6
+
+
 @pytest.mark.parametrize(
     "text, error, rule",
     [

@@ -558,7 +558,8 @@ def test_own_format_reader_gives_float_of_fixed_fields(csv_path, field):
 
 
 def test_own_format_reader_reads_a_row_longer_than_a_block(csv_path):
-    row = [repr(v) for v in make_rng(8).uniform(1e4, 1e7, 4000).tolist()]
+    # a field here takes about 18 bytes with its comma
+    row = [repr(v) for v in make_rng(8).uniform(1e4, 1e7, _BLOCK // 16).tolist()]
     assert len(",".join(row)) > _BLOCK
     assert_read_as_float(csv_path, [row, row[::-1]])
 
@@ -567,9 +568,11 @@ def test_own_format_reader_reads_a_row_longer_than_a_block(csv_path):
     "pair", [r"\d\d", "\r\n", r",\d", r"\n\d"], ids=["in-field", "in-crlf", "after-comma", "after-row"]
 )
 def test_own_format_reader_reads_across_a_block_cut(csv_path, pair):
-    rows = [[repr(v) for v in row] for row in make_rng(9).uniform(1e4, 1e7, (80, 80)).tolist()]
+    side = math.isqrt(_BLOCK // 16) + 1  # fields of about 18 bytes: the text runs past the first block
+    rows = [[repr(v) for v in row] for row in make_rng(9).uniform(1e4, 1e7, (side, side)).tolist()]
     rows[0][0] = "12.5"
     text = own_format(rows)
+    assert len(text) > _BLOCK + 1
     cut = _BLOCK - 1  # the last byte of the first block
     while not re.fullmatch(pair, text[cut : cut + 2]):
         cut -= 1
@@ -584,6 +587,7 @@ def test_own_format_reader_reads_across_a_block_cut(csv_path, pair):
         "12.5,13.5\r\n14.5,15.5",  # no final CRLF
         "12.5,13.5\n14.5,15.5\n",
         "12.5,13.5\r14.5,15.5\r\n",
+        "12.5,13.5\r7\n14.5,15.5\r\n",
         "12.5,13.5\r\n\r\n14.5,15.5\r\n",
         "\r\n12.5,13.5\r\n14.5,15.5\r\n",
         "+12.5,13.5\r\n14.5,15.5\r\n",
@@ -601,11 +605,11 @@ def test_own_format_reader_reads_across_a_block_cut(csv_path, pair):
         "",
         "1." + "0" * (csv.field_size_limit() + 1) + ",13.5\r\n14.5,15.5\r\n",  # csv rejects the field
         "12.5,13.5\r\n14.5,15.5\r\n16.5,17.5\r\n",  # more rows than columns
-        ("12.5," * 299 + "12.5\r\n") * 299 + "12.5," * 299 + "1e6\r\n",  # the last of 7 blocks breaks the format
+        ("12.5," * 299 + "12.5\r\n") * 299 + "12.5," * 299 + "1e6\r\n",  # the last of several blocks breaks the format
     ],
-    ids=["no-final-crlf", "lf-only", "bare-cr", "blank-line", "leading-blank-line", "plus", "space", "exponent", "bom",
-         "ragged-short", "ragged-first", "empty-field", "no-point", "no-fraction", "no-integer", "two-points", "minus",
-         "empty-file", "field-over-csv-limit", "more-rows", "bad-last-block"],
+    ids=["no-final-crlf", "lf-only", "bare-cr", "digit-in-crlf", "blank-line", "leading-blank-line", "plus", "space",
+         "exponent", "bom", "ragged-short", "ragged-first", "empty-field", "no-point", "no-fraction", "no-integer",
+         "two-points", "minus", "empty-file", "field-over-csv-limit", "more-rows", "bad-last-block"],
 )
 def test_own_format_reader_declines_other_texts(csv_path, text):
     assert read_own_format(csv_path, text) is None
