@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import enum
+import functools
 import os
 import shutil
 from collections.abc import Iterable
@@ -218,7 +219,7 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
     bits = grid = cells = last = None
     for matrix, path in files:
         values = np.asarray(matrix, dtype=np.float64)
-        if cells is None or cells.shape != values.shape:
+        if bits is None or bits.shape != values.shape:
             grid, cells = _file_grid(*values.shape)
             changed = np.arange(values.size)
             last = None
@@ -238,9 +239,10 @@ def save_resistance_csv(files: Iterable[tuple[np.ndarray, str | Path]]) -> None:
 
 def _write_grid(grid: np.ndarray, cells: np.ndarray, values: np.ndarray, changed: np.ndarray, path) -> None:
     """Format the cells at flat indices changed from the flat values, then write the grid to path without its NULs."""
+    cols = grid.shape[1] // 25
     for start in range(0, changed.size, _CHUNK):
         at = changed[start : start + _CHUNK]
-        _write_reprs(cells, at, values[at])
+        _write_reprs(cells, at * 25 + at // cols, values[at])  # each row's LF adds a byte to the slots after it
     rows = max(_WRITE_BYTES // grid.shape[1], 1)
     with open(path, "wb") as fh:
         for start in range(0, len(grid), rows):
@@ -258,136 +260,180 @@ _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _file_grid(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """A uint8 grid laid out as a rows x cols file, and its text slots as an S24 view.
+    """A uint8 grid laid out as a rows x cols file, and an S24 window at each of its bytes.
 
     A grid row is each cell's 24-byte slot followed by a comma, a CR in
     place of the last comma, then an LF; a row of no cells is CR LF alone.
     A float64 repr is at most 24 characters (sign, 17 digits, point,
     e-308), so NULs pad each text, and the file is the grid without them.
+    The slot of flat cell i is the window at byte 25 * i + i // cols.
     """
     width = 25 * cols + 1 if cols else 2
     grid = np.zeros((rows, width), dtype=np.uint8)
     grid[:, 24::25] = ord(",")
     grid[:, -2:] = ord("\r"), ord("\n")
-    return grid, np.ndarray((rows, cols), dtype="S24", buffer=grid, strides=(width, 25))
+    return grid, _windows(grid.reshape(-1), "S24")
 
 
 def _write_reprs(cells: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
-    """Set the cells at flat (row-major) indices at to repr(v).encode() of each v in values.
+    """Set cells[at] to repr(v).encode() of each v in values.
 
     Values 1 <= v < 2**53 are formatted here; repr writes the others, and the
     exact midpoints, which it breaks by its own rule.
     """
     bits = values.view(np.int64)
-    fast = (bits >= 0x3FF0000000000000) & (bits < 0x4340000000000000)  # 1.0 <= v < 2.0**53
-    integer, digits, frac, j, tied = _shortest_decimals(bits[fast])
-    cells[np.unravel_index(at[fast], cells.shape)] = _point_texts(integer, digits, frac, j)
-    rest = np.concatenate([np.flatnonzero(~fast), np.flatnonzero(fast)[tied]])
-    cells[np.unravel_index(at[rest], cells.shape)] = list(map(repr, values[rest].tolist()))
+    slow = (bits - 0x3FF0000000000000).view(np.uint64) >= 53 << 52  # not 1.0 <= v < 2.0**53
+    fast = np.flatnonzero(~slow) if slow.any() else slice(None)
+    integer, digits, fraction, kept, slow[fast] = _shortest_decimals(bits[fast])  # midpoints go to repr too
+    cells[at[fast]] = _point_texts(integer, digits, fraction, kept)
+    if slow.any():
+        cells[at[slow]] = list(map(repr, values[slow].tolist()))
 
 
 def _shortest_decimals(bits: np.ndarray) -> tuple[np.ndarray, ...]:
     """The shortest decimal that reads back as each float64 1 <= v < 2**53, the nearest among those.
 
     Takes the values' bits as int64. Returns the integer part, its digit
-    count, the fraction digits frac, their count j, and the indices of exact
-    midpoints, where two decimals qualify. It is exact in int64; Ryu (Adams,
-    PLDI 2018) solves the general case. Write v = integer + rem / 2**s with
-    s = 52 - exponent. At j fraction digits the nearest decimal is
-    frac / 10**j, frac = rem * 10**j // 2**s, or the one above when the rest
-    rem_j = rem * 10**j % 2**s is over half of 2**s. It reads back as v when
-    twice its distance, in units of 2**-s * 10**-j, is at most 10**j. How a
-    reader rounds a decimal exactly half an ulp away never matters: such a
-    decimal has s + 1 fraction digits, and v itself has s at most. The test
-    is monotone in j and passes at 17 significant digits, so a cell moves to
-    17, then down one digit at a time while the test still passes. Integers
-    take j = 0 at once.
+    count, the fraction digits left-aligned to 16 places, how many of them
+    to write (one at least), and whether the decimal is an exact midpoint,
+    where two qualify. It is exact in int64; Ryu (Adams, PLDI 2018) solves
+    the general case. Write v = integer + rem / 2**s with s = 52 - exponent.
+    At j fraction digits the nearest decimal is frac / 10**j, frac = rem *
+    10**j // 2**s, or the one above when the rest rem_j = rem * 10**j % 2**s
+    is over half of 2**s. It reads back as v when twice its distance, in
+    units of 2**-s * 10**-j, is below 10**j. It is never exactly 10**j: a
+    decimal half an ulp away has s + 1 fraction digits, and v itself has s
+    at most. The test is monotone in j and passes at 17 significant digits,
+    so a cell starts at 17 and drops digits while it passes (_drop_digits).
+    Integers take j = 0 at once, and limit 0, so they drop none.
 
-    The 17 digits come in closed form: the float64 product rem * (10**j /
-    2**s) < 10**16 is rounded once, by at most 1, so its integer part is
-    frac or one off. rem_j taken from it in wrapping int64 is exact, as the
-    true value lies within 2**s of [0, 2**s), and its high bits mend frac.
-    The first step down runs on the whole array; only the cells it
-    shortened walk on, by index.
+    The 17 digits come in closed form: the float64 product (v - integer) *
+    10**j < 10**16, v - integer = rem / 2**s exactly, is rounded once, by at
+    most 1, so its integer part is frac or one off. rem_j taken from it in
+    wrapping int64 is exact, as the true value lies within 2**s of
+    [0, 2**s), and its high bits mend frac.
     """
-    biased = bits >> 52
-    s = 1075 - biased
+    s = 1075 - (bits >> 52)
     mantissa = (bits & (2**52 - 1)) | 2**52
-    full = 1 << s
-    mask = full - 1
-    integer, rem = mantissa >> s, mantissa & mask
-    log10 = ((biased - 1022) * 1233) >> 12  # digits of integer, or one fewer
-    digits = log10 + (integer >= _POW10.take(log10))
+    integer = mantissa >> s
+    rem = mantissa - (integer << s)
+    digits_at, tens, limits = _decimal_tables()
+    digits = digits_at.take(s) + (integer >= tens.take(s))
     j = np.where(rem == 0, 0, 17 - digits)
-    limit = _POW10.take(j)
-    frac = (rem * (limit / full)).astype(np.int64)
+    limit = limits.take(j)
+    frac = ((bits.view(np.float64) - integer) * limit).astype(np.int64)
     rem = rem * limit - (frac << s)
-    frac += rem >> s
-    rem &= mask
-    fewer, fewer_rem, fewer_limit, passes = _one_digit_fewer(frac, rem, limit, s, full)
-    passes &= j > 0
-    for array, shorter in ((frac, fewer), (rem, fewer_rem), (limit, fewer_limit)):
-        np.copyto(array, shorter, where=passes)
-    j -= passes
-    down = np.flatnonzero(passes)
-    while down.size:
-        cut = _one_digit_fewer(frac[down], rem[down], limit[down], s[down], full[down])
-        fewer, fewer_rem, fewer_limit, passes = cut
-        down = down[passes]
-        frac[down], rem[down], limit[down] = fewer[passes], fewer_rem[passes], fewer_limit[passes]
-        j[down] -= 1
-    frac += 2 * rem > full
-    return integer, digits, frac, j, np.flatnonzero(2 * rem == full)
+    carry = rem >> s
+    frac += carry
+    rem -= carry << s
+    frac, dropped, tied = _drop_digits(frac, rem, limit, s)
+    return integer, digits, frac * _POW10.take(16 - j), np.maximum(j - dropped, 1), tied
 
 
-def _one_digit_fewer(frac, rem, limit, s, full) -> tuple[np.ndarray, ...]:
-    """frac, rem_j and 10**j at one fraction digit fewer, and whether that decimal still reads back.
+def _drop_digits(frac, rem, limit, s) -> tuple[np.ndarray, ...]:
+    """Round the j digits frac + rem / 2**s (limit is 10**j, or 0 for an integer) to the fewest that read back.
 
-    frac // 10 drops the last digit, which goes back into the rest.
+    Returns frac rounded at the last digit kept (the digits past it are
+    left as they fall), how many digits it dropped, and whether it lay
+    exactly halfway between the two decimals nearest at that length.
+
+    With k digits dropped and r = frac % 10**k, the decimals either side
+    lie r + rem / 2**s and 10**k - r - rem / 2**s last digits away. Solved
+    for r, the test of _shortest_decimals passes for the one below when
+    r <= (10**j - 1 - 2 * rem) >> (s + 1) = below, for the one above when
+    10**k - r <= (10**j - 1 + 2 * rem) >> (s + 1) = above, and so for either
+    when (frac + above) % 10**k <= below + above (for limit 0 both are -1,
+    and it never does). Every cell is tested at one and two digits fewer,
+    and the few that drop both at every length left. The decimal nearest
+    at k digits fewer is the kept digits of frac + 10**k / 2, or of
+    frac + 1 when twice the rest reaches 2**s.
     """
-    fewer = frac // 10
-    fewer_rem = ((frac - fewer * 10) << s | rem) // 10
-    fewer_limit = limit // 10
-    twice = fewer_rem << 1
-    return fewer, fewer_rem, fewer_limit, (twice <= fewer_limit) | (twice >= 2 * full - fewer_limit)
+    twice, s1, reach = rem << 1, s + 1, limit - 1
+    above = (reach + twice) >> s1
+    span = ((reach - twice) >> s1) + above
+    shifted = frac + above
+    reads = [shifted - shifted // power * power <= span for power in (10, 100)]
+    dropped = np.add(*reads, dtype=np.int64)
+    deeper, power = np.flatnonzero(reads[1]), 1000
+    while deeper.size:
+        deeper = deeper[shifted[deeper] % power <= span[deeper]]
+        dropped[deeper] += 1
+        power *= 10
+    unit = _POW10.take(dropped)
+    up = twice >> s
+    exact = np.flatnonzero(twice == up << s)  # a rest of 0 or exactly half, as a midpoint has
+    tied = np.zeros(frac.shape, dtype=bool)
+    tied[exact] = 2 * (frac[exact] % unit[exact]) + up[exact] == unit[exact]
+    return frac + ((unit + up) >> 1), dropped, tied
 
 
-def _point_texts(integer, digits, frac, j) -> np.ndarray:
-    """The texts integer.frac as an S24 array, with "0" for j = 0 fraction digits.
+def _point_texts(integer, digits, fraction, kept) -> np.ndarray:
+    """The texts integer.fraction as an S24 array, writing the first kept of the 16 fraction digits.
 
-    Each cell gets a 40-byte row: 16 integer digits, the point, 16 fraction
-    digits (j <= 16, as integer has one at least) and NULs. The fraction
-    digits past j are NULs too, so a text is the S24 window that starts at
-    the cell's first integer digit.
+    Each cell gets a row of 8-byte words: its integer part's 8 digits, or
+    16 when an integer here reaches 10**8, then the point, the 16 fraction
+    digits and NULs. The digits come four at a time from quads. The
+    fraction digits past kept are NULs too, so a text is the S24 window
+    that starts at the cell's first integer digit.
     """
-    parts = np.stack([integer, frac * _POW10.take(16 - j)]).view(np.uint64)  # fraction left-aligned
-    high = parts // np.uint64(10**8)
-    int_high, frac_high, int_low, frac_low = _ascii8(np.concatenate([high, parts - high * 10**8]))
-    bits_kept = np.maximum(j, 1) * 8
-    frac_high &= ~np.uint64(0) >> np.maximum(64 - bits_kept, 0).view(np.uint64)
-    frac_low &= ~np.uint64(0) >> np.minimum(128 - bits_kept, 64).view(np.uint64)
-    rows = np.empty((len(j), 5), dtype="<u8")
-    rows[:, 0], rows[:, 1], rows[:, 4] = int_high, int_low, frac_low >> np.uint64(56)
-    rows[:, 2] = frac_high << np.uint64(8) | np.uint64(ord("."))
-    rows[:, 3] = frac_high >> np.uint64(56) | frac_low << np.uint64(8)
+    words = 2 if digits.max(initial=0) > 8 else 1  # for the integer part
+    fours = np.empty((2, words + 2, len(kept)), dtype=np.int64)
+    eights = fours[1]  # 8-digit lanes, one a row: the integer part, then the fraction
+    if words == 1:
+        eights[0] = integer
+    else:
+        _split(integer, 10**8, eights[:2])
+    _split(fraction, 10**8, eights[-2:])
+    _split(eights, 10**4, fours)  # eights is fours[1]: split in place
+    masks, quads = _text_tables()
+    ascii8, low = quads.take(fours)
+    del fours, eights  # freed before the rows: they bound the writer's memory peak
+    ascii8 |= low << 32
+    ascii8[-2:] &= masks.take(kept, axis=1)
+    rows = np.empty((len(kept), words + 3), dtype=np.uint64)
+    for i in range(words):
+        rows[:, i] = ascii8[i]
+    high, low = ascii8[-2:]  # the fraction, one byte on for the point
+    rows[:, -3] = high << 8 | ord(".")
+    rows[:, -2] = high >> 56 | low << 8
+    rows[:, -1] = low >> 56
     row_bytes = rows.view(np.uint8).reshape(-1)
-    return _windows(row_bytes, "S24")[np.arange(16, row_bytes.size, 40) - digits]
+    return _windows(row_bytes, "S24")[np.arange(8 * words, row_bytes.size, rows.shape[1] * 8) - digits]
 
 
-def _ascii8(x: np.ndarray) -> np.ndarray:
-    """The 8 ASCII digits of each x < 10**8 in a uint64, first digit in the lowest byte.
+def _split(x: np.ndarray, unit: int, out: np.ndarray) -> None:
+    """Set out[0] to x // unit, then out[1] to x % unit; x may be out[1]."""
+    np.floor_divide(x, unit, out=out[0])
+    np.subtract(x, out[0] * unit, out=out[1])
 
-    Splits x into two 4-digit lanes, each lane into two 2-digit lanes and
-    those into digits, dividing by 100 and 10 as a multiply and a shift that
-    are exact at these sizes.
+
+# The two table builders below run on the writer's first call: built at
+# import, the tables raised the peak RSS of runs that write no array
+# (perfbench's sweep10x10 by about 0.4 MB).
+
+
+@functools.cache
+def _decimal_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """digits, tens and limits for _shortest_decimals.
+
+    A value 2**(52 - s) <= v < 2**(53 - s) has an integer part of digits[s]
+    digits, or one more from tens[s] on. limits[j] is 10**j, but 0 for
+    j = 0: an integer has no fraction digit to drop.
     """
-    hi = x // np.uint64(10**4)
-    x = (x - hi * 10**4) << np.uint64(32) | hi
-    hi = x * np.uint64(5243) >> np.uint64(19) & np.uint64(0x0000007F0000007F)
-    x = (x - hi * 100) << np.uint64(16) | hi
-    hi = x * np.uint64(103) >> np.uint64(10) & np.uint64(0x000F000F000F000F)
-    x = (x - hi * 10) << np.uint64(8) | hi
-    return x | np.uint64(0x3030303030303030)
+    digits = [len(str(2 ** (52 - s))) for s in range(53)]
+    return np.array(digits), np.array([10**d for d in digits]), np.array([0] + [10**j for j in range(1, 17)])
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
+    """masks and quads for _point_texts.
+
+    masks[:, k] keeps the first k bytes of two 8-byte words. quads[x] is the
+    4 ASCII digits of x < 10**4, first digit in the lowest byte.
+    """
+    masks = [[2 ** (8 * min(max(k - lane, 0), 8)) - 1 for k in range(17)] for lane in (0, 8)]
+    pairs = np.array([int.from_bytes(b"%02d" % x, "little") for x in range(100)], dtype=np.uint64)
+    return np.array(masks, dtype=np.uint64), (pairs[:, None] | pairs << 16).reshape(-1)
 
 
 def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray:
@@ -518,7 +564,7 @@ _DIGIT_MASKS = np.uint64(0x0F0F0F0F0F0F0F0F) << np.arange(64, -1, -8, dtype=np.u
 def _read_digits(lanes: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The number the last keep (clipped to 0..8) ASCII digits of each uint64 lane spell.
 
-    The inverse of _ascii8: digit pairs, then 4-digit lanes, then the whole,
+    The inverse of the writer's digits: digit pairs, then 4-digit lanes, then the whole,
     each a multiply and a shift (Lemire's eight-digit parse).
     """
     x = lanes & _DIGIT_MASKS.take(keep, mode="clip")

@@ -426,6 +426,20 @@ def test_load_converts_a_written_array_without_float(quiet_device, tmp_path, mon
     assert texts == []
 
 
+def test_save_formats_an_array_in_range_without_repr(quiet_device, tmp_path, monkeypatch):
+    # every cell of this array lies in [1, 2**53), where the writer's own
+    # digits are exact; a cell handed to repr means its fast path was missed
+    values = []
+    monkeypatch.setattr(crossbar, "repr", lambda value: values.append(value) or repr(value), raising=False)
+    resistance = make_rng(1).uniform(1e4, 1e7, size=(256, 256))
+    resistance[0, :3] = [quiet_device.r_min, quiet_device.r_max, 12345.0]  # r_min, r_max and an integer
+    path = tmp_path / "array.csv"
+    save_resistance_csv([(resistance, path)])
+    assert values == []
+    rows = [b",".join(repr(value).encode() for value in row) + b"\r\n" for row in resistance.tolist()]
+    assert path.read_bytes() == b"".join(rows)
+
+
 @pytest.mark.parametrize("same_path", [False, True], ids=["two-paths", "one-path-twice"])
 def test_save_copies_the_file_of_an_equal_matrix(tmp_path, monkeypatch, same_path):
     copies, formatted = [], []

@@ -735,6 +735,18 @@ def test_formatter_gives_repr_of_hard_cases():
     assert formatted(FORMATTER_CELLS) == reprs(FORMATTER_CELLS)
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["integers-below-1e8", "an-integer-of-1e8"])
+def test_formatter_gives_repr_of_a_full_chunk(wide):
+    # the formatter writes a chunk's integer parts in 8 digits when all are
+    # below 10**8, else in 16; the hypothesis lists above never fill a chunk
+    values = np.random.default_rng(11).uniform(1e4, 1e7, _CHUNK)
+    values[:3] = 1e4, 1e7, 12345.0
+    if wide:
+        values[3:7] = 123456789.5, 2.0**53 - 1, 1.0000000000000002, 2.0**50 + 0.25  # 16 fraction digits; a midpoint
+    assert (values.max() >= 1e8) == wide
+    assert formatted(values) == reprs(values)
+
+
 def test_writer_formats_across_chunk_boundaries(series_dir):
     rng = np.random.default_rng(7)
     size = 3 * _CHUNK + 7
