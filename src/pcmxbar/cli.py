@@ -226,7 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = Path(args.out_dir)
-        nearest = next(p for p in (out, *out.absolute().parents) if p.exists())
+        # a link counts as there: a dangling one is no directory to write in
+        nearest = next(p for p in (out, *out.absolute().parents) if p.exists() or p.is_symlink())
         if not nearest.is_dir():
             raise NotADirectoryError(f"--out-dir {args.out_dir}: {nearest} is not a directory")
         return args.func(args, out, nearest)

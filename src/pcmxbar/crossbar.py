@@ -257,6 +257,9 @@ _CHUNK = 4096
 # does not grow with the matrix.
 _WRITE_BYTES = 1 << 18
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
+# Integer parts of at most this many digits take the own format's fast path both
+# ways: the writer formats [1, 10**8) itself, and the reader converts such fields.
+_INTEGER_DIGITS = 8
 
 
 def _file_grid(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,11 +281,11 @@ def _file_grid(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
 def _write_reprs(cells: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
     """Set cells[at] to repr(v).encode() of each v in values.
 
-    Values 1 <= v < 2**53 are formatted here; repr writes the others, and the
+    Values 1 <= v < 10**8 are formatted here; repr writes the others, and the
     exact midpoints, which it breaks by its own rule.
     """
     bits = values.view(np.int64)
-    slow = (bits - 0x3FF0000000000000).view(np.uint64) >= 53 << 52  # not 1.0 <= v < 2.0**53
+    slow = ~((values >= 1) & (values < 10.0**_INTEGER_DIGITS))  # NaN too
     fast = np.flatnonzero(~slow) if slow.any() else slice(None)
     integer, digits, fraction, kept, slow[fast] = _shortest_decimals(bits[fast])  # midpoints go to repr too
     cells[at[fast]] = _point_texts(integer, digits, fraction, kept)
@@ -370,35 +373,29 @@ def _drop_digits(frac, rem, limit, s) -> tuple[np.ndarray, ...]:
 def _point_texts(integer, digits, fraction, kept) -> np.ndarray:
     """The texts integer.fraction as an S24 array, writing the first kept of the 16 fraction digits.
 
-    Each cell gets a row of 8-byte words: its integer part's 8 digits, or
-    16 when an integer here reaches 10**8, then the point, the 16 fraction
-    digits and NULs. The digits come four at a time from quads. The
-    fraction digits past kept are NULs too, so a text is the S24 window
-    that starts at the cell's first integer digit.
+    Each cell gets a row of four 8-byte words: its integer part's 8 digits,
+    then the point, the 16 fraction digits and NULs. The digits come four at
+    a time from quads. The fraction digits past kept are NULs too, so a text
+    is the S24 window that starts at the cell's first integer digit.
     """
-    words = 2 if digits.max(initial=0) > 8 else 1  # for the integer part
-    fours = np.empty((2, words + 2, len(kept)), dtype=np.int64)
+    fours = np.empty((2, 3, len(kept)), dtype=np.int64)
     eights = fours[1]  # 8-digit lanes, one a row: the integer part, then the fraction
-    if words == 1:
-        eights[0] = integer
-    else:
-        _split(integer, 10**8, eights[:2])
-    _split(fraction, 10**8, eights[-2:])
+    eights[0] = integer
+    _split(fraction, 10**8, eights[1:])
     _split(eights, 10**4, fours)  # eights is fours[1]: split in place
     masks, quads = _text_tables()
     ascii8, low = quads.take(fours)
     del fours, eights  # freed before the rows: they bound the writer's memory peak
     ascii8 |= low << 32
-    ascii8[-2:] &= masks.take(kept, axis=1)
-    rows = np.empty((len(kept), words + 3), dtype=np.uint64)
-    for i in range(words):
-        rows[:, i] = ascii8[i]
-    high, low = ascii8[-2:]  # the fraction, one byte on for the point
-    rows[:, -3] = high << 8 | ord(".")
-    rows[:, -2] = high >> 56 | low << 8
-    rows[:, -1] = low >> 56
+    ascii8[1:] &= masks.take(kept, axis=1)
+    rows = np.empty((len(kept), 4), dtype=np.uint64)
+    rows[:, 0] = ascii8[0]
+    high, low = ascii8[1:]  # the fraction, one byte on for the point
+    rows[:, 1] = high << 8 | ord(".")
+    rows[:, 2] = high >> 56 | low << 8
+    rows[:, 3] = low >> 56
     row_bytes = rows.view(np.uint8).reshape(-1)
-    return _windows(row_bytes, "S24")[np.arange(8 * words, row_bytes.size, rows.shape[1] * 8) - digits]
+    return _windows(row_bytes, "S24")[np.arange(8, row_bytes.size, 32) - digits]
 
 
 def _split(x: np.ndarray, unit: int, out: np.ndarray) -> None:
@@ -541,7 +538,8 @@ def _parse_block(block: bytes) -> tuple[np.ndarray, int] | None:
     error = quotient - (values - integer)
     below = (values.view(np.int64) - 1).view(np.float64)  # the float below, for values > 0
     bound = (values - below) / 2 - 2.0**-54
-    exact = (np.abs(error) < bound) & (integer_digits <= 8) & (fraction_digits <= 16) & (fraction < 2**53)
+    exact = np.abs(error) < bound
+    exact &= (integer_digits <= _INTEGER_DIGITS) & (fraction_digits <= 16) & (fraction < 2**53)
     for i in np.flatnonzero(~exact).tolist():
         values.flat[i] = float(block[starts.flat[i] - 16 : ends.flat[i] - 16])
     return values.reshape(-1), width

@@ -455,10 +455,19 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, command, flag,
 
 
 @pytest.mark.parametrize("command", ["learn", "recall", "sweep", "device-curve"])
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-def test_out_dir_that_is_or_lies_under_a_file_exits_3_before_any_run(tmp_path, capsys, monkeypatch, command, under):
+@pytest.mark.parametrize(
+    "dangling, under",
+    [(False, False), (False, True), (True, False), (True, True)],
+    ids=["file", "under-file", "dangling-link", "under-dangling-link"],
+)
+def test_out_dir_that_is_or_lies_under_a_file_exits_3_before_any_run(
+    tmp_path, capsys, monkeypatch, command, dangling, under
+):
     blocker = tmp_path / "blocker"
-    blocker.write_bytes(b"mine")
+    if dangling:
+        blocker.symlink_to(tmp_path / "missing")  # exists() is False for it
+    else:
+        blocker.write_bytes(b"mine")
 
     def load_nothing(*_):
         raise AssertionError("a config was loaded")
@@ -470,8 +479,20 @@ def test_out_dir_that_is_or_lies_under_a_file_exits_3_before_any_run(tmp_path, c
     assert main([command, "--config", config, "--out-dir", str(out_dir)]) == EXIT_IO
     err = capsys.readouterr().err
     assert "--out-dir" in err and "Traceback" not in err
-    assert blocker.read_bytes() == b"mine"
+    if dangling:
+        assert blocker.is_symlink() and not blocker.exists()
+    else:
+        assert blocker.read_bytes() == b"mine"
     assert sorted(tmp_path.iterdir()) == [blocker]  # no .learn-* directory left behind
+
+
+def test_out_dir_that_links_to_a_directory_is_written_through_the_link(tmp_path):
+    target = tmp_path / "target"
+    target.mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert main(["learn", "--config", "paper10x10.json", "--out-dir", str(link), "--epochs", "1", "--quiet"]) == EXIT_OK
+    assert link.is_symlink() and (target / "report.json").is_file()
 
 
 # A child interpreter lowers its own address-space limit to the size it has

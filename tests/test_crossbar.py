@@ -426,18 +426,31 @@ def test_load_converts_a_written_array_without_float(quiet_device, tmp_path, mon
     assert texts == []
 
 
-def test_save_formats_an_array_in_range_without_repr(quiet_device, tmp_path, monkeypatch):
-    # every cell of this array lies in [1, 2**53), where the writer's own
-    # digits are exact; a cell handed to repr means its fast path was missed
+def saved_through_repr(resistance, path, monkeypatch) -> list[float]:
+    """Save resistance to path, hold the file to repr's text, and return the values the writer handed to repr."""
     values = []
     monkeypatch.setattr(crossbar, "repr", lambda value: values.append(value) or repr(value), raising=False)
-    resistance = make_rng(1).uniform(1e4, 1e7, size=(256, 256))
-    resistance[0, :3] = [quiet_device.r_min, quiet_device.r_max, 12345.0]  # r_min, r_max and an integer
-    path = tmp_path / "array.csv"
     save_resistance_csv([(resistance, path)])
-    assert values == []
     rows = [b",".join(repr(value).encode() for value in row) + b"\r\n" for row in resistance.tolist()]
     assert path.read_bytes() == b"".join(rows)
+    return values
+
+
+def test_save_formats_an_array_in_range_without_repr(quiet_device, tmp_path, monkeypatch):
+    # every cell of this array lies in [1, 10**8), where the writer's own
+    # digits are exact; a cell handed to repr means its fast path was missed
+    resistance = make_rng(1).uniform(1e4, 1e7, size=(256, 256))
+    # r_min, r_max, an integer and the float just below 10**8, 99999999.99999999
+    resistance[0, :4] = [quiet_device.r_min, quiet_device.r_max, 12345.0, np.nextafter(1e8, 0)]
+    assert saved_through_repr(resistance, tmp_path / "array.csv", monkeypatch) == []
+
+
+def test_save_hands_values_of_1e8_and_up_to_repr(tmp_path, monkeypatch):
+    # the writer's own range ends where the reader's does, at integer parts of 8 digits
+    resistance = make_rng(2).uniform(1e4, 1e7, size=(64, 64))
+    wide = [1e8, 123456789.5, 2.0**53 - 1]
+    resistance[5, 10:13] = wide
+    assert saved_through_repr(resistance, tmp_path / "array.csv", monkeypatch) == wide
 
 
 @pytest.mark.parametrize("same_path", [False, True], ids=["two-paths", "one-path-twice"])

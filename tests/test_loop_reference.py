@@ -27,7 +27,7 @@ save_resistance_csv writes a series of matrices and formats a cell only
 where its bits changed since the matrix before. The reference formats every
 cell of one matrix; each file of a series must equal it byte for byte. The
 changed cells are formatted in chunks by pcmxbar's own shortest-digit
-writer, which hands the values outside [1, 2**53) to repr; CPython's repr is
+writer, which hands the values outside [1, 10**8) to repr; CPython's repr is
 its reference, byte for byte, on any float64 bits, on fixed hard cases and
 across chunk boundaries.
 
@@ -694,19 +694,19 @@ def test_formatter_gives_repr_of_any_float64_bits(patterns):
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=st.lists(st.floats(1.0, 2.0**53, exclude_max=True), min_size=1, max_size=64))
+@given(values=st.lists(st.floats(1.0, 1e8, exclude_max=True), min_size=1, max_size=64))
 def test_formatter_gives_repr_of_floats_it_formats_itself(values):
     assert formatted(values) == reprs(values)
 
 
 @st.composite
 def short_decimal(draw) -> float:
-    """A decimal of 1-15 significant digits in [1, 2**53): its repr is that decimal."""
+    """A decimal of 1-15 significant digits in [1, 10**8): its repr is that decimal."""
     digits = draw(st.integers(1, 15))
     significand = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
     point = draw(st.integers(digits - 16, digits - 1))  # fraction digits; below 0, trailing zeros
     value = significand / 10**point if point > 0 else float(significand * 10**-point)
-    assume(value < 2.0**53)
+    assume(value < 1e8)
     return value
 
 
@@ -725,8 +725,9 @@ FORMATTER_CELLS = (
     2.0**53 - 1, 2.0**53, 2.0**52 + 1, 10000.0, 1.0e7, 22000.0, 123456789.0, 1e16, 1e-05,  # integers and the edges
     *(k + 0.5 for k in (0, 1, 9, 10, 99, 12345, 2**40, 2**52 - 1)),  # halves
     *(k / 1000 for k in (1001, 1234, 9999, 10001, 22000123, 1234567891)),  # 3-decimal values
-    # exact midpoints: one fraction digit reads back, and two lie equally near
-    2.0**50 + 0.25, 2.0**50 + 0.75, 2.0**51 - 0.25,
+    # exact midpoints: one fraction digit reads back, and two lie equally near;
+    # below 10**8, eight fraction digits do and two lie equally near
+    2.0**50 + 0.25, 2.0**50 + 0.75, 2.0**51 - 0.25, 2.0**26 + 2.0**-9, 2.0**26 + 3 * 2.0**-9,
     *SPECIAL_CELLS, -1.5, -10000.0, 0.5, 0.1, 1.0 - 2.0**-53,  # repr's: signs, zeros, NaN, inf, subnormals, below 1
 )
 
@@ -735,14 +736,15 @@ def test_formatter_gives_repr_of_hard_cases():
     assert formatted(FORMATTER_CELLS) == reprs(FORMATTER_CELLS)
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["integers-below-1e8", "an-integer-of-1e8"])
+@pytest.mark.parametrize("wide", [False, True], ids=["integers-below-1e8", "repr-cells-among-them"])
 def test_formatter_gives_repr_of_a_full_chunk(wide):
-    # the formatter writes a chunk's integer parts in 8 digits when all are
-    # below 10**8, else in 16; the hypothesis lists above never fill a chunk
+    # a chunk of the formatter's own cells, then one with repr's among them:
+    # cells of 10**8 and up and exact midpoints; the hypothesis lists above
+    # never fill a chunk
     values = np.random.default_rng(11).uniform(1e4, 1e7, _CHUNK)
     values[:3] = 1e4, 1e7, 12345.0
     if wide:
-        values[3:7] = 123456789.5, 2.0**53 - 1, 1.0000000000000002, 2.0**50 + 0.25  # 16 fraction digits; a midpoint
+        values[3:8] = 123456789.5, 2.0**53 - 1, 1.0000000000000002, 2.0**50 + 0.25, 2.0**26 + 2.0**-9
     assert (values.max() >= 1e8) == wide
     assert formatted(values) == reprs(values)
 
@@ -750,7 +752,7 @@ def test_formatter_gives_repr_of_a_full_chunk(wide):
 def test_writer_formats_across_chunk_boundaries(series_dir):
     rng = np.random.default_rng(7)
     size = 3 * _CHUNK + 7
-    first = rng.integers(0x3FF0000000000000, 0x4340000000000000, size).view(np.float64)
+    first = rng.integers(*np.array([1.0, 1e8]).view(np.int64), size).view(np.float64)  # bits in [1, 10**8)
     # repr's values at every chunk edge and scattered between
     edges = [i for chunk in range(1, 4) for i in (chunk * _CHUNK - 1, chunk * _CHUNK)]
     scattered = rng.choice(size, 40, replace=False)
@@ -764,10 +766,16 @@ def test_writer_formats_across_chunk_boundaries(series_dir):
     assert_written_as_loop(series, paths, series_dir / "loop.csv")
 
 
-@pytest.mark.parametrize("epochs, kept", [(4, [0, 2, 4]), (3, [0, 2])], ids=["ends-on-snapshot", "ends-between"])
-def test_learn_writes_every_array_as_the_loop_formats_it(tmp_path, epochs, kept):
+@pytest.mark.parametrize(
+    "epochs, kept, wide",
+    [(4, [0, 2, 4], False), (3, [0, 2], False), (4, [0, 2, 4], True)],
+    ids=["ends-on-snapshot", "ends-between", "across-1e8"],
+)
+def test_learn_writes_every_array_as_the_loop_formats_it(tmp_path, epochs, kept, wide):
     spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))
     spec["device"]["sigma_c2c"] = 0.05
+    if wide:  # cells on both sides of 10**8, where the writer's own range ends
+        spec["device"]["r_max"], spec["init"]["median"] = 1e9, 2e8
     spec["snapshot_every"] = 2
     spec["recall_target"] = [1] * 9 + [0]  # out of reach: the run trains for every epoch it may
     config_path = tmp_path / "config.json"
@@ -786,6 +794,9 @@ def test_learn_writes_every_array_as_the_loop_formats_it(tmp_path, epochs, kept)
     assert sorted(p.name for p in (out / "snapshots").glob("*.csv")) == [f"epoch_{e:04d}.csv" for e in kept]
     expected = {out / "array_initial.csv": kept_arrays[0][1], out / "array_final.csv": report.final_resistance}
     expected.update((out / "snapshots" / f"epoch_{epoch:04d}.csv", matrix) for epoch, matrix in kept_arrays)
+    # wide: every initial cell lies at 2e8, and each trained array holds cells on both sides of 10**8
+    assert all((matrix >= 1e8).any() == wide for matrix in expected.values())
+    assert (report.final_resistance < 1e8).any()
     assert_written_as_loop(expected.values(), expected.keys(), tmp_path / "loop.csv")
 
 

@@ -5,7 +5,7 @@ math.exp) and CPython's float repr give the bits they gave when the digests
 were taken. NEP 19 does not freeze numpy's streams across versions. When a
 digest moves after an upgrade, this test names the layer that moved.
 
-Stored arrays take the digits of every value in [1, 2**53) from pcmxbar's
+Stored arrays take the digits of every value in [1, 10**8) from pcmxbar's
 own exact shortest-digit writer. CPython's repr writes their other values,
 is that writer's test oracle (tests/test_loop_reference.py), and writes the
 floats of report.json, traces.jsonl, sweep.csv and histograms.csv; the repr
