@@ -8,6 +8,7 @@ resistance variation class and reduces each class to one summary row.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
@@ -158,6 +159,20 @@ def weight_contrast(array: CrossbarArray, pattern: Pattern) -> float:
     return float(np.mean(conductance[block_mask]) / np.mean(conductance[~block_mask]))
 
 
+def _reads_stay(patterns: tuple[Pattern, ...]) -> bool:
+    """True when no pattern ever programs a cell that a training read covers.
+
+    Pattern q programs cells inside its ON x ON block; pattern p's training
+    read covers its OFF bitlines x ON wordlines. The two meet only when q's
+    ON set has a neuron inside p's and one outside it, so the reads keep the
+    formed array's values when every ON set lies inside or wholly outside
+    every other. Frozenset tests: about 1 us for two patterns, where
+    np.intersect1d measured 48 us.
+    """
+    ons = [p.on_set() for p in patterns]
+    return all(q <= p or q.isdisjoint(p) for p in ons for q in ons)
+
+
 def _protocol(config: ExperimentConfig, rng: np.random.Generator) -> Iterator[tuple]:
     """Every simulation call of one run, in order, as a generator.
 
@@ -169,16 +184,26 @@ def _protocol(config: ExperimentConfig, rng: np.random.Generator) -> Iterator[tu
     far. Each phase of energy is a running sum from 0.0 in run order, the
     bits add_in_order gives, and the one dict is updated in place. The run
     stops at the first probe that matches the recall target exactly.
+
+    When no pattern programs a cell that a training read covers
+    (_reads_stay), each pattern's first read is kept and recorded again on
+    every later epoch instead of being read afresh; its bits are the same.
     """
     pp = config.protocol
     array = init_array(config.n, config.init, config.device, rng, pp.reset_pulse)
     thresholds = compute_thresholds(array, config.recall_stimulus, pp)
     yield array, thresholds
     energy = dict.fromkeys(("training_program", "training_read", "probe_read"), 0.0)
+    # each pattern's epoch-1 read, passed back on later epochs when keep_reads
+    reads = [None] * len(config.patterns)
+    keep_reads = _reads_stay(config.patterns)
     for epoch in range(1, config.max_epochs + 1):
         traces = []
-        for pattern in config.patterns:
-            array, trace = training_epoch(array, pattern, pp, rng)
+        for i, pattern in enumerate(config.patterns):
+            array, trace = training_epoch(array, pattern, pp, rng, reads[i])
+            if keep_reads and epoch == 1:
+                trace.currents.flags.writeable = False  # shared by this pattern's later traces
+                reads[i] = trace.currents, trace.read_energy
             trace.epoch = epoch
             energy["training_program"] += trace.program_energy
             energy["training_read"] += trace.read_energy
@@ -332,9 +357,15 @@ def distribution_history(report: RunReport) -> list[Snapshot]:
 
 
 def _histogram_edges(device: DeviceParams) -> np.ndarray:
-    """HISTOGRAM_BINS + 1 log-spaced edges from exactly r_min to exactly r_max."""
-    edges = np.logspace(np.log10(device.r_min), np.log10(device.r_max), HISTOGRAM_BINS + 1)
-    # logspace can round an outer edge inward, and np.histogram would then
+    """HISTOGRAM_BINS + 1 log-spaced edges from exactly r_min to exactly r_max.
+
+    The logarithms and powers come from libm through math.log10 and float
+    **. numpy's float64 log10 and power dispatch to SIMD loops that differ
+    with the CPU (AVX512 or not), so np.logspace's edges do too.
+    """
+    exponents = np.linspace(math.log10(device.r_min), math.log10(device.r_max), HISTOGRAM_BINS + 1)
+    edges = np.array([10.0**x for x in exponents.tolist()])
+    # a power can round an outer edge inward, and np.histogram would then
     # drop every cell clamped to that limit
     edges[0], edges[-1] = device.r_min, device.r_max
     return edges

@@ -177,6 +177,7 @@ def training_epoch(
     pattern: Pattern,
     pp: ProtocolParams,
     rng: np.random.Generator,
+    read: tuple[np.ndarray, float] | None = None,
 ) -> tuple[CrossbarArray, EpochTrace]:
     """One presentation of a pattern: program the coactive block, then read.
 
@@ -185,6 +186,12 @@ def training_epoch(
     skipped when include_diagonal is false. Afterwards every non-firing
     neuron reads its bitline against the firing set, which records the
     input currents the recall threshold will be compared against.
+
+    read, if given, is an earlier trace's (currents, read_energy) of the
+    same pattern. It is recorded as this epoch's read, and the bitlines are
+    not read again: the caller vouches that no cell the read covers has
+    been programmed since. A read draws nothing from rng, so the
+    generator's state is the same either way.
     """
     _check_pattern(array, pattern)
     on = pattern.on_idx
@@ -200,14 +207,16 @@ def training_epoch(
         for bls, wls in blocks:
             out, e, _ = program_cells(out, bls, wls, pp.program_pulse, rng)
             program_energy += e
-    currents, energies = _read_idle(out, on, pattern.off_idx, pp)
+    if read is None:
+        currents, energies = _read_idle(out, on, pattern.off_idx, pp)
+        read = currents, add_in_order(0.0, energies.tolist())
     trace = EpochTrace(
         epoch=0,
         phase="train",
         firing_set=pattern.on_set(),
-        currents=currents,
+        currents=read[0],
         program_energy=program_energy,
-        read_energy=add_in_order(0.0, energies.tolist()),
+        read_energy=read[1],
     )
     return out, trace
 

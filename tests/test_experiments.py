@@ -25,13 +25,14 @@ from pcmxbar import (
     class_reports,
     crossbar,
     distribution_history,
+    experiments,
     learn_and_recall,
     network,
     variation_sweep,
 )
 from pcmxbar.configio import bundled_config_path, load_sweep, report_json
 from pcmxbar.errors import DegeneratePattern, DimensionMismatch, NoSnapshots
-from pcmxbar.experiments import scheme_for_cv, weight_contrast
+from pcmxbar.experiments import HISTOGRAM_BINS, _histogram_edges, scheme_for_cv, weight_contrast
 
 from conftest import on_pattern, uniform_array
 
@@ -390,18 +391,73 @@ def test_bundled_sweep_event_contract(monkeypatch, drive):
     }
 
 
+def patch_every_binding(monkeypatch, fn, replacement) -> None:
+    """Replace fn under every name a pcmxbar module binds it to, as a tracer hooks it."""
+    modules = [m for name, m in list(sys.modules.items()) if name == "pcmxbar" or name.startswith("pcmxbar.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def count_reads(monkeypatch) -> Counter:
+    """Count every crossbar.read_bitlines call from here on, under "reads"."""
+    calls: Counter = Counter()
+    read_bitlines = crossbar.read_bitlines
+
+    def counted(*args, **kwargs):
+        calls["reads"] += 1
+        return read_bitlines(*args, **kwargs)
+
+    patch_every_binding(monkeypatch, read_bitlines, counted)
+    return calls
+
+
+def test_bundled_sweep_reads_each_pattern_once_per_run(monkeypatch):
+    """The bundled patterns are complementary, so a run reads each pattern's training read only in epoch 1.
+
+    800 threshold reads, 1,600 training reads (two patterns in each of 800
+    runs) and one read per probe step (5,187). A run that read every epoch
+    would read 8,940 times in training, 14,927 in all.
+    """
+    calls = count_reads(monkeypatch)
+    base, spec = load_sweep(bundled_config_path("sweep10x10.json"))
+    variation_sweep(base, spec)
+    assert calls["reads"] == 7587
+
+
+@pytest.mark.parametrize(
+    "second, reads",
+    [(PATTERN_2, [1, 1, 0, 0, 0, 0]), (on_pattern(10, {3, 4, 5, 6}), [1] * 6)],
+    ids=["complementary", "overlapping"],
+)
+def test_training_epochs_read_afresh_when_patterns_overlap(monkeypatch, second, reads):
+    """A pattern that programs cells another pattern's training read covers makes every epoch read."""
+    calls = count_reads(monkeypatch)
+    per_epoch = []
+
+    def counted_epoch(*args, **kwargs):
+        before = calls["reads"]
+        result = network.training_epoch(*args, **kwargs)
+        per_epoch.append(calls["reads"] - before)
+        return result
+
+    monkeypatch.setattr(experiments, "training_epoch", counted_epoch)
+    # threshold_factor 50 never recalls, so the run trains all three epochs
+    config = canonical_config(patterns=(PATTERN_1, second), protocol=ProtocolParams(threshold_factor=50.0), max_epochs=3)
+    report = learn_and_recall(config)
+    assert per_epoch == reads
+    assert len(report.traces) == 9
+
+
 def test_variation_sweep_builds_no_report_contrast_or_stats(monkeypatch):
     """A sweep reads only each run's epochs and energy, so it calls none of the report builders."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sweep run computes only its epochs and energy")
 
-    modules = [m for name, m in list(sys.modules.items()) if name == "pcmxbar" or name.startswith("pcmxbar.")]
     for fn in (learn_and_recall, weight_contrast, crossbar.array_stats):
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, refuse)
+        patch_every_binding(monkeypatch, fn, refuse)
     rows = variation_sweep(canonical_config(), SweepSpec((0.09, 0.6), seeds_per_cv=3))
     assert [row.cv for row in rows] == [0.09, 0.6]
 
@@ -452,9 +508,9 @@ def test_distribution_history_tracks_training():
 @pytest.mark.parametrize(
     "device_overrides, init",
     [
-        # np.logspace puts the top edge at 4999999.999999999
+        # 10.0 ** math.log10(5e6), the unclamped top edge, is 4999999.999999999
         ({"r_max": 5.0e6}, InitScheme(InitVariant.TUNED_FULL_RESET, 0.0, 5.0e6)),
-        # and the bottom edge at 7000.000000000002
+        # and 10.0 ** math.log10(7e3), the bottom one, is 7000.000000000002
         ({"r_min": 7.0e3}, InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 1.5, 1.0e4)),
     ],
 )
@@ -468,6 +524,32 @@ def test_distribution_history_counts_cells_at_the_device_limits(device_overrides
     for histogram in distribution_history(report):
         assert histogram.counts.sum() == 100
         assert (histogram.bin_edges[0], histogram.bin_edges[-1]) == (device.r_min, device.r_max)
+
+
+def libm_edges(r_min: float, r_max: float) -> list[float]:
+    """HISTOGRAM_BINS + 1 edges from libm's log10 and pow, with the exact limits at the ends."""
+    exponents = np.linspace(math.log10(r_min), math.log10(r_max), HISTOGRAM_BINS + 1)
+    edges = [math.pow(10.0, x) for x in exponents.tolist()]
+    edges[0], edges[-1] = r_min, r_max
+    return edges
+
+
+def test_histogram_edges_are_libm_powers_whatever_the_cpu():
+    """The bin edges do not depend on which SIMD loops numpy picks for this CPU.
+
+    numpy's float64 log10 and power run AVX512 loops where the CPU has them,
+    and on most ranges those give np.logspace other bits than libm does.
+    """
+    rng = np.random.default_rng(31)
+    lows, ratios = rng.uniform(1.0, 1.0e6, 1000).tolist(), rng.uniform(1.5, 1.0e4, 1000).tolist()
+    ranges = [(r_min, r_min * ratio) for r_min, ratio in zip(lows, ratios)]
+    moved = []
+    for r_min, r_max in ranges:
+        device = DeviceParams(r_min=r_min, r_max=r_max, r_reset_full_median=r_max, r_reset_partial_median=r_max)
+        if _histogram_edges(device).tolist() != libm_edges(r_min, r_max):
+            moved.append((r_min, r_max))
+    assert not moved, f"{len(moved)} of {len(ranges)} ranges, first {moved[0]}"
+    assert _histogram_edges(CANONICAL_DEVICE).tolist() == libm_edges(1.0e4, 1.0e7)
 
 
 def test_distribution_history_requires_snapshots():

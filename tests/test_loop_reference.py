@@ -59,6 +59,7 @@ from pcmxbar import (
     learn_and_recall,
     variation_sweep,
 )
+from pcmxbar import experiments
 from pcmxbar.cli import EXIT_OK, main
 from pcmxbar.configio import bundled_config_path, config_to_dict, load_config
 from pcmxbar.crossbar import (
@@ -859,7 +860,20 @@ def test_variation_sweep_rows_equal_rows_reduced_from_class_reports(bundled_clas
 
 
 # Each case forces one setting the bundled sweep never uses; hypothesis draws the rest.
-SWEEP_RUN_CASES = ("sigma-c2c", "no-diagonal", "two-pulses", "one-epoch", "out-of-reach")
+SWEEP_RUN_CASES = ("sigma-c2c", "no-diagonal", "two-pulses", "one-epoch", "out-of-reach", "overlapping")
+
+
+def draw_patterns(draw, case: str, n: int) -> tuple[frozenset[int], ...]:
+    neurons = st.integers(0, n - 1)
+    patterns = draw(st.lists(st.frozensets(neurons), min_size=1, max_size=3))
+    if case == "overlapping":
+        # two ON sets that share neuron a, neither inside the other: each
+        # programs cells the other's training read covers
+        a, only_first, only_second = draw(st.permutations(range(n)))[:3]
+        first = (patterns[0] | {a, only_first}) - {only_second}
+        second = (draw(st.frozensets(neurons)) | {a, only_second}) - {only_first}
+        patterns = [first, second] + patterns[1:2]
+    return tuple(patterns)
 
 
 @st.composite
@@ -889,7 +903,7 @@ def small_configs(draw, case: str) -> ExperimentConfig:
         device=device,
         protocol=protocol,
         init=scheme_for_cv(device, draw(st.floats(0.0, 1.0)), 0.15),
-        patterns=tuple(on_pattern(n, p) for p in draw(st.lists(st.frozensets(neurons), min_size=1, max_size=3))),
+        patterns=tuple(on_pattern(n, p) for p in draw_patterns(draw, case, n)),
         recall_stimulus=on_pattern(n, stimulus),
         recall_target=on_pattern(n, target),
         max_epochs=1 if case == "one-epoch" else draw(st.integers(1, 4)),
@@ -918,3 +932,41 @@ def test_sweep_run_equals_learn_and_recall(case, seed, data):
     if case == "out-of-reach":
         assert epochs is None
         assert len(report.contrast_history) == config.max_epochs
+
+
+@pytest.mark.parametrize("case", SWEEP_RUN_CASES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_kept_training_reads_equal_fresh_reads(case, seed, data):
+    """A run that records a pattern's first read again gives the bits of a run that reads every epoch."""
+    config = data.draw(small_configs(case))
+    reference_rng, rng = make_rng(seed), make_rng(seed)
+
+    def read_every_epoch(array, pattern, pp, rng, read=None):
+        return training_epoch(array, pattern, pp, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "training_epoch", read_every_epoch)
+        reference = learn_and_recall(config, reference_rng)
+    report = learn_and_recall(config, rng)
+
+    def reads(r):
+        return [(t.epoch, t.phase, t.currents.tobytes(), t.read_energy.hex()) for t in r.traces]
+
+    assert reads(report) == reads(reference)
+    assert {k: v.hex() for k, v in report.energy_breakdown.items()} == {
+        k: v.hex() for k, v in reference.energy_breakdown.items()
+    }
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    ons = [p.on_set() for p in config.patterns]
+    programmed = {(bl, wl) for on in ons for bl in on for wl in on}
+    read = {(bl, wl) for on in ons for bl in set(range(config.n)) - on for wl in on}
+    train = [t.currents for t in report.traces if t.phase == "train"]
+    if programmed.isdisjoint(read):
+        assert case != "overlapping"
+        # each pattern's first read is shared by its later traces, so nobody may write it
+        assert len({id(currents) for currents in train}) == len(config.patterns)
+        assert not any(currents.flags.writeable for currents in train)
+    else:
+        # every training epoch read afresh, into an array of its own
+        assert len({id(currents) for currents in train}) == len(train)

@@ -1,8 +1,9 @@
 """Fingerprints of the platform primitives every pinned digest rests on.
 
 The output digests hold only while numpy's normal streams, libm's exp (through
-math.exp) and CPython's float repr give the bits they gave when the digests
-were taken. NEP 19 does not freeze numpy's streams across versions. When a
+math.exp), libm's log10 and pow (through math.log10 and float **, which give
+the histogram bin edges) and CPython's float repr give the bits they gave
+when the digests were taken. NEP 19 does not freeze numpy's streams across versions. When a
 digest moves after an upgrade, this test names the layer that moved.
 
 Stored arrays take the digits of every value in [1, 10**8) from pcmxbar's
@@ -41,6 +42,24 @@ def test_platform_primitives_give_the_pinned_bits():
         0.5: "0x1.a61298e1e069cp+0",
         13.815510557964274: "0x1.e847ffffffffcp+19",
     }, "libm exp: math.exp moved at a fixed point"
+
+    # the histogram bin edges: 10.0 ** y over a linspace of math.log10 limits
+    logs = {x: math.log10(x).hex() for x in (1.0e4, 1.0e7, 7.0e3, 2.2e4, 5.0e6)}
+    assert logs == {
+        1.0e4: "0x1.0000000000000p+2",
+        1.0e7: "0x1.c000000000000p+2",
+        7.0e3: "0x1.ec2c2c2de3310p+1",
+        2.2e4: "0x1.15ea40d1e28fcp+2",
+        5.0e6: "0x1.acbbecaf60860p+2",
+    }, "libm log10: math.log10 moved at a fixed point"
+    powers = {y: (10.0**y).hex() for y in (4.06, 4.42, 5.5, 6.94, 6.698970004336019)}
+    assert powers == {
+        4.06: "0x1.66cc4a2b12d59p+13",
+        4.42: "0x1.9afab83cac9a4p+14",
+        5.5: "0x1.34d0f1066b7ccp+18",
+        6.94: "0x1.09cc07cc933c3p+23",
+        6.698970004336019: "0x1.312cfffffffffp+22",
+    }, "libm pow: 10.0 ** y moved at a fixed point"
 
     reprs = [
         repr(float.fromhex(h))
