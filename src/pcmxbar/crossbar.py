@@ -68,7 +68,7 @@ class ArrayStats:
 
 @dataclass
 class CrossbarArray:
-    """n x n grid of cells. Treated as immutable: operations return copies."""
+    """n x n grid of cells, a value: operations build new arrays and write into none."""
 
     resistance: np.ndarray  # ohms, shape (n, n), row = bitline
     params: DeviceParams
@@ -76,9 +76,6 @@ class CrossbarArray:
     @property
     def n(self) -> int:
         return len(self.resistance)
-
-    def copy(self) -> "CrossbarArray":
-        return CrossbarArray(self.resistance.copy(), self.params)
 
 
 def init_array(
@@ -167,20 +164,20 @@ def program_cells(
     unchecked contract, such as a Pattern's on_idx. Cells are updated in
     row-major order (bitlines ascending, wordlines ascending within a
     bitline) so the noise stream is reproducible. Returns (new array, total programming energy in joules,
-    number of cells pulsed). Cells outside the block are byte-identical to
-    the input array.
+    number of cells pulsed). The new array wraps a programmed copy of the
+    input's matrix, so cells outside the block keep the input's bytes.
     """
-    out = array.copy()
+    resistance = array.resistance.copy()
+    energy = 0.0
     count = driven_bls.size * gated_wls.size
-    if count == 0:
-        return out, 0.0, 0
-    before = array.resistance.take(driven_bls, axis=0).take(gated_wls, axis=1)
-    out.resistance[driven_bls[:, None], gated_wls] = apply_set_pulse(before, pulse, array.params, rng)
-    # Running sum in row-major order, as a per-cell loop adds it; the
-    # energies overwrite the gathered block, which nothing reads after.
-    energies = pulse_energy(pulse, before, out=before).ravel()
-    energy = float(np.add.accumulate(energies, out=energies)[-1])
-    return out, energy, count
+    if count:
+        before = array.resistance.take(driven_bls, axis=0).take(gated_wls, axis=1)
+        resistance[driven_bls[:, None], gated_wls] = apply_set_pulse(before, pulse, array.params, rng)
+        # Running sum in row-major order, as a per-cell loop adds it; the
+        # energies overwrite the gathered block, which nothing reads after.
+        energies = pulse_energy(pulse, before, out=before).ravel()
+        energy = float(np.add.accumulate(energies, out=energies)[-1])
+    return CrossbarArray(resistance, array.params), energy, count
 
 
 def array_stats(resistance: np.ndarray) -> ArrayStats:

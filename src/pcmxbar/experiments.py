@@ -179,40 +179,37 @@ def _protocol(config: ExperimentConfig, rng: np.random.Generator) -> Iterator[tu
     Forms the array and freezes the thresholds, then yields (array,
     thresholds). Each epoch then presents every training pattern once
     (programming plus a diagnostic read) and fires the recall stimulus into
-    a read-only probe, and yields (epoch, array, traces, recalled, energy):
-    the training traces, then the probe's, and the joules per phase spent so
-    far. Each phase of energy is a running sum from 0.0 in run order, the
-    bits add_in_order gives, and the one dict is updated in place. The run
-    stops at the first probe that matches the recall target exactly.
+    a read-only probe, and yields (epoch, array, traces, probe, recalled,
+    energy): the training traces, the probe's result, and the joules per
+    phase spent so far. Each phase of energy is a running sum from 0.0 in
+    run order, the bits add_in_order gives, and the one dict is updated in
+    place. The run stops at the first probe that matches the recall target
+    exactly. It only simulates, and writes into no record a kernel built.
 
     When no pattern programs a cell that a training read covers
-    (_reads_stay), each pattern's first read is kept and recorded again on
-    every later epoch instead of being read afresh; its bits are the same.
+    (_reads_stay), training_epoch gets each pattern's last trace back and
+    records its read again instead of reading afresh, with the same bits.
     """
     pp = config.protocol
     array = init_array(config.n, config.init, config.device, rng, pp.reset_pulse)
     thresholds = compute_thresholds(array, config.recall_stimulus, pp)
     yield array, thresholds
     energy = dict.fromkeys(("training_program", "training_read", "probe_read"), 0.0)
-    # each pattern's epoch-1 read, passed back on later epochs when keep_reads
     reads = [None] * len(config.patterns)
     keep_reads = _reads_stay(config.patterns)
     for epoch in range(1, config.max_epochs + 1):
         traces = []
         for i, pattern in enumerate(config.patterns):
-            array, trace = training_epoch(array, pattern, pp, rng, reads[i])
-            if keep_reads and epoch == 1:
-                trace.currents.flags.writeable = False  # shared by this pattern's later traces
-                reads[i] = trace.currents, trace.read_energy
-            trace.epoch = epoch
+            array, trace = training_epoch(array, pattern, pp, rng, epoch, reads[i])
+            if keep_reads:
+                reads[i] = trace
             energy["training_program"] += trace.program_energy
             energy["training_read"] += trace.read_energy
             traces.append(trace)
         probe = recall_probe(array, config.recall_stimulus, thresholds, pp)
         energy["probe_read"] += probe.read_energy
-        traces.append(EpochTrace(epoch, "probe", probe.final_firing, probe.steps[0].currents, 0.0, probe.read_energy))
         recalled = recall_success(probe.final_firing, config.recall_target)
-        yield epoch, array, traces, recalled, energy
+        yield epoch, array, traces, probe, recalled, energy
         if recalled:
             return
 
@@ -250,8 +247,9 @@ def learn_and_recall(
         yield 0, array.resistance
         traces: list[EpochTrace] = []
         contrast_history: list[float] = []
-        for epoch, array, epoch_traces, recalled, energy in run:
+        for epoch, array, epoch_traces, probe, recalled, energy in run:
             traces += epoch_traces
+            traces.append(EpochTrace(epoch, "probe", probe.final_firing, probe.steps[0].currents, 0.0, probe.read_energy))
             if every and epoch % every == 0:
                 kept_epoch, kept_stats = epoch, array_stats(array.resistance)
                 snapshots.append(Snapshot(epoch, kept_stats, edges, _histogram(array.resistance, edges)))
@@ -298,11 +296,11 @@ def _sweep_run(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int 
 
     The run consumes the same _protocol, so the generator draws, the events
     and both results have the same bits. It reads only the last epoch's
-    yield, and builds no report, trace list, contrast or statistics.
+    yield, and builds no report, probe trace, contrast or statistics.
     """
     run = _protocol(config, rng)
     next(run)
-    ((epoch, _, _, recalled, energy),) = deque(run, maxlen=1)
+    ((epoch, _, _, _, recalled, energy),) = deque(run, maxlen=1)
     return (epoch if recalled else None), add_in_order(0.0, energy.values())
 
 

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from pcmxbar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 from pcmxbar.configio import (
     HISTOGRAM_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    _decode,
     bundled_config_path,
     config_from_dict,
     config_to_dict,
@@ -388,3 +390,14 @@ def test_bundled_config_survives_reserialization(tmp_path):
 def test_config_from_dict_produces_experiment_config():
     config = load_config(bundled_config_path("paper10x10.json"))
     assert isinstance(config, ExperimentConfig)
+
+
+def test_decode_raises_type_error_for_a_field_type_it_cannot_decode():
+    # a config class with a field no JSON decoder serves is a programming
+    # error, not a bad config file, so it is no ConfigParseError
+    @dataclass(frozen=True)
+    class Labelled:
+        label: str
+
+    with pytest.raises(TypeError, match=r"^no JSON decoding for config field type <class 'str'>$"):
+        _decode(Labelled, {"label": "x"}, "")

@@ -10,6 +10,7 @@ read current is a bitline read gated at that cell alone.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -334,3 +335,75 @@ def test_device_params_reject_bad_ordering():
         DeviceParams(r_reset_partial_median=2e6, r_reset_full_median=1e6)
     with pytest.raises(ValueError):
         DeviceParams(v_set_threshold=1.5, v_reset_threshold=1.2)
+
+
+# Each bound of DeviceParams tried at equality: (fields, None if accepted or
+# the message it is rejected with). The defaults are r_min 1e4, r_max 1e7,
+# both RESET medians 1e6, alpha_set 0.6 and thresholds 0.5 / 1.2 V.
+ORDERING = r"^need 0 < r_min < r_max$"
+DEVICE_BOUNDS = [
+    pytest.param({"r_min": 0.0}, ORDERING, id="r_min-zero"),
+    pytest.param({"r_min": 5e-324}, None, id="r_min-least-positive"),
+    pytest.param({"r_min": 1e6, "r_max": 1e6}, ORDERING, id="r_max-at-r_min"),
+    pytest.param(
+        {"r_reset_full_median": 1e4, "r_reset_partial_median": 1e4},
+        r"^r_reset_full_median must lie in \(r_min, r_max\]$",
+        id="full-median-at-r_min",
+    ),
+    pytest.param(
+        {"r_reset_partial_median": 1e4}, r"^r_reset_partial_median must lie in \(r_min, r_max\]$", id="partial-median-at-r_min"
+    ),
+    pytest.param({"r_reset_full_median": 1e7}, None, id="full-median-at-r_max"),
+    pytest.param({"r_reset_full_median": 1e7, "r_reset_partial_median": 1e7}, None, id="partial-median-at-r_max"),
+    pytest.param({"alpha_set": 0.0}, r"^alpha_set must lie in \(0, 1\)$", id="alpha_set-zero"),
+    pytest.param({"alpha_set": 1.0}, r"^alpha_set must lie in \(0, 1\)$", id="alpha_set-one"),
+    pytest.param({"sigma_c2c": 0.0}, None, id="sigma_c2c-zero"),
+    pytest.param({"v_set_threshold": 0.0}, r"^need 0 < v_set_threshold < v_reset_threshold$", id="v_set-zero"),
+    pytest.param({"v_set_threshold": 1.2}, r"^need 0 < v_set_threshold < v_reset_threshold$", id="v_set-at-v_reset"),
+]
+
+
+@pytest.mark.parametrize("fields, message", DEVICE_BOUNDS)
+def test_device_params_bounds_at_equality(fields, message):
+    if message is None:
+        DeviceParams(**fields)
+    else:
+        with pytest.raises(ValueError, match=message):
+            DeviceParams(**fields)
+
+
+def set_at(device, amplitude, median):
+    return apply_set_pulse(one_cell(median), PulseSpec(amplitude, 0, 3e-7, 0, PulseRole.SET), device, make_rng())
+
+
+def reset_at(device, amplitude, median):
+    return apply_reset_pulse(1, PulseSpec(amplitude, 0, 5e-8, 0, PulseRole.RESET), device, median, 0.0, make_rng())
+
+
+def below(amplitude):
+    return math.nextafter(amplitude, 0.0)
+
+
+def below_threshold(role, amplitude, threshold):
+    return AmplitudeBelowThreshold, rf"^{role} amplitude {re.escape(str(amplitude))} V below threshold {threshold} V"
+
+
+# The pulse laws' checks at equality: (law, amplitude, resistance or RESET
+# median, None if accepted or the (error type, message) it is rejected with).
+PULSE_LAW_BOUNDS = [
+    pytest.param(set_at, 0.5, 1e6, None, id="set-amplitude-at-threshold"),
+    pytest.param(set_at, below(0.5), 1e6, below_threshold("SET", below(0.5), r"0\.5"), id="set-amplitude-below"),
+    pytest.param(reset_at, 1.2, 1e6, None, id="reset-amplitude-at-threshold"),
+    pytest.param(reset_at, below(1.2), 1e6, below_threshold("RESET", below(1.2), r"1\.2"), id="reset-amplitude-below"),
+    pytest.param(reset_at, 1.5, 0.0, (ValueError, r"^target_median must be positive$"), id="reset-median-zero"),
+    pytest.param(reset_at, 1.5, 5e-324, None, id="reset-median-least-positive"),
+]
+
+
+@pytest.mark.parametrize("law, amplitude, median, rejection", PULSE_LAW_BOUNDS)
+def test_pulse_law_bounds_at_equality(quiet_device, law, amplitude, median, rejection):
+    if rejection is None:
+        assert law(quiet_device, amplitude, median).shape == (1,)
+    else:
+        with pytest.raises(rejection[0], match=rejection[1]):
+            law(quiet_device, amplitude, median)

@@ -451,13 +451,18 @@ def test_training_epochs_read_afresh_when_patterns_overlap(monkeypatch, second, 
 
 
 def test_variation_sweep_builds_no_report_contrast_or_stats(monkeypatch):
-    """A sweep reads only each run's epochs and energy, so it calls none of the report builders."""
+    """A sweep reads only each run's epochs and energy, so it calls none of the report builders.
+
+    Nor does experiments build a probe's EpochTrace for it. training_epoch
+    builds its traces through network's binding, which stays.
+    """
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sweep run computes only its epochs and energy")
 
     for fn in (learn_and_recall, weight_contrast, crossbar.array_stats):
         patch_every_binding(monkeypatch, fn, refuse)
+    monkeypatch.setattr(experiments, "EpochTrace", refuse)
     rows = variation_sweep(canonical_config(), SweepSpec((0.09, 0.6), seeds_per_cv=3))
     assert [row.cv for row in rows] == [0.09, 0.6]
 

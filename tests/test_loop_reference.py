@@ -103,7 +103,7 @@ def scalar_reset(median, cv, params, rng):
 
 
 def loop_program_cells(array, driven_bls, gated_wls, pulse, rng):
-    out = array.copy()
+    out = CrossbarArray(array.resistance.copy(), array.params)
     energy = 0.0
     count = 0
     for bl in sorted(driven_bls):
@@ -250,8 +250,9 @@ def test_training_epoch_equals_cell_loop(include_diagonal, kind, seed, n, sigma,
     pattern = on_pattern(n, data.draw(index_sets(n, kind)))
     pp = ProtocolParams(include_diagonal=include_diagonal, pulses_per_coactivation=pulses)
     rng_block, rng_loop = make_rng(seed + 1), make_rng(seed + 1)
-    out, trace = training_epoch(array, pattern, pp, rng_block)
+    out, trace = training_epoch(array, pattern, pp, rng_block, 3)
     ref, ref_currents, ref_program, ref_read = loop_training_epoch(array, pattern, pp, rng_loop)
+    assert (trace.epoch, trace.phase) == (3, "train")
     assert out.resistance.tobytes() == ref.resistance.tobytes()
     assert trace.program_energy.hex() == ref_program.hex()
     assert trace.read_energy.hex() == ref_read.hex()
@@ -942,8 +943,8 @@ def test_kept_training_reads_equal_fresh_reads(case, seed, data):
     config = data.draw(small_configs(case))
     reference_rng, rng = make_rng(seed), make_rng(seed)
 
-    def read_every_epoch(array, pattern, pp, rng, read=None):
-        return training_epoch(array, pattern, pp, rng)
+    def read_every_epoch(array, pattern, pp, rng, epoch, read=None):
+        return training_epoch(array, pattern, pp, rng, epoch)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "training_epoch", read_every_epoch)

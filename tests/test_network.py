@@ -81,6 +81,40 @@ def test_protocol_validate_against_device(quiet_device):
         weak_set.validate_against(quiet_device)
 
 
+# Each bound of ProtocolParams and of its validate_against a default device
+# tried at equality: (fields, None if accepted or the message it is rejected
+# with). The device's thresholds are 0.5 V (SET) and 1.2 V (RESET).
+PROTOCOL_BOUNDS = [
+    pytest.param({"v_read": 0.0, "read_pulse": PulseSpec(0.0, 0, 1e-4, 0, PulseRole.READ)}, None, id="v_read-zero"),
+    pytest.param(
+        {"v_read": 0.5, "read_pulse": PulseSpec(0.5, 0, 1e-4, 0, PulseRole.READ)},
+        r"^read voltage 0\.5 V outside \[0, v_set_threshold = 0\.5 V\)$",
+        id="v_read-at-v_set",
+    ),
+    pytest.param({"program_pulse": PulseSpec(0.5, 0, 3e-7, 0, PulseRole.SET)}, None, id="program-at-v_set"),
+    pytest.param(
+        {"program_pulse": PulseSpec(math.nextafter(0.5, 0), 0, 3e-7, 0, PulseRole.SET)},
+        r"^program_pulse amplitude below v_set_threshold$",
+        id="program-below-v_set",
+    ),
+    pytest.param({"reset_pulse": PulseSpec(1.2, 0, 5e-8, 0, PulseRole.RESET)}, None, id="reset-at-v_reset"),
+    pytest.param(
+        {"reset_pulse": PulseSpec(math.nextafter(1.2, 0), 0, 5e-8, 0, PulseRole.RESET)},
+        r"^reset_pulse amplitude below v_reset_threshold$",
+        id="reset-below-v_reset",
+    ),
+]
+
+
+@pytest.mark.parametrize("fields, message", PROTOCOL_BOUNDS)
+def test_protocol_bounds_at_equality(quiet_device, fields, message):
+    if message is None:
+        ProtocolParams(**fields).validate_against(quiet_device)
+    else:
+        with pytest.raises(ValueError, match=message):
+            ProtocolParams(**fields).validate_against(quiet_device)
+
+
 # ---------------------------------------------------------------- thresholds
 
 
@@ -119,7 +153,7 @@ def test_threshold_spread_grows_with_variation(quiet_device, protocol):
 
 def test_training_epoch_programs_on_block_only(quiet_device, protocol, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    out, trace = training_epoch(arr, PATTERN_1, protocol, rng)
+    out, trace = training_epoch(arr, PATTERN_1, protocol, rng, 1)
     on = PATTERN_1.on_set()
     for i in range(10):
         for j in range(10):
@@ -135,7 +169,7 @@ def test_training_epoch_programs_on_block_only(quiet_device, protocol, rng):
 def test_training_epoch_off_neuron_current(quiet_device, protocol, rng):
     # non-firing neuron reads 5 unprogrammed 1 MOhm cells: 500 nA
     arr = uniform_array(10, 1.0e6, quiet_device)
-    _, trace = training_epoch(arr, PATTERN_1, protocol, rng)
+    _, trace = training_epoch(arr, PATTERN_1, protocol, rng, 1)
     for i in range(10):
         if i in PATTERN_1.on_set():
             assert np.isnan(trace.currents[i])
@@ -146,7 +180,7 @@ def test_training_epoch_off_neuron_current(quiet_device, protocol, rng):
 def test_training_epoch_energy_ledger(quiet_device, protocol, rng):
     # 25 programs at 1 MOhm (6.5e-13 J each) + 5 readers x 5 cells x 1e-12 J
     arr = uniform_array(10, 1.0e6, quiet_device)
-    _, trace = training_epoch(arr, PATTERN_1, protocol, rng)
+    _, trace = training_epoch(arr, PATTERN_1, protocol, rng, 1)
     assert trace.program_energy == pytest.approx(25 * 6.5e-13, rel=1e-12)
     assert trace.read_energy == pytest.approx(25 * 1.0e-12, rel=1e-12)
 
@@ -154,7 +188,7 @@ def test_training_epoch_energy_ledger(quiet_device, protocol, rng):
 def test_training_epoch_diagonal_opt_out(quiet_device, rng):
     pp = ProtocolParams(include_diagonal=False)
     arr = uniform_array(10, 1.0e6, quiet_device)
-    out, _ = training_epoch(arr, PATTERN_1, pp, rng)
+    out, _ = training_epoch(arr, PATTERN_1, pp, rng, 1)
     on = PATTERN_1.on_set()
     for i in on:
         assert out.resistance[i, i] == 1.0e6  # self-synapse spared
@@ -165,7 +199,7 @@ def test_training_epoch_diagonal_opt_out(quiet_device, rng):
 def test_training_epoch_multi_pulse_coactivation(quiet_device, rng):
     pp = ProtocolParams(pulses_per_coactivation=2)
     arr = uniform_array(10, 1.0e6, quiet_device)
-    out, _ = training_epoch(arr, PATTERN_1, pp, rng)
+    out, _ = training_epoch(arr, PATTERN_1, pp, rng, 1)
     # two geometric steps on every ON x ON cell: r_min + (R0 - r_min)(1 - alpha)^2 = 10k + 990k * 0.4^2
     expected = 1.0e4 + 9.9e5 * 0.16
     on = sorted(PATTERN_1.on_set())
@@ -177,11 +211,34 @@ def test_training_epoch_multi_pulse_coactivation(quiet_device, rng):
 
 def test_training_epoch_all_off_pattern(quiet_device, protocol, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    out, trace = training_epoch(arr, on_pattern(10, set()), protocol, rng)
+    out, trace = training_epoch(arr, on_pattern(10, set()), protocol, rng, 1)
     assert np.array_equal(out.resistance, arr.resistance)
     assert trace.firing_set == frozenset()
     assert np.all(trace.currents == 0.0)  # reads against an empty gate set
     assert trace.program_energy == 0.0
+
+
+def test_training_epoch_records_an_earlier_traces_read(quiet_device, protocol, rng):
+    # the second epoch programs the block again but takes the first trace's read as its own
+    arr = uniform_array(10, 1.0e6, quiet_device)
+    once, first = training_epoch(arr, PATTERN_1, protocol, rng, 1)
+    twice, second = training_epoch(once, PATTERN_1, protocol, rng, 2, first)
+    assert (first.epoch, second.epoch) == (1, 2)
+    assert second.currents is first.currents
+    assert second.read_energy == first.read_energy
+    assert second.program_energy > first.program_energy == pytest.approx(25 * 6.5e-13, rel=1e-12)
+    assert np.all(twice.resistance <= once.resistance)
+
+
+def test_every_read_is_read_only(quiet_device, protocol, rng):
+    # traces and probe steps may share their currents, so none of them can be written
+    arr = uniform_array(10, 1.0e6, quiet_device)
+    thresholds = compute_thresholds(arr, STIMULUS, protocol)
+    trained, trace = training_epoch(arr, PATTERN_1, protocol, rng, 1)
+    result = recall_probe(trained, STIMULUS, thresholds, protocol)
+    for currents in [trace.currents] + [step.currents for step in result.steps]:
+        with pytest.raises(ValueError, match="read-only"):
+            currents[0] = 0.0
 
 
 # ---------------------------------------------------------------- recall probe
@@ -222,7 +279,7 @@ def test_probe_recruits_missing_neuron_after_one_epoch(quiet_device, protocol, r
     # 4 x 0.1 V / 406 kOhm = 985 nA and joins; the rest stay out
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = compute_thresholds(arr, STIMULUS, protocol)
-    trained, _ = training_epoch(arr, PATTERN_1, protocol, rng)
+    trained, _ = training_epoch(arr, PATTERN_1, protocol, rng, 1)
     result = recall_probe(trained, STIMULUS, thresholds, protocol)
     assert result.final_firing == PATTERN_1.on_set()
     assert not result.steps[-1].newly_fired
@@ -237,14 +294,14 @@ def test_probe_recruits_missing_neuron_after_one_epoch(quiet_device, protocol, r
 def test_probe_full_pattern_is_stable(quiet_device, protocol, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = compute_thresholds(arr, PATTERN_1, protocol)
-    trained, _ = training_epoch(arr, PATTERN_1, protocol, rng)
+    trained, _ = training_epoch(arr, PATTERN_1, protocol, rng, 1)
     result = recall_probe(trained, PATTERN_1, thresholds, protocol)
     assert result.final_firing == PATTERN_1.on_set()
 
 
 def test_probe_is_read_only(quiet_device, protocol, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
-    trained, _ = training_epoch(arr, PATTERN_1, protocol, rng)
+    trained, _ = training_epoch(arr, PATTERN_1, protocol, rng, 1)
     before = trained.resistance.copy()
     thresholds = compute_thresholds(arr, STIMULUS, protocol)
     recall_probe(trained, STIMULUS, thresholds, protocol)
@@ -254,7 +311,7 @@ def test_probe_is_read_only(quiet_device, protocol, rng):
 def test_probe_firing_grows_monotonically(quiet_device, protocol, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
     thresholds = compute_thresholds(arr, STIMULUS, protocol)
-    trained, _ = training_epoch(arr, PATTERN_1, protocol, rng)
+    trained, _ = training_epoch(arr, PATTERN_1, protocol, rng, 1)
     result = recall_probe(trained, STIMULUS, thresholds, protocol)
     seen = frozenset()
     for step in result.steps:
@@ -282,7 +339,7 @@ def test_kernels_reject_pattern_of_other_length(quiet_device, protocol, rng, ker
     short = on_pattern(9, {0, 1, 2, 3})
     calls = {
         "compute_thresholds": lambda: compute_thresholds(arr, short, protocol),
-        "training_epoch": lambda: training_epoch(arr, short, protocol, rng),
+        "training_epoch": lambda: training_epoch(arr, short, protocol, rng, 1),
         "recall_probe": lambda: recall_probe(arr, short, np.full(10, 8.0e-7), protocol),
     }
     with pytest.raises(DimensionMismatch, match=r"^pattern length 9 != array dimension 10$"):

@@ -1,11 +1,16 @@
 """The README's Python examples and command lines run against the current package as written."""
 from __future__ import annotations
 
+import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
+from pcmxbar import DeviceParams, ProtocolParams
 from pcmxbar.cli import EXIT_OK, main
+from pcmxbar.configio import config_from_dict
+from pcmxbar.network import DEFAULT_PROGRAM_PULSE, DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +42,17 @@ def test_readme_command_lines_exit_0(tmp_path):
     # in order, into one directory: recall probes the arrays learn stored
     for argv in commands:
         assert main([str(tmp_path) if arg == "out/" else arg for arg in argv[1:]]) == EXIT_OK, argv
+
+
+def test_library_defaults_are_the_configuration_example():
+    """The pulse, protocol and device defaults are what README's Library use says they are.
+
+    No CLI run reads them, since every config key is required.
+    """
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    block = re.search(r"^```jsonc\n(.*?)^```", section, flags=re.DOTALL | re.MULTILINE).group(1)
+    example = config_from_dict(json.loads(re.sub(r"//[^\n]*", "", block)))
+    pp = example.protocol
+    assert (DEFAULT_READ_PULSE, DEFAULT_PROGRAM_PULSE, DEFAULT_RESET_PULSE) == (pp.read_pulse, pp.program_pulse, pp.reset_pulse)
+    assert ProtocolParams() == pp
+    assert DeviceParams() == replace(example.device, r_reset_partial_median=1.0e6, sigma_c2c=0.05)
