@@ -226,12 +226,12 @@ def report_to_dict(report: RunReport) -> dict:
         "config": config_to_dict(report.config),
         "epochs_to_recall": report.epochs_to_recall,
         "total_energy_J": report.total_energy,
-        "energy_breakdown_J": {k: v for k, v in sorted(report.energy_breakdown.items())},
+        "energy_breakdown_J": report.energy_breakdown,
         "initial_cv": report.initial_stats.cv,
         "initial_stats": stats_to_dict(report.initial_stats),
         "final_stats": stats_to_dict(report.final_stats),
         "thresholds_A": report.thresholds.tolist(),
-        "contrast_history": list(report.contrast_history),
+        "contrast_history": report.contrast_history,
         "traces": [trace_to_dict(t) for t in report.traces],
     }
 
@@ -281,17 +281,9 @@ def sweep_rows_csv(rows: list[SweepRow]) -> str:
 
 
 def histograms_csv(histograms) -> str:
-    """Flatten Snapshot histograms into epoch,bin_low_ohm,bin_high_ohm,count.
-
-    The snapshots of a run share one edges array, and a run of histograms
-    on the same array formats its edges once.
-    """
+    """Flatten Snapshot histograms into epoch,bin_low_ohm,bin_high_ohm,count."""
     lines = [HISTOGRAM_CSV_HEADER]
-    edges = None
     for h in histograms:
-        if h.bin_edges is not edges:
-            edges = h.bin_edges
-            texts = list(map(repr, edges.tolist()))
-            bins = [f"{lo},{hi}" for lo, hi in zip(texts, texts[1:])]
-        lines += [f"{h.epoch},{low_high},{count}" for low_high, count in zip(bins, h.counts.tolist())]
+        edges = list(map(repr, h.bin_edges.tolist()))
+        lines += [f"{h.epoch},{lo},{hi},{count}" for lo, hi, count in zip(edges, edges[1:], h.counts.tolist())]
     return "\n".join(lines) + "\n"

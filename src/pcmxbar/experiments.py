@@ -180,11 +180,11 @@ def _protocol(config: ExperimentConfig, rng: np.random.Generator) -> Iterator[tu
     thresholds). Each epoch then presents every training pattern once
     (programming plus a diagnostic read) and fires the recall stimulus into
     a read-only probe, and yields (epoch, array, traces, probe, recalled,
-    energy): the training traces, the probe's result, and the joules per
-    phase spent so far. Each phase of energy is a running sum from 0.0 in
-    run order, the bits add_in_order gives, and the one dict is updated in
-    place. The run stops at the first probe that matches the recall target
-    exactly. It only simulates, and writes into no record a kernel built.
+    energy): the training traces, the probe's result, and a new dict of the
+    joules per phase spent so far. Each phase is a running sum from 0.0 in
+    run order, the bits add_in_order gives. The run stops at the first
+    probe that matches the recall target exactly. It only simulates, and
+    writes into no record a kernel built or it yielded.
 
     When no pattern programs a cell that a training read covers
     (_reads_stay), training_epoch gets each pattern's last trace back and
@@ -194,7 +194,7 @@ def _protocol(config: ExperimentConfig, rng: np.random.Generator) -> Iterator[tu
     array = init_array(config.n, config.init, config.device, rng, pp.reset_pulse)
     thresholds = compute_thresholds(array, config.recall_stimulus, pp)
     yield array, thresholds
-    energy = dict.fromkeys(("training_program", "training_read", "probe_read"), 0.0)
+    train_program = train_read = probe_read = 0.0
     reads = [None] * len(config.patterns)
     keep_reads = _reads_stay(config.patterns)
     for epoch in range(1, config.max_epochs + 1):
@@ -203,12 +203,13 @@ def _protocol(config: ExperimentConfig, rng: np.random.Generator) -> Iterator[tu
             array, trace = training_epoch(array, pattern, pp, rng, epoch, reads[i])
             if keep_reads:
                 reads[i] = trace
-            energy["training_program"] += trace.program_energy
-            energy["training_read"] += trace.read_energy
+            train_program += trace.program_energy
+            train_read += trace.read_energy
             traces.append(trace)
         probe = recall_probe(array, config.recall_stimulus, thresholds, pp)
-        energy["probe_read"] += probe.read_energy
+        probe_read += probe.read_energy
         recalled = recall_success(probe.final_firing, config.recall_target)
+        energy = {"training_program": train_program, "training_read": train_read, "probe_read": probe_read}
         yield epoch, array, traces, probe, recalled, energy
         if recalled:
             return
@@ -225,9 +226,9 @@ def learn_and_recall(
     Snapshot holds. store, if given, is called once with an iterator over the
     arrays as the run produces them, in epoch order: (0, ohms) of the initial
     array, (epoch, ohms) of each epoch the snapshot_every cadence keeps, then
-    (None, ohms) of the final array. The run advances only as store pulls, so
-    no array need outlive its epoch; what store leaves unpulled runs after it
-    returns.
+    (None, ohms) of the final array. The matrices are read-only. The run
+    advances only as store pulls, so no array need outlive its epoch; what
+    store leaves unpulled runs after it returns.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -244,6 +245,8 @@ def learn_and_recall(
         kept_epoch, kept_stats = 0, initial_stats  # of the last array kept
         if every:
             snapshots.append(Snapshot(0, initial_stats, edges, _histogram(array.resistance, edges)))
+        # each matrix store gets is the run's own; read-only, so that store cannot change the run
+        array.resistance.flags.writeable = False
         yield 0, array.resistance
         traces: list[EpochTrace] = []
         contrast_history: list[float] = []
@@ -253,13 +256,14 @@ def learn_and_recall(
             if every and epoch % every == 0:
                 kept_epoch, kept_stats = epoch, array_stats(array.resistance)
                 snapshots.append(Snapshot(epoch, kept_stats, edges, _histogram(array.resistance, edges)))
+                array.resistance.flags.writeable = False
                 yield epoch, array.resistance
             contrast_history.append(weight_contrast(array, config.recall_target))
 
         report = RunReport(
             epochs_to_recall=epoch if recalled else None,
             total_energy=add_in_order(0.0, energy.values()),
-            energy_breakdown=dict(energy),
+            energy_breakdown=energy,
             initial_stats=initial_stats,
             # the final array's stats are those of its snapshot when its epoch was kept
             final_stats=kept_stats if kept_epoch == epoch else array_stats(array.resistance),
@@ -270,6 +274,7 @@ def learn_and_recall(
             final_resistance=array.resistance,
             config=config,
         )
+        array.resistance.flags.writeable = False
         yield None, array.resistance
 
     stream = arrays()

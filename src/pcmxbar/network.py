@@ -66,9 +66,7 @@ class ProtocolParams:
     pulses_per_coactivation: int = 1
 
     def __post_init__(self) -> None:
-        # negated, so that NaN fails the checks
-        if not self.v_read >= 0:
-            raise ValueError("v_read must be >= 0")
+        # negated, so that NaN fails the check
         if not self.threshold_factor >= 1:
             raise ValueError("threshold_factor must be >= 1")
         if self.pulses_per_coactivation < 1:
@@ -79,6 +77,7 @@ class ProtocolParams:
             raise ValueError("program_pulse must have role SET")
         if self.reset_pulse.role is not PulseRole.RESET:
             raise ValueError("reset_pulse must have role RESET")
+        # PulseSpec holds its amplitude >= 0, so this also rejects a negative or NaN v_read
         if self.read_pulse.amplitude != self.v_read:
             raise ValueError("read_pulse amplitude must equal v_read")
 
@@ -202,7 +201,7 @@ def training_epoch(
     _check_pattern(array, pattern)
     on = pattern.on_idx
     if pp.include_diagonal:
-        blocks = [(on, on)] if on.size else []
+        blocks = [(on, on)]
     else:
         # Cartesian programming cannot skip the diagonal in one shot;
         # drive each bitline against the others' wordlines instead.

@@ -5,7 +5,7 @@ import copy
 import json
 import math
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcmxbar import ExperimentConfig, InitVariant, PulseRole, learn_and_recall
+from pcmxbar import DeviceParams, ExperimentConfig, InitVariant, PulseRole, learn_and_recall
 from pcmxbar.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 from pcmxbar.configio import (
     HISTOGRAM_CSV_HEADER,
@@ -34,7 +34,7 @@ from pcmxbar.configio import (
     traces_jsonl,
 )
 from pcmxbar.errors import ConfigParseError, SimulationError
-from pcmxbar.experiments import HISTOGRAM_BINS, SweepRow, distribution_history
+from pcmxbar.experiments import HISTOGRAM_BINS, SweepRow, _histogram_edges, distribution_history
 from pcmxbar.network import ProbeResult, ProbeStep
 
 
@@ -377,6 +377,24 @@ def test_histograms_csv_format():
     assert epoch == "0"
     assert float(lo) < float(hi)
     assert int(count) >= 0
+
+
+def test_histograms_csv_writes_each_snapshot_from_its_own_edges():
+    # edges that are distinct arrays: an equal-valued copy, then a second device's
+    config = load_config(bundled_config_path("paper10x10.json"))
+    first, second = distribution_history(learn_and_recall(config))
+    other = _histogram_edges(DeviceParams(r_min=2.0e4, r_max=5.0e6))
+    snapshots = [first, replace(second, bin_edges=second.bin_edges.copy()), replace(second, epoch=2, bin_edges=other)]
+    assert not np.array_equal(other, first.bin_edges)
+    rows = [line.split(",") for line in histograms_csv(snapshots).splitlines()[1:]]
+    assert len(rows) == 3 * HISTOGRAM_BINS
+    for k, snapshot in enumerate(snapshots):
+        block = rows[k * HISTOGRAM_BINS : (k + 1) * HISTOGRAM_BINS]
+        edges = snapshot.bin_edges.tolist()
+        assert block == [
+            [str(snapshot.epoch), repr(lo), repr(hi), str(count)]
+            for lo, hi, count in zip(edges, edges[1:], snapshot.counts.tolist())
+        ]
 
 
 def test_bundled_config_survives_reserialization(tmp_path):

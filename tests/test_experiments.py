@@ -30,7 +30,7 @@ from pcmxbar import (
     network,
     variation_sweep,
 )
-from pcmxbar.configio import bundled_config_path, load_sweep, report_json
+from pcmxbar.configio import bundled_config_path, load_config, load_sweep, report_json
 from pcmxbar.errors import DegeneratePattern, DimensionMismatch, NoSnapshots
 from pcmxbar.experiments import HISTOGRAM_BINS, _histogram_edges, scheme_for_cv, weight_contrast
 
@@ -154,6 +154,24 @@ def test_run_not_reached_and_contrast_monotone():
     assert report.total_energy > 0
 
 
+def test_each_protocol_yield_keeps_its_energy():
+    # every epoch yields its running sums as a value of its own, which later
+    # epochs leave alone; the last is the report's ledger
+    config = canonical_config(
+        patterns=(PATTERN_1,),
+        protocol=ProtocolParams(threshold_factor=50.0),
+        max_epochs=4,
+    )
+    run = experiments._protocol(config, np.random.default_rng(np.random.SeedSequence(config.seed)))
+    next(run)
+    energies = [energy for *_, energy in run]
+    assert len(energies) == 4
+    for phase in ("training_program", "training_read", "probe_read"):
+        sums = [energy[phase] for energy in energies]
+        assert all(a < b for a, b in zip(sums, sums[1:])), phase
+    assert energies[-1] == learn_and_recall(config).energy_breakdown
+
+
 def test_cumulative_energy_grows_every_epoch():
     config = canonical_config(
         patterns=(PATTERN_1,),
@@ -208,6 +226,23 @@ def test_final_state_is_reported():
     block = report.final_resistance[np.ix_(on, on)]
     assert np.all(block == pytest.approx(406000.0, rel=1e-13))
     assert report.final_stats.min < report.initial_stats.min
+
+
+def test_store_cannot_write_into_the_runs_matrices():
+    # the matrices are the run's own: a write into the epoch-0 one would
+    # turn epochs_to_recall from 1 into None
+    config = dataclasses.replace(load_config(bundled_config_path("paper10x10.json")), max_epochs=3)
+
+    def overwrite(arrays):
+        for _, ohms in arrays:
+            ohms[...] = 5.0e4
+
+    with pytest.raises(ValueError, match="read-only"):
+        learn_and_recall(config, store=overwrite)
+    stored = []
+    assert learn_and_recall(config, store=stored.extend).epochs_to_recall == 1
+    assert [epoch for epoch, _ in stored] == [0, 1, None]
+    assert not any(ohms.flags.writeable for _, ohms in stored)
 
 
 # ---------------------------------------------------------------- contrast

@@ -45,7 +45,7 @@ from decimal import ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmxbar import (
@@ -706,10 +706,10 @@ def short_decimal(draw) -> float:
     """A decimal of 1-15 significant digits in [1, 10**8): its repr is that decimal."""
     digits = draw(st.integers(1, 15))
     significand = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
-    point = draw(st.integers(digits - 16, digits - 1))  # fraction digits; below 0, trailing zeros
-    value = significand / 10**point if point > 0 else float(significand * 10**-point)
-    assume(value < 1e8)
-    return value
+    # fraction digits; below 0, trailing zeros. At least digits - 8 keeps the
+    # value below 10**8 without rejecting draws, which failed the filter health check
+    point = draw(st.integers(digits - 8, digits - 1))
+    return significand / 10**point if point > 0 else float(significand * 10**-point)
 
 
 @settings(max_examples=300, deadline=None)

@@ -51,8 +51,8 @@ def test_protocol_rejects_nan_threshold_factor():
 
 
 def test_protocol_rejects_nan_v_read():
-    # a `v_read < 0` check let NaN through to the amplitude check
-    with pytest.raises(ValueError, match="v_read must be >= 0"):
+    # NaN equals no amplitude, so the amplitude check rejects it
+    with pytest.raises(ValueError, match="^read_pulse amplitude must equal v_read$"):
         ProtocolParams(v_read=math.nan, read_pulse=PulseSpec(0.1, 0.0, 1e-4, 0.0, PulseRole.READ))
 
 
@@ -211,11 +211,13 @@ def test_training_epoch_multi_pulse_coactivation(quiet_device, rng):
 
 def test_training_epoch_all_off_pattern(quiet_device, protocol, rng):
     arr = uniform_array(10, 1.0e6, quiet_device)
+    state = rng.bit_generator.state
     out, trace = training_epoch(arr, on_pattern(10, set()), protocol, rng, 1)
     assert np.array_equal(out.resistance, arr.resistance)
     assert trace.firing_set == frozenset()
     assert np.all(trace.currents == 0.0)  # reads against an empty gate set
     assert trace.program_energy == 0.0
+    assert rng.bit_generator.state == state  # an empty block draws nothing
 
 
 def test_training_epoch_records_an_earlier_traces_read(quiet_device, protocol, rng):
