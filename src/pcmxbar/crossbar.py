@@ -90,9 +90,8 @@ def init_array(
     device.apply_reset_pulse draws the whole array from the scheme's
     (median, cv) distribution; the cells' state before does not enter. The
     formation energy is not tracked; it is array preparation, not learning.
+    n >= 2 is not checked here; ExperimentConfig checks it.
     """
-    if n < 2:
-        raise InvalidDimension(f"array dimension must be >= 2, got {n}")
     resistance = apply_reset_pulse((n, n), reset_pulse, params, scheme.median, scheme.cv, rng)
     return CrossbarArray(resistance, params)
 

@@ -14,15 +14,7 @@ class InvalidDimension(SimulationError):
 
 
 class DimensionMismatch(SimulationError):
-    """Pattern or vector length does not match the array dimension."""
-
-
-class EmptyStimulus(SimulationError):
-    """A read or probe was requested with no neurons firing."""
-
-
-class DegeneratePattern(SimulationError):
-    """Pattern has no ON bits or no OFF bits, so a contrast is undefined."""
+    """A config pattern's length is not n, or a stored array is not square or not n x n."""
 
 
 class NoSnapshots(SimulationError):

@@ -6,6 +6,10 @@ pulse while their wordlines are gated, so every synapse between two firing
 neurons receives one SET pulse: cells that fire together wire together.
 Recall is a read-only cascade: non-firing neurons integrate current from the
 firing set and join it when their input crosses a threshold.
+
+The kernels check no shapes. They take a Pattern of the array's dimension,
+thresholds of that length and, for the thresholds and the probe, a stimulus
+with an ON bit; ExperimentConfig is the checked source of every pattern.
 """
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ import numpy as np
 
 from .crossbar import CrossbarArray, program_cells, read_bitlines
 from .device import DeviceParams, PulseRole, PulseSpec, check_read_voltage
-from .errors import DimensionMismatch, EmptyStimulus
 
 # Read waveform: a 100 us rectangle at the read voltage.
 DEFAULT_READ_PULSE = PulseSpec(0.1, 0.0, 1.0e-4, 0.0, PulseRole.READ)
@@ -127,12 +130,6 @@ class ProbeResult:
     read_energy: float
 
 
-def _check_pattern(array: CrossbarArray, pattern: Pattern) -> None:
-    # len() of the fields: the n properties cost a call each on every epoch and probe
-    if len(pattern.bits) != len(array.resistance):
-        raise DimensionMismatch(f"pattern length {pattern.n} != array dimension {array.n}")
-
-
 def add_in_order(total: float, values: Iterable[float]) -> float:
     """total + values[0] + values[1] + ..., added one after another from the left.
 
@@ -168,9 +165,6 @@ def compute_thresholds(array: CrossbarArray, stimulus: Pattern, pp: ProtocolPara
     grow past threshold_factor times its own initial value, which is what
     keeps an untrained array quiescent under any stimulus.
     """
-    _check_pattern(array, stimulus)
-    if not stimulus.on_idx.size:
-        raise EmptyStimulus("stimulus has no ON bits")
     currents, _ = read_bitlines(array, np.arange(array.n), stimulus.on_idx, pp.read_pulse)
     return pp.threshold_factor * currents
 
@@ -198,7 +192,6 @@ def training_epoch(
     been programmed since. A read draws nothing from rng, so the
     generator's state is the same either way.
     """
-    _check_pattern(array, pattern)
     on = pattern.on_idx
     if pp.include_diagonal:
         blocks = [(on, on)]
@@ -233,17 +226,13 @@ def recall_probe(
     current strictly exceeds their threshold join the firing set for the
     next step. The probe stops at the first step that recruits nobody.
     """
-    _check_pattern(array, partial)
-    if len(thresholds) != len(array.resistance):
-        raise DimensionMismatch(f"threshold vector length {len(thresholds)} != array dimension {array.n}")
-    if not partial.on_idx.size:
-        raise EmptyStimulus("recall stimulus has no ON bits")
-    thresholds = np.asarray(thresholds, dtype=np.float64)
     firing_idx, idle_idx = partial.on_idx, partial.off_idx
     steps: list[ProbeStep] = []
     read_energy = 0.0
     # Every step but the last recruits someone and the firing set starts
-    # non-empty, so the fixpoint comes within n steps.
+    # non-empty (ExperimentConfig rejects a stimulus without an ON bit), so
+    # the fixpoint comes within n steps. currents > thresholds compares in
+    # float64 whether the thresholds are a list, an int or a float32 array.
     while True:
         currents, energies = _read_idle(array, firing_idx, idle_idx, pp)
         read_energy = add_in_order(read_energy, energies.tolist())
@@ -260,4 +249,4 @@ def recall_probe(
 
 def recall_success(final_set: frozenset[int] | set[int], target: Pattern) -> bool:
     """True only on exact match: full completion and zero spurious neurons."""
-    return frozenset(final_set) == target.on_set()
+    return final_set == target.on_set()

@@ -144,6 +144,8 @@ BAD_CONFIGS = {
     "init-median-at-r-min": (("init", "median"), 10000.0, "init.median"),
     "target-without-off-neuron": (("recall_target",), [1] * 10, "recall_target"),
     "stimulus-without-on-neuron": (("recall_stimulus",), [0] * 10, "recall_stimulus"),
+    "stimulus-length-not-n": (("recall_stimulus",), [1, 1, 1, 1, 0, 0, 0, 0, 0], "recall_stimulus"),
+    "target-length-not-n": (("recall_target",), [1, 1, 1, 1, 0, 1, 0, 0, 0], "recall_target"),
 }
 
 

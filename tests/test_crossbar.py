@@ -39,12 +39,6 @@ def test_init_zero_cv_is_exactly_uniform(quiet_device, rng):
     assert np.all(arr.resistance == 1.0e6)
 
 
-def test_init_rejects_tiny_dimension(quiet_device, rng):
-    scheme = InitScheme(InitVariant.TUNED_FULL_RESET, 0.0, 1.0e6)
-    with pytest.raises(InvalidDimension):
-        init_array(1, scheme, quiet_device, rng, DEFAULT_RESET_PULSE)
-
-
 def test_init_single_seed_cv_within_sampling_error(quiet_device):
     # 100 cells at cv 0.09: sample CV lands within +-30% for a single draw
     scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 0.09, 1.0e6)

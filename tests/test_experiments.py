@@ -31,7 +31,7 @@ from pcmxbar import (
     variation_sweep,
 )
 from pcmxbar.configio import bundled_config_path, load_config, load_sweep, report_json
-from pcmxbar.errors import DegeneratePattern, DimensionMismatch, NoSnapshots
+from pcmxbar.errors import DimensionMismatch, NoSnapshots
 from pcmxbar.experiments import HISTOGRAM_BINS, _histogram_edges, scheme_for_cv, weight_contrast
 
 from conftest import on_pattern, uniform_array
@@ -251,20 +251,6 @@ def test_store_cannot_write_into_the_runs_matrices():
 def test_weight_contrast_untrained_is_unity(quiet_device):
     arr = uniform_array(10, 1.0e6, quiet_device)
     assert weight_contrast(arr, PATTERN_1) == 1.0
-
-
-def test_weight_contrast_rejects_pattern_of_other_length(quiet_device):
-    arr = uniform_array(10, 1.0e6, quiet_device)
-    with pytest.raises(DimensionMismatch, match=r"^pattern length 9 != array dimension 10$"):
-        weight_contrast(arr, on_pattern(9, {0, 1}))
-
-
-def test_weight_contrast_rejects_degenerate_patterns(quiet_device):
-    arr = uniform_array(10, 1.0e6, quiet_device)
-    with pytest.raises(DegeneratePattern):
-        weight_contrast(arr, on_pattern(10, set()))
-    with pytest.raises(DegeneratePattern):
-        weight_contrast(arr, on_pattern(10, set(range(10))))
 
 
 # ---------------------------------------------------------------- init regimes
