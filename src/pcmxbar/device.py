@@ -181,20 +181,25 @@ def apply_reset_pulse(
     else:
         z = rng.standard_normal(shape)
         z *= math.sqrt(math.log1p(rel_spread * rel_spread))  # lognormal shape of this CV
-        # The exponential stays math.exp: np.exp differs from it in the last bit
-        # for some inputs. It maps over Python floats, which it takes faster
-        # than numpy scalars, a chunk at a time, so no list grows with the
-        # array, and writes back into the draw's own buffer.
+        # The exponential is libm's exp, the bits of math.exp: float64 np.exp
+        # differs from it in the last bit for some inputs, but numpy's complex
+        # exp of x + 0j is libm's exp(x) + 0j. It runs in place in one complex
+        # buffer of at most a chunk, whose imaginary part stays 0, and the
+        # real part goes back into the draw's own buffer.
         flat = z.reshape(-1)
+        buffer = np.zeros(min(flat.size, _EXP_CHUNK), dtype=np.complex128)
         for start in range(0, flat.size, _EXP_CHUNK):
             chunk = flat[start : start + _EXP_CHUNK]
-            chunk[:] = np.fromiter(map(math.exp, chunk.tolist()), dtype=np.float64, count=chunk.size)
+            part = buffer[: chunk.size]
+            part.real = chunk
+            np.exp(part, out=part)
+            chunk[:] = part.real
         resistance = z
         resistance *= target_median
     return _clamp(resistance, params)
 
 
-# Cells per math.exp chunk in apply_reset_pulse.
+# Cells per complex exp chunk in apply_reset_pulse: a 64 KiB buffer.
 _EXP_CHUNK = 4096
 
 

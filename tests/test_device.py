@@ -23,6 +23,7 @@ from pcmxbar.errors import AmplitudeBelowThreshold
 from pcmxbar.network import DEFAULT_READ_PULSE
 
 from conftest import index, make_rng, trapezoid_energy, uniform_array
+from test_loop_reference import scalar_reset
 
 SET_PULSE = PulseSpec(1.0, 50e-9, 300e-9, 1.0e-6, PulseRole.SET)
 RESET_PULSE = PulseSpec(1.5, 20e-9, 50e-9, 5e-9, PulseRole.RESET)
@@ -138,6 +139,25 @@ def test_reset_sample_median_matches_target(quiet_device):
     rng = make_rng(7)
     samples = apply_reset_pulse(10_000, RESET_PULSE, quiet_device, 2.0e5, 0.3, rng)
     assert np.median(samples) == pytest.approx(2.0e5, rel=0.03)
+
+
+# 4,097 cells: one whole exp chunk and one cell past it
+@pytest.mark.parametrize("shape", [(), 0, (2, 0), 1, (4097,)], ids=["scalar", "empty", "empty-rows", "one", "chunk-and-one"])
+def test_reset_edge_shapes_equal_the_cell_loop(quiet_device, shape):
+    rng_block, rng_loop = make_rng(11), make_rng(11)
+    out = apply_reset_pulse(shape, RESET_PULSE, quiet_device, 2.2e4, 0.6, rng_block)
+    cells = np.empty(shape)
+    expected = [scalar_reset(2.2e4, 0.6, quiet_device, rng_loop) for _ in range(cells.size)]
+    assert out.shape == cells.shape
+    assert out.reshape(-1).tolist() == expected
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_reset_returns_its_own_float64_array(quiet_device, rng):
+    # not the real part of a complex array, a view that would hold the complex buffer
+    out = apply_reset_pulse((64, 64), RESET_PULSE, quiet_device, 2.2e4, 0.6, rng)
+    assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable
+    assert out.base is None
 
 
 def test_reset_below_threshold_amplitude_rejected(quiet_device, rng):

@@ -318,7 +318,7 @@ def test_reads_equal_cell_loop(kind, seed, n, data):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    # 4,096, 4,225 and 8,281 cells: one whole chunk of math.exp in
+    # 4,096, 4,225 and 8,281 cells: one whole chunk of the exp loop in
     # apply_reset_pulse, one cell past it, and a third chunk cut short
     n=st.one_of(st.integers(2, 24), st.sampled_from((64, 65, 91))),
     cv=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.99)),

@@ -1,9 +1,11 @@
 """Fingerprints of the platform primitives every pinned digest rests on.
 
 The output digests hold only while numpy's normal streams, libm's exp (through
-math.exp), libm's log10 and pow (through math.log10 and float **, which give
-the histogram bin edges) and CPython's float repr give the bits they gave
-when the digests were taken. NEP 19 does not freeze numpy's streams across versions. When a
+math.exp, and through numpy's complex exp, whose exp(x + 0j) is
+math.exp(x) + 0j: the RESET draw takes its exponentials that way), libm's
+log10 and pow (through math.log10 and float **, which give the histogram bin
+edges) and CPython's float repr give the bits they gave when the digests were
+taken. NEP 19 does not freeze numpy's streams across versions. When a
 digest moves after an upgrade, this test names the layer that moved.
 
 Stored arrays take the digits of every value in [1, 10**8) from pcmxbar's
@@ -68,3 +70,19 @@ def test_platform_primitives_give_the_pinned_bits():
     assert reprs == ["0.1", "1000000.0", "22000.000000000004", "1234567.8900090884"], (
         "CPython repr: the shortest round-trip text of a float moved"
     )
+
+
+def test_complex_exp_of_a_real_is_libm_exp():
+    # The RESET draw's exponentials: numpy's complex exp of x + 0j has the
+    # bits of math.exp(x) and an imaginary part of 0, where float64 np.exp
+    # moves the last bit of some. Checked at the fixed points above and on
+    # 1 M seeded normals at the lognormal shapes of the least and the
+    # largest swept cv.
+    fixed = np.array([-1.0, -2.5, 0.09, 0.5, 13.815510557964274])
+    draws = np.random.default_rng(20141).standard_normal(1 << 20)
+    for x in (fixed, *(draws * math.sqrt(math.log1p(cv * cv)) for cv in (0.05, 1.99))):
+        got = np.exp(x + 0j)
+        libm = np.fromiter(map(math.exp, x.tolist()), dtype=np.float64, count=x.size)
+        moved = np.flatnonzero(got.real.view(np.int64) != libm.view(np.int64))
+        assert moved.size == 0, f"numpy complex exp: exp({x[moved[0]]!r} + 0j) is not math.exp's {libm[moved[0]].hex()}"
+        assert not got.imag.any(), "numpy complex exp: exp(x + 0j) has a nonzero imaginary part"
