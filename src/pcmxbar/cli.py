@@ -124,25 +124,25 @@ def _cmd_learn(args, out: Path, nearest: Path) -> int:
     return EXIT_OK
 
 
-def _load_stored(path: Path, params):
-    """The stored array at path; out of memory, the error names the file."""
+def _load_stored(path: Path, config):
+    """The stored array at path, checked as recall needs it; each error names the file.
+
+    The file must exist, load within memory and hold a config.n x config.n array.
+    """
+    if not path.is_file():
+        raise FileNotFoundError(f"no stored array at {path}; run learn into this directory first")
     try:
-        return load_resistance_csv(path, params)
+        array = load_resistance_csv(path, config.device)
     except MemoryError as exc:
         raise MemoryError(f"reading {path}: {exc}") from None
+    if array.n != config.n:
+        raise DimensionMismatch(f"{path}: array dimension {array.n} != config n {config.n}")
+    return array
 
 
 def _cmd_recall(args, out: Path, nearest: Path) -> int:
     config = _apply_overrides(load_config(_resolve_config(args.config)), args)
-    trained_path = out / "array_final.csv"
-    baseline_path = out / "array_initial.csv"
-    for path in (trained_path, baseline_path):
-        if not path.is_file():
-            raise FileNotFoundError(f"no stored array at {path}; run learn into this directory first")
-    trained, baseline = (_load_stored(path, config.device) for path in (trained_path, baseline_path))
-    for path, array in ((trained_path, trained), (baseline_path, baseline)):
-        if array.n != config.n:
-            raise DimensionMismatch(f"{path}: array dimension {array.n} != config n {config.n}")
+    trained, baseline = (_load_stored(out / name, config) for name in ("array_final.csv", "array_initial.csv"))
     thresholds = compute_thresholds(baseline, config.recall_stimulus, config.protocol)
     probe = recall_probe(trained, config.recall_stimulus, thresholds, config.protocol)
     success = recall_success(probe.final_firing, config.recall_target)

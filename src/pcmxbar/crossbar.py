@@ -28,7 +28,7 @@ from .device import (
     check_read_voltage,
     pulse_energy,
 )
-from .errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
+from .errors import CorruptArrayFile, DimensionMismatch
 
 
 class InitVariant(enum.Enum):
@@ -40,7 +40,10 @@ class InitVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class InitScheme:
-    """How the array is prepared before learning: variant, spread, and median."""
+    """How the array is prepared before learning: variant, spread, and median.
+
+    cv is checked here; ExperimentConfig ranges the median against the device.
+    """
 
     variant: InitVariant
     cv: float
@@ -49,9 +52,6 @@ class InitScheme:
     def __post_init__(self) -> None:
         if not (0 <= self.cv < 2):
             raise ValueError("cv must lie in [0, 2)")
-        # negated, so that NaN fails the check
-        if not self.median > 0:
-            raise ValueError("median must be positive")
 
 
 @dataclass(frozen=True)
@@ -432,8 +432,10 @@ def _text_tables() -> tuple[np.ndarray, np.ndarray]:
 def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray:
     """Read a resistance matrix CSV back into an array.
 
-    Rejects a file that is not UTF-8 text holding a square matrix of at
-    least 2 x 2 numbers in [r_min, r_max]; every error names the file.
+    Checks only what the file alone tells: it is UTF-8 text holding a
+    square matrix of numbers in [r_min, r_max]; every error names the file.
+    Any square matrix loads as an (n, n) array, 0 x 0 and 1 x 1 included;
+    the caller that knows the n it needs checks it (pcmxbar recall does).
     pcmxbar's exact reader reads the writer's own format and the csv loop
     every other file, so every file loads, or fails, as the csv loop alone
     would have it. The rows are checked here, once, whichever of the two
@@ -443,11 +445,9 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
     if rows is None:
         rows = _parse_with_csv(path)
     n = len(rows)
-    if n < 2:
-        raise InvalidDimension(f"{path}: array dimension must be >= 2, got {n}")
     if any(len(r) != n for r in rows):
         raise DimensionMismatch(f"{path}: resistance CSV is not square")
-    resistance = np.asarray(rows, dtype=np.float64)
+    resistance = np.asarray(rows, dtype=np.float64).reshape(n, n)
     # written as a negation so that NaN counts as outside
     outside = ~((resistance >= params.r_min) & (resistance <= params.r_max))
     if outside.any():

@@ -9,10 +9,6 @@ class AmplitudeBelowThreshold(SimulationError):
     """Programming pulse amplitude is too small to switch the cell."""
 
 
-class InvalidDimension(SimulationError):
-    """Requested array dimension is not supported."""
-
-
 class DimensionMismatch(SimulationError):
     """A config pattern's length is not n, or a stored array is not square or not n x n."""
 

@@ -182,19 +182,24 @@ def test_recall_rejects_empty_array_without_warning(tmp_path, capsys):
     code = main(["recall", "--config", "paper10x10.json", "--out-dir", str(tmp_path)])
     assert code == EXIT_SIMULATION
     err = capsys.readouterr().err
-    assert "array_final.csv" in err
+    assert "array_final.csv: array dimension 0 != config n 10" in err
     assert "Warning" not in err
     assert not (tmp_path / "recall.json").exists()
 
 
-@pytest.mark.parametrize("name", ["array_final.csv", "array_initial.csv"])
-def test_recall_rejects_array_of_other_dimension_naming_the_file(tmp_path, capsys, name):
+@pytest.mark.parametrize(
+    "name, dimension",
+    [("array_final.csv", 3), ("array_initial.csv", 3), ("array_final.csv", 1), ("array_initial.csv", 1)],
+    ids=["array_final.csv", "array_initial.csv", "one-cell-array_final.csv", "one-cell-array_initial.csv"],
+)
+def test_recall_rejects_array_of_other_dimension_naming_the_file(tmp_path, capsys, name, dimension):
+    # every cell is in range, so only the dimension rule judges the file
     learn_into(tmp_path, "--quiet")
-    (tmp_path / name).write_text("1000000.0,1000000.0,1000000.0\r\n" * 3)
+    (tmp_path / name).write_text((",".join(["1000000.0"] * dimension) + "\r\n") * dimension)
     code = main(["recall", "--config", "paper10x10.json", "--out-dir", str(tmp_path)])
     assert code == EXIT_SIMULATION
     err = capsys.readouterr().err
-    assert f"{name}: array dimension 3 != config n 10" in err
+    assert f"{name}: array dimension {dimension} != config n 10" in err and "Traceback" not in err
     assert not (tmp_path / "recall.json").exists()
 
 
@@ -259,7 +264,7 @@ def test_device_curve_traces_geometric_staircase(tmp_path):
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-@pytest.mark.parametrize("median", [1e300, 5000.0])
+@pytest.mark.parametrize("median", [1e300, 5000.0, 0.0, -1e6])
 def test_device_curve_rejects_init_median_outside_device_range(tmp_path, capsys, median):
     # the staircase started at this median and clamped only from pulse 1 on
     spec = config_to_dict(load_config(bundled_config_path("paper10x10.json")))

@@ -22,7 +22,7 @@ from pcmxbar.crossbar import (
     save_resistance_csv,
 )
 from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
-from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
+from pcmxbar.errors import CorruptArrayFile, DimensionMismatch
 
 from conftest import index, make_rng, uniform_array
 
@@ -75,12 +75,6 @@ def test_init_rejects_pulse_of_wrong_role(quiet_device, rng):
     scheme = InitScheme(InitVariant.UNIFORM_PARTIAL_RESET, 0.3, 2.2e4)
     with pytest.raises(ValueError, match="^expected a pulse with role RESET, got role SET$"):
         init_array(10, scheme, quiet_device, rng, SET_PULSE)
-
-
-def test_init_scheme_rejects_nan_median():
-    # a `median <= 0` check let NaN through
-    with pytest.raises(ValueError, match="median"):
-        InitScheme(InitVariant.TUNED_FULL_RESET, 0.1, math.nan)
 
 
 # ---------------------------------------------------------------- read
@@ -382,13 +376,23 @@ def test_load_rejects_corrupt_cell_naming_the_file(quiet_device, tmp_path, cell,
     assert reason in str(excinfo.value)
 
 
-@pytest.mark.parametrize("text, got", [("", 0), ("1e6,1e6\n", 1)], ids=["empty", "one-row"])
-def test_load_rejects_short_file_without_warning(quiet_device, tmp_path, text, got):
+@pytest.mark.parametrize("text, n", [("", 0), ("1e6\n", 1)], ids=["empty", "one-cell"])
+def test_load_takes_square_below_two_by_two_without_warning(quiet_device, tmp_path, text, n):
+    # the loader checks what the file alone tells; recall checks the dimension against its config
     path = tmp_path / "short.csv"
     path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidDimension, match=f"short.csv: array dimension must be >= 2, got {got}$"):
+        loaded = load_resistance_csv(path, quiet_device)
+    assert loaded.resistance.shape == (n, n) and loaded.n == n
+
+
+def test_load_rejects_one_row_file_as_not_square_without_warning(quiet_device, tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("1e6,1e6\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="short.csv: resistance CSV is not square$"):
             load_resistance_csv(path, quiet_device)
 
 
@@ -523,7 +527,7 @@ def test_load_keeps_its_memory_near_one_block(quiet_device, tmp_path):
             DimensionMismatch,
             "resistance CSV is not square",
         ),
-        ("1000000.0,1000000.0\r\n", InvalidDimension, "array dimension must be >= 2, got 1"),
+        ("1000000.0,1000000.0\r\n", DimensionMismatch, "resistance CSV is not square"),
     ],
     ids=["cell-below-r_min", "two-by-three", "one-row"],
 )

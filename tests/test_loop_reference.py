@@ -73,7 +73,7 @@ from pcmxbar.crossbar import (
 )
 from pcmxbar.crossbar import _BLOCK, _CHUNK, _parse_own_format, _write_reprs
 from pcmxbar.device import apply_set_pulse, pulse_energy
-from pcmxbar.errors import CorruptArrayFile, DimensionMismatch, InvalidDimension
+from pcmxbar.errors import CorruptArrayFile, DimensionMismatch
 from pcmxbar.experiments import SweepRow, _sweep_run, scheme_for_cv, weight_contrast
 from pcmxbar.network import DEFAULT_RESET_PULSE, add_in_order, training_epoch
 
@@ -170,11 +170,9 @@ def loop_load_resistance_csv(path, params):
         except (ValueError, csv.Error) as exc:
             raise CorruptArrayFile(f"{path}, line {reader.line_num}: {exc}") from exc
     n = len(rows)
-    if n < 2:
-        raise InvalidDimension(f"{path}: array dimension must be >= 2, got {n}")
     if any(len(r) != n for r in rows):
         raise DimensionMismatch(f"{path}: resistance CSV is not square")
-    resistance = np.array(rows, dtype=np.float64)
+    resistance = np.array(rows, dtype=np.float64).reshape(n, n)
     outside = ~((resistance >= params.r_min) & (resistance <= params.r_max))
     if outside.any():
         bl, wl = np.argwhere(outside)[0]
