@@ -29,7 +29,7 @@ from .configio import (
 )
 from .crossbar import load_resistance_csv, save_resistance_csv
 from .device import apply_set_pulse
-from .errors import ConfigParseError, DimensionMismatch, SimulationError
+from .errors import ConfigParseError, CorruptArrayFile, SimulationError
 from .experiments import distribution_history, learn_and_recall, variation_sweep
 from .network import compute_thresholds, recall_probe, recall_success
 
@@ -127,7 +127,9 @@ def _cmd_learn(args, out: Path, nearest: Path) -> int:
 def _load_stored(path: Path, config):
     """The stored array at path, checked as recall needs it; each error names the file.
 
-    The file must exist, load within memory and hold a config.n x config.n array.
+    The file must exist (else FileNotFoundError, exit 3), load within memory
+    and hold a config.n x config.n array; any array recall cannot use is a
+    CorruptArrayFile (exit 4).
     """
     if not path.is_file():
         raise FileNotFoundError(f"no stored array at {path}; run learn into this directory first")
@@ -136,7 +138,7 @@ def _load_stored(path: Path, config):
     except MemoryError as exc:
         raise MemoryError(f"reading {path}: {exc}") from None
     if array.n != config.n:
-        raise DimensionMismatch(f"{path}: array dimension {array.n} != config n {config.n}")
+        raise CorruptArrayFile(f"{path}: array dimension {array.n} != config n {config.n}")
     return array
 
 

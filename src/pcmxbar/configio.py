@@ -78,7 +78,7 @@ def _decode(tp, value, path: str):
                 raise ConfigParseError(f"missing key '{key}'")
         try:
             return tp(**kwargs)
-        except (ValueError, SimulationError) as exc:
+        except ValueError as exc:
             raise ConfigParseError(f"{path}: {exc}" if path else str(exc)) from exc
     if get_origin(tp) is tuple:
         if not isinstance(value, list):

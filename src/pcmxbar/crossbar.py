@@ -28,7 +28,7 @@ from .device import (
     check_read_voltage,
     pulse_energy,
 )
-from .errors import CorruptArrayFile, DimensionMismatch
+from .errors import CorruptArrayFile
 
 
 class InitVariant(enum.Enum):
@@ -433,7 +433,8 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
     """Read a resistance matrix CSV back into an array.
 
     Checks only what the file alone tells: it is UTF-8 text holding a
-    square matrix of numbers in [r_min, r_max]; every error names the file.
+    square matrix of numbers in [r_min, r_max]; each error is a
+    CorruptArrayFile that names the file.
     Any square matrix loads as an (n, n) array, 0 x 0 and 1 x 1 included;
     the caller that knows the n it needs checks it (pcmxbar recall does).
     pcmxbar's exact reader reads the writer's own format and the csv loop
@@ -446,7 +447,7 @@ def load_resistance_csv(path: str | Path, params: DeviceParams) -> CrossbarArray
         rows = _parse_with_csv(path)
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise DimensionMismatch(f"{path}: resistance CSV is not square")
+        raise CorruptArrayFile(f"{path}: resistance CSV is not square")
     resistance = np.asarray(rows, dtype=np.float64).reshape(n, n)
     # written as a negation so that NaN counts as outside
     outside = ~((resistance >= params.r_min) & (resistance <= params.r_max))

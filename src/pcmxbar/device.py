@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeBelowThreshold
-
 
 class PulseRole(enum.Enum):
     SET = "set"
@@ -120,12 +118,11 @@ def check_read_voltage(v_read: float, params: DeviceParams) -> None:
 
 
 def _check_pulse(pulse: PulseSpec, role: PulseRole, threshold: float) -> None:
-    """Raise unless pulse has the given role and an amplitude of at least threshold volts."""
+    """Raise ValueError unless pulse has the given role and an amplitude of at least threshold volts."""
     if pulse.role is not role:
         raise ValueError(f"expected a pulse with role {role.name}, got role {pulse.role.name}")
     if pulse.amplitude < threshold:
-        message = f"{role.name} amplitude {pulse.amplitude} V below threshold {threshold} V; no state change"
-        raise AmplitudeBelowThreshold(message)
+        raise ValueError(f"{role.name} amplitude {pulse.amplitude} V below threshold {threshold} V; no state change")
 
 
 def apply_set_pulse(

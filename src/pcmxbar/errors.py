@@ -1,25 +1,16 @@
-"""Error types raised by the simulator."""
+"""The errors the command line maps to exit codes; the model raises ValueError."""
 
 
 class SimulationError(Exception):
-    """Base class for all simulator errors."""
-
-
-class AmplitudeBelowThreshold(SimulationError):
-    """Programming pulse amplitude is too small to switch the cell."""
-
-
-class DimensionMismatch(SimulationError):
-    """A config pattern's length is not n, or a stored array is not square or not n x n."""
-
-
-class NoSnapshots(SimulationError):
-    """Distribution history was requested from a run that kept no snapshots."""
+    """Base class of the CLI's errors; raised itself for a result that is not finite (exit 4)."""
 
 
 class CorruptArrayFile(SimulationError):
-    """A stored resistance array file holds a cell that is not a resistance in the device range."""
+    """A stored array recall cannot use (exit 4).
+
+    Not UTF-8 numbers, not square, a cell outside [r_min, r_max], or not the config's n x n.
+    """
 
 
 class ConfigParseError(SimulationError):
-    """Configuration file is missing, malformed, or fails validation."""
+    """Configuration file is missing, malformed, or fails validation (exit 2)."""

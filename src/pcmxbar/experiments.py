@@ -24,7 +24,6 @@ from .crossbar import (
     init_array,
 )
 from .device import DeviceParams
-from .errors import DimensionMismatch, NoSnapshots
 from .network import (
     EpochTrace,
     Pattern,
@@ -64,7 +63,7 @@ class ExperimentConfig:
         named += [("recall_stimulus", self.recall_stimulus), ("recall_target", self.recall_target)]
         for name, p in named:
             if p.n != self.n:
-                raise DimensionMismatch(f"{name} has length {p.n}, not n = {self.n}")
+                raise ValueError(f"{name} has length {p.n}, not n = {self.n}")
         if not self.recall_stimulus.on_set():
             raise ValueError("recall_stimulus must turn at least one neuron ON: the recall probe starts from it")
         if not self.recall_stimulus.on_set() <= self.recall_target.on_set():
@@ -246,7 +245,7 @@ def learn_and_recall(
         if every:
             snapshots.append(Snapshot(0, initial_stats, edges, _histogram(array.resistance, edges)))
         # each matrix store gets is the run's own; read-only, so that store cannot change the run
-        array.resistance.flags.writeable = False
+        array.resistance.setflags(write=False)
         yield 0, array.resistance
         traces: list[EpochTrace] = []
         contrast_history: list[float] = []
@@ -256,7 +255,7 @@ def learn_and_recall(
             if every and epoch % every == 0:
                 kept_epoch, kept_stats = epoch, array_stats(array.resistance)
                 snapshots.append(Snapshot(epoch, kept_stats, edges, _histogram(array.resistance, edges)))
-                array.resistance.flags.writeable = False
+                array.resistance.setflags(write=False)
                 yield epoch, array.resistance
             contrast_history.append(weight_contrast(array, config.recall_target))
 
@@ -274,7 +273,7 @@ def learn_and_recall(
             final_resistance=array.resistance,
             config=config,
         )
-        array.resistance.flags.writeable = False
+        array.resistance.setflags(write=False)
         yield None, array.resistance
 
     stream = arrays()
@@ -352,10 +351,11 @@ def distribution_history(report: RunReport) -> list[Snapshot]:
     """The kept snapshots, each with its log-spaced resistance histogram, in epoch order.
 
     The initial array is epoch 0; later entries are the epochs the run kept
-    under its snapshot cadence.
+    under its snapshot cadence. Raises ValueError for a run with
+    snapshot_every = 0, which kept none.
     """
     if report.config.snapshot_every == 0:
-        raise NoSnapshots("run kept no snapshots; set snapshot_every > 0")
+        raise ValueError("run kept no snapshots; set snapshot_every > 0")
     return list(report.snapshots)
 
 

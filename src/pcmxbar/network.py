@@ -44,7 +44,7 @@ class Pattern:
         # the ON set and both index arrays are read on every epoch and probe; build them once
         bits = np.array(self.bits, dtype=bool)
         for name, index in (("on_idx", np.flatnonzero(bits)), ("off_idx", np.flatnonzero(~bits))):
-            index.flags.writeable = False  # shared by every caller
+            index.setflags(write=False)  # shared by every caller
             object.__setattr__(self, name, index)
         object.__setattr__(self, "_on", frozenset(self.on_idx.tolist()))
 
@@ -153,7 +153,7 @@ def _read_idle(
     currents = np.empty(len(array.resistance))
     currents.fill(np.nan)  # cheaper than an indexed write of the firing neurons
     currents[idle_idx] = read
-    currents.flags.writeable = False
+    currents.setflags(write=False)
     return currents, energies
 
 

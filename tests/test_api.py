@@ -105,3 +105,20 @@ def test_src_defines_nothing_it_never_reaches(tracer):
         and member.name not in tracer_loads
     ]
     assert unreached == []
+
+
+def test_the_model_raises_value_error_and_only_the_cli_boundaries_use_errors():
+    # the device laws, the network and the experiment model raise ValueError;
+    # pcmxbar.errors holds one type per CLI exit code and their base
+    package = Path(pcmxbar.__file__).parent
+    for module in ("device", "network", "experiments"):
+        imports = [
+            node
+            for node in ast.walk(ast.parse((package / f"{module}.py").read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module in ("errors", "pcmxbar.errors")
+            or isinstance(node, ast.Import) and any(alias.name == "pcmxbar.errors" for alias in node.names)
+        ]
+        assert imports == [], f"pcmxbar.{module} imports from pcmxbar.errors"
+    errors = ast.parse((package / "errors.py").read_text())
+    classes = [stmt.name for stmt in errors.body if isinstance(stmt, ast.ClassDef)]
+    assert sorted(classes) == ["ConfigParseError", "CorruptArrayFile", "SimulationError"]

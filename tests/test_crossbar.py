@@ -21,8 +21,10 @@ from pcmxbar.crossbar import (
     read_bitlines,
     save_resistance_csv,
 )
+from pcmxbar.cli import _load_stored
+from pcmxbar.configio import bundled_config_path, load_config
 from pcmxbar.network import DEFAULT_READ_PULSE, DEFAULT_RESET_PULSE
-from pcmxbar.errors import CorruptArrayFile, DimensionMismatch
+from pcmxbar.errors import CorruptArrayFile
 
 from conftest import index, make_rng, uniform_array
 
@@ -353,7 +355,7 @@ def test_resistance_csv_round_trip(quiet_device, tmp_path):
 def test_load_rejects_ragged_csv(quiet_device, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1e6,2e6\n3e6\n")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(CorruptArrayFile):
         load_resistance_csv(path, quiet_device)
 
 
@@ -392,8 +394,28 @@ def test_load_rejects_one_row_file_as_not_square_without_warning(quiet_device, t
     path.write_text("1e6,1e6\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DimensionMismatch, match="short.csv: resistance CSV is not square$"):
+        with pytest.raises(CorruptArrayFile, match="short.csv: resistance CSV is not square$"):
             load_resistance_csv(path, quiet_device)
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"1e6,\xff1e6\n1e6,1e6\n", " is not UTF-8 text"),
+        (b"1e6,1e6\n1e6,abc\n", ", line 2: could not convert string to float: 'abc'"),
+        (b"1e6,1e6\n1e6\n", ": resistance CSV is not square"),
+        (b"1e6,1e6\n1e6,1e2\n", ": cell (bitline 1, wordline 1) holds 100.0 ohm"),
+        (b"1e6,1e6,1e6\n" * 3, ": array dimension 3 != config n 10"),
+    ],
+    ids=["not-utf8", "not-a-number", "not-square", "out-of-range", "three-by-three"],
+)
+def test_recall_rejects_each_unusable_stored_array_as_corrupt_naming_the_file(tmp_path, content, reason):
+    # recall's one file boundary: whatever it cannot use is a CorruptArrayFile (exit 4)
+    path = tmp_path / "array_final.csv"
+    path.write_bytes(content)
+    with pytest.raises(CorruptArrayFile) as excinfo:
+        _load_stored(path, load_config(bundled_config_path("paper10x10.json")))
+    assert str(excinfo.value).startswith(f"{path}{reason}")
 
 
 def test_load_reads_a_written_array_with_its_own_reader_alone(quiet_device, tmp_path, monkeypatch):
@@ -524,10 +546,10 @@ def test_load_keeps_its_memory_near_one_block(quiet_device, tmp_path):
         ),
         (
             "1000000.0,1000000.0,1000000.0\r\n1000000.0,1000000.0,1000000.0\r\n",
-            DimensionMismatch,
+            CorruptArrayFile,
             "resistance CSV is not square",
         ),
-        ("1000000.0,1000000.0\r\n", DimensionMismatch, "resistance CSV is not square"),
+        ("1000000.0,1000000.0\r\n", CorruptArrayFile, "resistance CSV is not square"),
     ],
     ids=["cell-below-r_min", "two-by-three", "one-row"],
 )
